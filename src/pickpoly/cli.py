@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -155,9 +156,19 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _optim_config(obj: dict) -> OptimConfig:
+    if not isinstance(obj, dict):
+        raise ValueError(f"optim must be a JSON object, got {obj!r}")
+    known = {f.name for f in fields(OptimConfig)}
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ValueError(f"unknown optim keys {unknown}; expected a subset of {sorted(known)}")
+    return OptimConfig(**obj)
+
+
 def _cmd_study(args) -> int:
     raw = _read_json(args.infile)
-    optim = OptimConfig(**raw["optim"]) if "optim" in raw else None
+    optim = _optim_config(raw["optim"]) if "optim" in raw else None
     config = StudyConfig(
         model=model_from_json(raw["model"]),
         n=int(raw["n"]),

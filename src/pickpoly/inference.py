@@ -10,10 +10,14 @@ Estimators, all returning genuine Pickands functions by construction:
   correction, clamped to [V, 1] and convexified by its greatest convex
   minorant on a grid.
 
-The two MLE problems are nonconcave, so both drivers run a derivative-free
-simplex search from many feasible random starts under a log-barrier and keep
-the best local optimum; the independence parameter (loglik exactly 0) is
-always a fallback candidate. Everything is deterministic given the seed.
+Both MLEs share one likelihood engine: for fixed data the log-likelihood is
+a smooth function of the spectral coefficients h with a closed-form
+gradient, evaluated through a design matrix built once per (data, m). The
+problems are nonconcave, so each driver runs SLSQP with exact constraint
+Jacobians from many feasible random starts, pulls every final point
+radially back into the parameter space and keeps the best; the
+independence parameter (loglik exactly 0) is always a fallback candidate.
+Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ from .bernstein import BernsteinPoly, eval_with_derivatives
 from .full_model import (
     FullModelParam,
     coefficient_tensor,
+    form_matrices,
     sample_feasible,
+    theta_to_h,
     theta_to_pickands,
 )
 from .pickands import (
@@ -88,14 +94,16 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Knobs for the multi-start simplex search (deterministic given seed)."""
+    """Knobs for the multi-start search (deterministic given seed).
+
+    ``starts`` random feasible starting points, drawn from ``seed``; each
+    local SLSQP search stops after at most ``maxfev`` iterations (None keeps
+    SLSQP's default of 100).
+    """
 
     starts: int = 20
     seed: int = 0
-    barrier: float = 1e-6
     maxfev: int | None = None
-    xatol: float = 1e-5
-    fatol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -139,28 +147,88 @@ def log_likelihood(A, data: SampleSet) -> float:
     return float(np.sum(np.log(dens)))
 
 
-def _nm_options(config: OptimConfig) -> dict:
-    opts = {"xatol": config.xatol, "fatol": config.fatol}
-    if config.maxfev is not None:
-        opts["maxfev"] = config.maxfev
-        opts["maxiter"] = config.maxfev
-    return opts
+_UNDEFINED_OBJ = 1e12
+# SLSQP stops once the objective (in nats) settles to this; two searches that
+# reach the same optimum then agree to ~1e-13 rather than ~1e-8
+_FTOL = 1e-10
 
 
-def _multistart(pure, barrier_obj, starts: np.ndarray, config: OptimConfig):
-    """Run the simplex search from each start; best-of by pure loglik.
+class _LogLik:
+    """Log-likelihood of A_h and its gradient in h, for fixed data and degree m.
 
-    The independence point (loglik exactly 0) is the baseline candidate, so
-    the winner never falls below it. Ties keep the earlier candidate.
+    A is an affine image of the spectral coefficients h, so at fixed
+    pseudo-angles the two factors of the density brace and A'' are affine in
+    h as well. One stacked (3n x (m+1)) design matrix, built once, maps h to
+    them; a value-and-gradient call is then one matvec, one transposed
+    matvec and a few length-n vector operations.
     """
-    best_x, best_ll, best_ok = None, 0.0, True
+
+    def __init__(self, data: SampleSet, m: int):
+        t, s = _pseudo_angles(data)
+        K = a_from_h_matrix(m) / (m + 1)
+        # column j: A - 1, A' and A'' at every t for the unit coefficient e_j
+        val, d1, d2 = (np.column_stack(cols) for cols in
+                       zip(*(eval_with_derivatives(-K[:, j], t) for j in range(m + 1))))
+        self.n = t.size
+        self.T = coefficient_tensor(m) if m >= 1 else None
+        self.design = np.vstack([val + (1.0 - t)[:, None] * d1, val - t[:, None] * d1, d2])
+        self.curv = -t * (1.0 - t) / s
+        self.lin = s @ val
+
+    def objective(self, h: np.ndarray) -> tuple[float, np.ndarray]:
+        """Negative loglik and its gradient in h.
+
+        Where a density is nonpositive (SLSQP may try points slightly outside
+        the caps) the value is a large finite constant, so its line search
+        backs off instead of failing on inf or NaN.
+        """
+        n = self.n
+        z = self.design @ h
+        f1 = 1.0 + z[:n]
+        f2 = 1.0 + z[n:2 * n]
+        brace = f1 * f2 + self.curv * z[2 * n:]
+        if brace.min() <= 0.0:
+            return _UNDEFINED_OBJ, np.zeros_like(h)
+        inv = 1.0 / brace
+        weights = np.concatenate([f2 * inv, f1 * inv, self.curv * inv])
+        return -float(self.lin @ h + np.log(brace).sum()), -(self.lin + weights @ self.design)
+
+    def theta_objective(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """The objective through h_k = theta' T[k] theta (m >= 1).
+
+        dh_k/dtheta = 2 T[k] theta, so the gradient is 2 (sum_k g_k T[k]) theta.
+        """
+        Tth = self.T @ theta
+        f, g = self.objective(Tth @ theta)
+        return f, 2.0 * (g @ Tth)
+
+
+def _multistart(data: SampleSet, objective, starts: np.ndarray, config: OptimConfig,
+                candidate, **problem):
+    """SLSQP from each start; the best projected candidate by its loglik.
+
+    ``candidate(x)`` pulls a search's final point back inside the parameter
+    space and returns (param, h). Candidates are scored by the de Casteljau
+    log-likelihood of a_from_h(h), the arithmetic of ``log_likelihood``, so
+    the reported value is exactly that of the estimate built from the
+    winner. The independence point (loglik exactly 0) is the baseline, so
+    the winner never falls below it; ties keep the earlier candidate.
+    Returns (param or None, loglik, success).
+    """
+    t, s = _pseudo_angles(data)
+    options = {"ftol": _FTOL}
+    if config.maxfev is not None:
+        options["maxiter"] = config.maxfev
+    best, best_ll, best_ok = None, 0.0, True
     for x0 in starts:
-        res = minimize(barrier_obj, x0, method="Nelder-Mead",
-                       options=_nm_options(config))
-        ll = pure(res.x)
+        res = minimize(objective, x0, jac=True, method="SLSQP", options=options, **problem)
+        if not np.all(np.isfinite(res.x)):
+            continue
+        param, h = candidate(res.x)
+        ll = _loglik_terms(a_from_h(h).coeffs, t, s)
         if ll > best_ll:
-            best_x, best_ll, best_ok = res.x, ll, bool(res.success)
-    return best_x, best_ll, best_ok
+            best, best_ll, best_ok = param, ll, bool(res.success)
+    return best, best_ll, best_ok
 
 
 def _warn_small_sample(n: int, m: int):
@@ -172,54 +240,32 @@ def _warn_small_sample(n: int, m: int):
 def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
     """Constrained MLE over Theta_m (all polynomial Pickands functions, degree m + 2)."""
     _warn_small_sample(data.n, m)
-    t, s = _pseudo_angles(data)
-    K = a_from_h_matrix(m) / (m + 1)
-    y = (np.arange(m + 1) + 1.0) / (m + 2)
-    w0 = (1.0 - y) / (m + 1)
-    w1 = y / (m + 1)
-    T = coefficient_tensor(m) if m >= 1 else None
-
-    def h_of(x: np.ndarray) -> np.ndarray:
-        if m == 0:
-            return x
-        return np.einsum("kij,i,j->k", T, x, x)
-
-    def acoeffs_of(h: np.ndarray) -> np.ndarray:
-        a = 1.0 - K @ h
-        a[0] = 1.0
-        a[-1] = 1.0
-        return a
-
-    def pure(x: np.ndarray) -> float:
-        h = h_of(x)
-        if m == 0 and x[0] < 0.0:
-            return LOGLIK_NEG_INF
-        if w0 @ h > 1.0 + 1e-12 or w1 @ h > 1.0 + 1e-12:
-            return LOGLIK_NEG_INF
-        return _loglik_terms(acoeffs_of(h), t, s)
-
-    def barrier_obj(x: np.ndarray) -> float:
-        h = h_of(x)
-        slacks = [1.0 - w0 @ h, 1.0 - w1 @ h]
-        if m == 0:
-            slacks.append(x[0])
-        slacks = np.array(slacks)
-        if np.any(slacks <= 0.0):
-            return np.inf
-        ll = _loglik_terms(acoeffs_of(h), t, s)
-        if ll == LOGLIK_NEG_INF:
-            return np.inf
-        return -ll - config.barrier * float(np.sum(np.log(slacks)))
-
+    loglik = _LogLik(data, m)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     starts = sample_feasible(m, rng, config.starts)
-    best_x, best_ll, best_ok = _multistart(pure, barrier_obj, starts, config)
-    if best_x is None:
-        theta = np.zeros(m + 1)
+    if m == 0:
+        # theta is h itself; the caps reduce to theta <= 2
+        objective, problem = loglik.objective, {"bounds": [(0.0, 2.0)]}
     else:
-        theta = _canonical_sign(best_x, m)
-    param = FullModelParam(m, theta)
-    return FitResult(theta_to_pickands(param), best_ll, param, config.starts, best_ok)
+        Q = np.stack(form_matrices(m))
+        objective = loglik.theta_objective
+        problem = {"constraints": {"type": "ineq",
+                                   "fun": lambda th: 1.0 - (Q @ th) @ th,
+                                   "jac": lambda th: -2.0 * (Q @ th)}}
+
+    def candidate(theta: np.ndarray):
+        if m == 0:
+            theta = np.clip(theta, 0.0, 2.0)
+        else:
+            q0, q1 = (Q @ theta) @ theta
+            theta = _canonical_sign(theta / np.sqrt(max(1.0, q0, q1)), m)
+        param = FullModelParam(m, theta)
+        return param, theta_to_h(param)
+
+    param, ll, ok = _multistart(data, objective, starts, config, candidate, **problem)
+    if param is None:
+        param = FullModelParam(m, np.zeros(m + 1))
+    return FitResult(theta_to_pickands(param), ll, param, config.starts, ok)
 
 
 def _canonical_sign(theta: np.ndarray, m: int) -> np.ndarray:
@@ -237,51 +283,41 @@ def _canonical_sign(theta: np.ndarray, m: int) -> np.ndarray:
     return theta
 
 
+def _cap_weights(m: int) -> np.ndarray:
+    # rows w0, w1 with int (1-w) h = w0 . c and int w h = w1 . c
+    y = (np.arange(m + 1) + 1.0) / (m + 2)
+    return np.stack([1.0 - y, y]) / (m + 1)
+
+
 def fit_sub(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
     """Constrained MLE over the polytope C_m^+ (Bernstein approximation submodel)."""
     _warn_small_sample(data.n, m)
-    t, s = _pseudo_angles(data)
-    K = a_from_h_matrix(m) / (m + 1)
-    y = (np.arange(m + 1) + 1.0) / (m + 2)
-    w0 = (1.0 - y) / (m + 1)
-    w1 = y / (m + 1)
-
-    def acoeffs_of(c: np.ndarray) -> np.ndarray:
-        a = 1.0 - K @ c
-        a[0] = 1.0
-        a[-1] = 1.0
-        return a
-
-    def pure(c: np.ndarray) -> float:
-        if np.any(c < 0.0) or w0 @ c > 1.0 + 1e-12 or w1 @ c > 1.0 + 1e-12:
-            return LOGLIK_NEG_INF
-        return _loglik_terms(acoeffs_of(c), t, s)
-
-    def barrier_obj(c: np.ndarray) -> float:
-        slacks = np.concatenate([c, [1.0 - w0 @ c, 1.0 - w1 @ c]])
-        if np.any(slacks <= 0.0):
-            return np.inf
-        ll = _loglik_terms(acoeffs_of(c), t, s)
-        if ll == LOGLIK_NEG_INF:
-            return np.inf
-        return -ll - config.barrier * float(np.sum(np.log(slacks)))
-
+    loglik = _LogLik(data, m)
+    W = _cap_weights(m)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
-    starts = _polytope_starts(m, rng, config.starts, w0, w1)
-    best_c, best_ll, best_ok = _multistart(pure, barrier_obj, starts, config)
-    c = np.zeros(m + 1) if best_c is None else np.maximum(best_c, 0.0)
-    param = SubmodelParam(m, c)
+    starts = _polytope_starts(m, rng, config.starts, W)
+
+    def candidate(c: np.ndarray):
+        c = np.maximum(c, 0.0)
+        param = SubmodelParam(m, c / max(1.0, *(W @ c)))
+        return param, BernsteinPoly(param.c)
+
+    param, ll, ok = _multistart(
+        data, loglik.objective, starts, config, candidate,
+        bounds=[(0.0, None)] * (m + 1),
+        constraints={"type": "ineq", "fun": lambda c: 1.0 - W @ c, "jac": lambda c: -W})
+    if param is None:
+        param = SubmodelParam(m, np.zeros(m + 1))
     estimate = PickandsPoly(a_from_h(BernsteinPoly(param.c)))
-    return FitResult(estimate, best_ll, param, config.starts, best_ok)
+    return FitResult(estimate, ll, param, config.starts, ok)
 
 
-def _polytope_starts(m: int, rng: np.random.Generator, count: int,
-                     w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
+def _polytope_starts(m: int, rng: np.random.Generator, count: int, W: np.ndarray) -> np.ndarray:
     # Dirichlet-style: random nonnegative direction, scaled to the boundary
     # of the two caps, then pulled inside radially
     g = rng.exponential(size=(count, m + 1))
     d = g / g.sum(axis=1, keepdims=True)
-    lam = 1.0 / np.maximum(d @ w0, d @ w1)
+    lam = 1.0 / (d @ W.T).max(axis=1)
     radial = rng.uniform(size=count) ** (1.0 / (m + 1))
     return d * (lam * radial)[:, None]
 

@@ -264,7 +264,10 @@ def _resolve_threads(threads: int | None) -> int:
         return max(1, threads)
     env = os.environ.get("PICKPOLY_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"PICKPOLY_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -165,15 +165,34 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_study_rejects_unknown_optim_keys(tmp_path, capsys):
+    config = {"model": MIX_MODEL_JSON, "n": 40, "replicates": 2, "m": 0,
+              "estimators": ["sub"], "optim": {"starts": 2, "xtol": 1e-4, "barrier": 1e-6}}
+    path = write(tmp_path / "study.json", config)
+    code, _, err = run(capsys, "study", "--in", path)
+    assert code == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError"
+    assert "'barrier'" in msg["message"] and "'xtol'" in msg["message"]
+
+
 def test_console_script_entry_point(tmp_path):
+    import os
     import shutil
     import subprocess
+    import sys
 
+    import pickpoly
+
+    # the installed console script, or else the module entry point run from
+    # the source tree this test imported
     exe = shutil.which("pickpoly")
-    if exe is None:
-        pytest.skip("console script not on PATH (package not installed)")
+    cmd = [exe] if exe is not None else [sys.executable, "-m", "pickpoly"]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pickpoly.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     path = write(tmp_path / "h.json", POLFULL_H_JSON)
-    proc = subprocess.run([exe, "lorentz", "--in", str(path)],
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(cmd + ["lorentz", "--in", str(path)],
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"degree": 6}

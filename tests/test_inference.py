@@ -3,7 +3,9 @@ import pytest
 
 from helpers import MIX_PSI, POLFULL_H, fd_mixed_partial, gcm_bruteforce
 from pickpoly import (
+    AsymmetricLogistic,
     BernsteinPoly,
+    FullModelParam,
     OptimConfig,
     PickandsPoly,
     PiecewiseLinearPickands,
@@ -11,16 +13,22 @@ from pickpoly import (
     SampleSet,
     SymmetricMixed,
     a_from_h,
+    endpoint_functionals,
+    feasibility,
     fit_cfg,
     fit_full,
     fit_sub,
     greatest_convex_minorant,
+    in_submodel_h,
     log_likelihood,
     model_pickands,
     sample_copula,
+    sample_feasible,
+    theta_to_h,
     validate_pickands,
     vee,
 )
+from pickpoly.inference import _LogLik, _loglik_terms, _pseudo_angles
 
 MIX_MODEL = SymmetricMixed(MIX_PSI)
 MIX_A = PickandsPoly(BernsteinPoly([1.0, 1.0 - MIX_PSI / 2.0, 1.0]))
@@ -204,3 +212,99 @@ def test_fit_deterministic_given_seed():
     b = fit_sub(data, 3, config)
     assert a.loglik == b.loglik
     assert np.all(a.param.c == b.param.c)
+
+
+# --- the shared likelihood engine behind fit_full and fit_sub -------------
+
+ENGINE_DEGREES = (0, 1, 2, 5, 10)
+
+
+def _polytope_points(m, rng, count):
+    # nonnegative coefficients scaled strictly inside both caps; the caps are
+    # read off the public endpoint functionals, not the fitter's weights
+    out = []
+    for _ in range(count):
+        c = rng.exponential(size=m + 1)
+        q = max(endpoint_functionals(BernsteinPoly(c)))
+        out.append(c * rng.uniform(0.1, 0.95) / q)
+        assert in_submodel_h(out[-1])["member"]
+    return out
+
+
+def _engine_points(m, rng):
+    # spectral coefficient vectors h of feasible thetas and of polytope points
+    thetas = sample_feasible(m, rng, 4)
+    hs = [theta_to_h(FullModelParam(m, th)).coeffs for th in thetas]
+    return thetas, hs + _polytope_points(m, rng, 4)
+
+
+def _central_diff(f, x, step=1e-6):
+    out = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = step
+        out[i] = (f(x + e) - f(x - e)) / (2.0 * step)
+    return out
+
+
+@pytest.mark.parametrize("m", ENGINE_DEGREES)
+def test_engine_value_matches_decasteljau_loglik(m, rng):
+    data = sample_copula(SymmetricMixed(0.7), 150, 30 + m)
+    engine = _LogLik(data, m)
+    _, hs = _engine_points(m, rng)
+    for h in hs:
+        expected = log_likelihood(PickandsPoly(a_from_h(BernsteinPoly(h))), data)
+        assert np.isfinite(expected)
+        assert -engine.objective(h)[0] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("m", ENGINE_DEGREES)
+def test_engine_gradients_match_central_differences(m, rng):
+    data = sample_copula(AsymmetricLogistic(0.5, 0.9, 0.6), 120, 40 + m)
+    engine = _LogLik(data, m)
+    thetas, hs = _engine_points(m, rng)
+    for h in hs:
+        fd = _central_diff(lambda x: engine.objective(x)[0], h)
+        assert np.allclose(engine.objective(h)[1], fd, rtol=1e-5, atol=1e-5 * data.n)
+    if m == 0:
+        return
+    for th in 0.9 * thetas:
+        fd = _central_diff(lambda x: engine.theta_objective(x)[0], th)
+        assert np.allclose(engine.theta_objective(th)[1], fd, rtol=1e-5, atol=1e-5 * data.n)
+
+
+def test_engine_objective_finite_where_density_breaks_down():
+    data = sample_copula(MIX_MODEL, 60, 14)
+    engine = _LogLik(data, 2)
+    # far outside the caps the Pickands function dips below max(t, 1-t)
+    h = np.full(3, 40.0)
+    assert _loglik_terms(a_from_h(BernsteinPoly(h)).coeffs, *_pseudo_angles(data)) == float("-inf")
+    value, grad = engine.objective(h)
+    assert np.isfinite(value) and value > 1e6 and np.all(grad == 0.0)
+
+
+def test_fit_loglik_is_loglik_of_estimate():
+    data = sample_copula(AsymmetricLogistic(0.5, 0.9, 0.6), 150, 15)
+    for m in (0, 3, 6):
+        for fit in (fit_full, fit_sub):
+            res = fit(data, m, OptimConfig(starts=5, seed=1, maxfev=200))
+            assert res.loglik == log_likelihood(res.estimate, data)
+            assert validate_pickands(res.estimate.poly)["valid"]
+            if fit is fit_full and m > 0:
+                assert feasibility(res.param).feasible
+
+
+@pytest.mark.parametrize("model", [SymmetricMixed(0.9), AsymmetricLogistic(0.5, 0.9, 0.6)],
+                         ids=["mix", "alog"])
+def test_full_model_nests_submodel_at_criterion_10_settings(model):
+    # Theta_m contains the polytope, so a maximizer over Theta_m cannot fall
+    # below the submodel maximizer at equal m (beyond 1e-6 n), and neither
+    # falls below the independence point
+    config = OptimConfig(starts=8, seed=0, maxfev=300)
+    for n, m in ((100, 5), (200, 8), (200, 10)):
+        for seed in range(200, 204):
+            data = sample_copula(model, n, seed)
+            full = fit_full(data, m, config)
+            sub = fit_sub(data, m, config)
+            assert full.loglik >= sub.loglik - 1e-6 * n, (n, m, seed, full.loglik, sub.loglik)
+            assert full.loglik >= 0.0 and sub.loglik >= 0.0

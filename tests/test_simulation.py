@@ -142,6 +142,14 @@ def test_run_study_respects_env_thread_cap(monkeypatch):
     assert report.excluded["cfg"] == 0
 
 
+def test_run_study_rejects_non_integer_thread_env(monkeypatch):
+    monkeypatch.setenv("PICKPOLY_THREADS", "two")
+    config = StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0,
+                         estimators=("cfg",), seed=8, grid=11)
+    with pytest.raises(ValueError, match="PICKPOLY_THREADS.*'two'"):
+        run_study(config)
+
+
 def test_run_study_failure_policy(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("forced failure")
