@@ -18,29 +18,23 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlog1py, xlogy
 
 
-def binom_pmf(k, n: int, p: float):
+def binom_pmf(k, n: int, p):
     """Binomial pmf P(S_n = k) at success probability p, via log-gamma.
 
-    Stable for n in the thousands. k may be a scalar or array; values
-    outside {0,...,n} give 0. p = 0 and p = 1 are handled exactly.
+    Stable for n in the thousands. k and p may be scalars or arrays and
+    broadcast against each other; values of k outside {0,...,n} give 0.
+    p = 0 and p = 1 are exact, since xlogy and xlog1py read 0 * log 0 as 0.
     """
-    k = np.asarray(k)
-    scalar = k.ndim == 0
-    k = np.atleast_1d(k).astype(float)
-    out = np.zeros_like(k, dtype=float)
+    k = np.asarray(k, dtype=float)
+    p = np.asarray(p, dtype=float)
     valid = (k >= 0) & (k <= n) & (k == np.floor(k))
-    kv = k[valid]
-    if p <= 0.0:
-        out[valid] = (kv == 0).astype(float)
-    elif p >= 1.0:
-        out[valid] = (kv == n).astype(float)
-    else:
-        logc = gammaln(n + 1) - gammaln(kv + 1) - gammaln(n - kv + 1)
-        out[valid] = np.exp(logc + kv * math.log(p) + (n - kv) * math.log1p(-p))
-    return float(out[0]) if scalar else out
+    kv = np.where(valid, k, 0.0)
+    logc = gammaln(n + 1) - gammaln(kv + 1) - gammaln(n - kv + 1)
+    out = np.where(valid, np.exp(logc + xlogy(kv, p) + xlog1py(n - kv, -p)), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def basis_eval(k: int, m: int, x) -> float:
@@ -54,22 +48,7 @@ def basis_eval(k: int, m: int, x) -> float:
     if not 0 <= k <= m:
         raise ValueError(f"basis index k={k} out of range 0..{m}")
     _check_unit_interval(x)
-    return _basis_scalar_or_array(k, m, x)
-
-
-def _basis_scalar_or_array(k: int, m: int, x):
-    # pmf at fixed k but varying probability x: direct log computation
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    logc = gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
-    interior = (x > 0.0) & (x < 1.0)
-    xi = x[interior]
-    out[interior] = np.exp(logc + k * np.log(xi) + (m - k) * np.log1p(-xi))
-    out[x <= 0.0] = 1.0 if k == 0 else 0.0
-    out[x >= 1.0] = 1.0 if k == m else 0.0
-    return float(out[0]) if scalar else out
+    return binom_pmf(k, m, x)
 
 
 def _check_unit_interval(x) -> None:
@@ -144,13 +123,8 @@ def evaluate(P: BernsteinPoly, x):
     """
     _check_unit_interval(x)
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xf = np.atleast_1d(xa)
-    b = np.broadcast_to(P.coeffs[:, None], (P.coeffs.size, xf.size)).copy()
-    for _ in range(P.degree):
-        b = b[:-1] + xf * (b[1:] - b[:-1])
-    out = b[0]
-    return float(out[0]) if scalar else out.reshape(xa.shape)
+    val = eval_with_derivatives(P.coeffs, xa.ravel())[0]
+    return float(val[0]) if xa.ndim == 0 else val.reshape(xa.shape)
 
 
 def eval_with_derivatives(coeffs: np.ndarray, x: np.ndarray):
@@ -166,11 +140,17 @@ def eval_with_derivatives(coeffs: np.ndarray, x: np.ndarray):
     if m == 1:
         z = np.zeros_like(x)
         return coeffs[0] + x * (coeffs[1] - coeffs[0]), np.full_like(x, coeffs[1] - coeffs[0]), z
+    # each level of the triangle overwrites rows 0..r-1 of b through one
+    # scratch block, so wide x allocates two blocks per call rather than
+    # three per level; the arithmetic, and so every value, is unchanged
     b = np.broadcast_to(coeffs[:, None], (m + 1, x.size)).copy()
-    for _ in range(m - 2):
-        b = b[:-1] + x * (b[1:] - b[:-1])
-    d2 = m * (m - 1) * (b[2] - 2.0 * b[1] + b[0])
-    b = b[:-1] + x * (b[1:] - b[:-1])
+    step = np.empty((m, x.size))
+    for r in range(m, 1, -1):
+        if r == 2:
+            d2 = m * (m - 1) * (b[2] - 2.0 * b[1] + b[0])
+        np.subtract(b[1:r + 1], b[:r], out=step[:r])
+        step[:r] *= x
+        b[:r] += step[:r]
     d1 = m * (b[1] - b[0])
     val = b[0] + x * (b[1] - b[0])
     return val, d1, d2
@@ -305,40 +285,60 @@ def decasteljau_split(coeffs: np.ndarray):
     return left, right
 
 
-def global_minimum(P: BernsteinPoly, xtol: float = 1e-10):
+# subintervals at depth 34 are 2**-34 < 1e-10 wide: the minimum's abscissa
+# is localized to 1e-10
+_MINIMUM_DEPTH = 34
+
+
+def _branch_and_bound(coeffs: np.ndarray, floor: float | None, max_depth: int):
+    """Search the polynomial with Bernstein coefficients ``coeffs`` for low values on [0,1].
+
+    The least coefficient on a subinterval bounds the polynomial below there,
+    so a subinterval is dropped once that bound reaches the floor: the fixed
+    ``floor`` when one is given, else the least value found so far. Each kept
+    subinterval is probed at the abscissa of its least coefficient and at its
+    midpoint (read off the de Casteljau split), then halved. With a floor the
+    walk stops at the first value below it. Subintervals that reach
+    ``max_depth`` still undropped are not split further.
+
+    Returns (abscissa, value, splits, undecided): the least value found and
+    where, the number of splits, and whether a subinterval hit max_depth.
+    """
+    deg = coeffs.size - 1
+    best_t, best_v = (0.0, coeffs[0]) if coeffs[0] <= coeffs[-1] else (1.0, coeffs[-1])
+    splits, undecided = 0, False
+    stack = [(0.0, 1.0, coeffs, 0)]
+    while stack and (floor is None or best_v >= floor):
+        a, b, c, depth = stack.pop()
+        bound = best_v if floor is None else floor
+        k = int(np.argmin(c))
+        if c[k] >= bound:
+            continue
+        v = eval_with_derivatives(c, np.array([k / deg]))[0][0]
+        if v < best_v:
+            best_t, best_v = a + (b - a) * k / deg, v
+        if floor is not None and v < floor:
+            break
+        if depth >= max_depth:
+            undecided = True
+            continue
+        left, right = decasteljau_split(c)
+        splits += 1
+        mid = 0.5 * (a + b)
+        if left[-1] < best_v:
+            best_t, best_v = mid, left[-1]
+        stack.append((a, mid, left, depth + 1))
+        stack.append((mid, b, right, depth + 1))
+    return best_t, float(best_v), splits, undecided
+
+
+def global_minimum(P: BernsteinPoly):
     """Locate the global minimum of P on [0,1] by Bernstein branch-and-bound.
 
-    The minimum coefficient on a subinterval bounds the polynomial below
-    there, so subintervals whose bound cannot beat the incumbent are pruned.
-    Returns (abscissa, value) with the abscissa localized to xtol.
+    Returns (abscissa, value) with the abscissa localized to 1e-10.
     """
-    deg = P.degree
-    if deg == 0:
-        return 0.0, float(P.coeffs[0])
-    best_t, best_v = 0.0, float(P.coeffs[0])
-    if P.coeffs[-1] < best_v:
-        best_t, best_v = 1.0, float(P.coeffs[-1])
-    nodes = [(0.0, 1.0, P.coeffs)]
-    while nodes:
-        nxt = []
-        for a, b, c in nodes:
-            k = int(np.argmin(c))
-            if c[k] >= best_v:
-                continue
-            probe = a + (b - a) * k / deg
-            v = evaluate(P, probe)
-            if v < best_v:
-                best_t, best_v = probe, v
-            if b - a <= xtol:
-                continue
-            left, right = decasteljau_split(c)
-            mid = 0.5 * (a + b)
-            if left[-1] < best_v:
-                best_t, best_v = mid, float(left[-1])
-            nxt.append((a, mid, left))
-            nxt.append((mid, b, right))
-        nodes = nxt
-    return best_t, best_v
+    t, v, _, _ = _branch_and_bound(P.coeffs, None, _MINIMUM_DEPTH)
+    return t, v
 
 
 # Repo-wide polynomial JSON schema: {"basis": "bernstein"|"power",

@@ -168,6 +168,8 @@ def _optim_config(obj: dict) -> OptimConfig:
 
 def _cmd_study(args) -> int:
     raw = _read_json(args.infile)
+    if not isinstance(raw, dict):
+        raise ValueError(f"study config must be a JSON object, got {type(raw).__name__}")
     optim = _optim_config(raw["optim"]) if "optim" in raw else None
     config = StudyConfig(
         model=model_from_json(raw["model"]),

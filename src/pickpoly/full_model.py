@@ -2,10 +2,10 @@
 
 Nonnegative polynomials on [0,1] factor as h = P^2 + t(1-t) Q^2 (even degree)
 or h = t P^2 + (1-t) Q^2 (odd degree). Concatenating the Bernstein
-coefficients of P and Q gives a parameter theta in R^(m+1); the Bernstein
-coefficients of h_theta are hypergeometric expectations of products of theta
-entries, so each coefficient is a positive semidefinite quadratic form in
-theta. The admissible set Theta_m is the intersection of the two ellipsoids
+coefficients of P and Q gives a parameter theta in R^(m+1); by the Bernstein
+product rule the Bernstein coefficients of h_theta are weighted sums of
+products of theta entries, so each coefficient is a positive semidefinite
+quadratic form in theta. The admissible set Theta_m is the intersection of the two ellipsoids
 where the endpoint-derivative functionals int (1-w) h and int w h stay <= 1.
 Degree 0 is parameterized directly by the constant value of h on [0,2].
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import binom
 
 from .bernstein import BernsteinPoly
 from .pickands import PickandsPoly, a_from_h, endpoint_functionals
@@ -31,34 +31,6 @@ class InfeasibleThetaError(ValueError):
         self.q0 = q0
         self.q1 = q1
         super().__init__(f"theta infeasible: int (1-w) h = {q0!r}, int w h = {q1!r}")
-
-
-@dataclass(frozen=True)
-class HypergeoSpec:
-    """Hypergeometric(n, M, N): k successes drawing n from M marked of N."""
-
-    n: int
-    M: int
-    N: int
-
-    def __post_init__(self):
-        if not (0 <= self.n <= self.N and 0 <= self.M <= self.N):
-            raise ValueError(f"invalid hypergeometric spec {self}")
-
-    def support(self) -> range:
-        return range(max(0, self.n + self.M - self.N), min(self.n, self.M) + 1)
-
-
-def hypergeo_pmf(spec: HypergeoSpec, k: int) -> float:
-    """P(Y = k) = C(M,k) C(N-M,n-k) / C(N,n) via log-gamma; 0 off support."""
-    if k not in spec.support():
-        return 0.0
-    n, M, N = spec.n, spec.M, spec.N
-
-    def logc(a, b):
-        return gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1)
-
-    return float(np.exp(logc(M, k) + logc(N - M, n - k) - logc(N, n)))
 
 
 @dataclass(frozen=True)
@@ -102,46 +74,40 @@ class FullModelParam:
         return FullModelParam(int(obj["m"]), obj["theta"])
 
 
+def _square_tensor(d: int) -> np.ndarray:
+    # product rule b_{i,d} b_{j,d} = C(d,i) C(d,j) / C(2d,i+j) b_{i+j,2d}:
+    # c(k, 2d; P^2) = p^T S[k] p
+    i, j = np.meshgrid(np.arange(d + 1), np.arange(d + 1), indexing="ij")
+    S = np.zeros((2 * d + 1, d + 1, d + 1))
+    S[i + j, i, j] = binom(d, i) * binom(d, j) / binom(2 * d, i + j)
+    return S
+
+
 @lru_cache(maxsize=None)
 def coefficient_tensor(m: int) -> np.ndarray:
     """Symmetric tensor T with c(k, m; h_theta) = theta^T T[k] theta.
 
-    Realizes the hypergeometric expectation formulas for the Bernstein
-    coefficients of P^2 + t(1-t) Q^2 (m even) / t P^2 + (1-t) Q^2 (m odd);
-    indices outside the P/Q coefficient ranges contribute zero.
+    Built from the Bernstein product rule for P^2 and Q^2 and the exact
+    weights of multiplying a degree-n polynomial by t, 1-t or t(1-t):
+    coefficient k of the product is k/(n+1), (n+1-k)/(n+1) or
+    k(n+2-k)/((n+1)(n+2)) times coefficient k-1, k or k-1 of the factor.
+    Entries pairing a P with a Q coefficient are zero.
     """
     if m < 1:
         raise ValueError("coefficient tensor needs m >= 1")
     T = np.zeros((m + 1, m + 1, m + 1))
+    k = np.arange(m + 1)[:, None, None]
+    p = slice(0, m // 2 + 1)
+    q = slice(m // 2 + 1, m + 1)
     if m % 2 == 0:
-        dp = m // 2          # degree of P; Q has degree dp - 1
-        qoff = dp + 1
-        for k in range(m + 1):
-            sp = HypergeoSpec(k, dp, m)
-            for y in sp.support():
-                if 0 <= k - y <= dp:
-                    T[k, y, k - y] += hypergeo_pmf(sp, y)
-            if 1 <= k <= m - 1:
-                w = k * (m - k) / (m * (m - 1))
-                sq = HypergeoSpec(k - 1, dp - 1, m - 2)
-                for y in sq.support():
-                    if 0 <= k - y - 1 <= dp - 1:
-                        T[k, qoff + y, qoff + k - y - 1] += w * hypergeo_pmf(sq, y)
+        # P^2 + t(1-t) Q^2 with deg P = m/2, deg Q^2 = m - 2
+        T[:, p, p] = _square_tensor(m // 2)
+        T[1:m, q, q] = (k * (m - k) / (m * (m - 1)))[1:m] * _square_tensor(m // 2 - 1)
     else:
-        d = (m - 1) // 2     # degree of both P and Q
-        qoff = d + 1
-        for k in range(m + 1):
-            if k >= 1:
-                sp = HypergeoSpec(k - 1, d, m - 1)
-                for y in sp.support():
-                    if 0 <= k - 1 - y <= d:
-                        T[k, y, k - 1 - y] += (k / m) * hypergeo_pmf(sp, y)
-            if k <= m - 1:
-                sq = HypergeoSpec(k, d, m - 1)
-                for y in sq.support():
-                    if 0 <= k - y <= d:
-                        T[k, qoff + y, qoff + k - y] += ((m - k) / m) * hypergeo_pmf(sq, y)
-    T = 0.5 * (T + np.transpose(T, (0, 2, 1)))
+        # t P^2 + (1-t) Q^2 with deg P^2 = deg Q^2 = m - 1
+        S = _square_tensor((m - 1) // 2)
+        T[1:, p, p] = (k / m)[1:] * S
+        T[:m, q, q] = ((m - k) / m)[:m] * S
     T.flags.writeable = False
     return T
 

@@ -76,10 +76,6 @@ class SampleSet:
     def n(self) -> int:
         return self.u.size
 
-    @property
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.u.tolist(), self.v.tolist()))
-
     @staticmethod
     def from_arrays(u, v, ranks: bool = False) -> "SampleSet":
         """Build a sample, optionally replacing margins by midranks/(n+1)."""
@@ -98,12 +94,25 @@ class OptimConfig:
 
     ``starts`` random feasible starting points, drawn from ``seed``; each
     local SLSQP search stops after at most ``maxfev`` iterations (None keeps
-    SLSQP's default of 100).
+    SLSQP's default of 100). A non-integer field, ``starts`` or ``maxfev``
+    below 1, or a negative ``seed`` raises a ValueError naming the field.
     """
 
     starts: int = 20
     seed: int = 0
     maxfev: int | None = None
+
+    def __post_init__(self):
+        if not _is_int(self.starts) or self.starts < 1:
+            raise ValueError(f"starts must be an integer >= 1, got {self.starts!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.maxfev is not None and (not _is_int(self.maxfev) or self.maxfev < 1):
+            raise ValueError(f"maxfev must be None or an integer >= 1, got {self.maxfev!r}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -231,7 +240,9 @@ def _multistart(data: SampleSet, objective, starts: np.ndarray, config: OptimCon
     return best, best_ll, best_ok
 
 
-def _warn_small_sample(n: int, m: int):
+def _check_degree(n: int, m: int):
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     if n < m + 3:
         warnings.warn(f"sample size n = {n} below m + 3 = {m + 3}; fit may be unstable",
                       UserWarning, stacklevel=3)
@@ -239,7 +250,7 @@ def _warn_small_sample(n: int, m: int):
 
 def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
     """Constrained MLE over Theta_m (all polynomial Pickands functions, degree m + 2)."""
-    _warn_small_sample(data.n, m)
+    _check_degree(data.n, m)
     loglik = _LogLik(data, m)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     starts = sample_feasible(m, rng, config.starts)
@@ -291,7 +302,7 @@ def _cap_weights(m: int) -> np.ndarray:
 
 def fit_sub(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
     """Constrained MLE over the polytope C_m^+ (Bernstein approximation submodel)."""
-    _warn_small_sample(data.n, m)
+    _check_degree(data.n, m)
     loglik = _LogLik(data, m)
     W = _cap_weights(m)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))

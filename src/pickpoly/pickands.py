@@ -24,7 +24,7 @@ import numpy as np
 
 from .bernstein import (
     BernsteinPoly,
-    decasteljau_split,
+    _branch_and_bound,
     derivative_coeffs,
     evaluate,
     second_derivative_coeffs,
@@ -58,38 +58,29 @@ class NonnegReport:
     subdivisions: int
 
 
-def certify_nonnegative(P: BernsteinPoly, tol: float = 1e-12, max_depth: int = 60) -> NonnegReport:
+# the certificate accepts coefficients down to -1e-12 and gives up on
+# subintervals narrower than 2**-60
+_CERTIFY_FLOOR = -1e-12
+_CERTIFY_DEPTH = 60
+
+
+def certify_nonnegative(P: BernsteinPoly) -> NonnegReport:
     """Decide sign of P on [0,1] by de Casteljau subdivision.
 
     Returns nonneg=True only when every leaf interval carries coefficients
-    >= -tol (a certificate), and nonneg=False with an abscissa where
-    P < -tol. If the certificate cannot decide by ``max_depth`` (a zero of
-    even multiplicity sitting at the tolerance boundary) it raises
-    CertificateInconclusiveError rather than guessing.
+    >= -1e-12 (a certificate), and nonneg=False with an abscissa where
+    P < -1e-12. If a subinterval is still undecided at depth 60 (a zero of
+    even multiplicity sitting at the tolerance boundary) and no such
+    abscissa turns up, it raises CertificateInconclusiveError rather than
+    guessing.
     """
-    deg = P.degree
-    stack = [(0.0, 1.0, P.coeffs, 0)]
-    subdivisions = 0
-    while stack:
-        a, b, c, depth = stack.pop()
-        k = int(np.argmin(c))
-        if c[k] >= -tol:
-            continue
-        probe = a + (b - a) * (k / deg if deg else 0.5)
-        if evaluate(P, probe) < -tol:
-            return NonnegReport(False, probe, subdivisions)
-        mid = 0.5 * (a + b)
-        if evaluate(P, mid) < -tol:
-            return NonnegReport(False, mid, subdivisions)
-        if depth >= max_depth:
-            raise CertificateInconclusiveError(
-                f"sign of polynomial undecided on [{a}, {b}] at depth {depth}"
-            )
-        left, right = decasteljau_split(c)
-        subdivisions += 1
-        stack.append((a, mid, left, depth + 1))
-        stack.append((mid, b, right, depth + 1))
-    return NonnegReport(True, None, subdivisions)
+    t, v, splits, undecided = _branch_and_bound(P.coeffs, _CERTIFY_FLOOR, _CERTIFY_DEPTH)
+    if v < _CERTIFY_FLOOR:
+        return NonnegReport(False, t, splits)
+    if undecided:
+        raise CertificateInconclusiveError(
+            f"sign of polynomial undecided at subdivision depth {_CERTIFY_DEPTH}")
+    return NonnegReport(True, None, splits)
 
 
 def validate_pickands(P: BernsteinPoly, endpoint_tol: float = 1e-9) -> dict:

@@ -188,6 +188,8 @@ class StudyConfig:
             raise ValueError("replicates must be >= 1")
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if self.m < 0:
+            raise ValueError(f"m must be >= 0, got {self.m}")
         bad = set(self.estimators) - {"full", "sub", "cfg"}
         if bad or not self.estimators:
             raise ValueError(f"estimators must be a nonempty subset of full/sub/cfg, got {bad}")

@@ -149,7 +149,7 @@ def _has_interior_zero(h: BernsteinPoly) -> bool:
         return False
     g = BernsteinPoly(c)
     gscale = max(1.0, float(np.max(np.abs(c))))
-    _, vmin = global_minimum(g, xtol=1e-10)
+    _, vmin = global_minimum(g)
     return vmin <= 1e-12 * gscale
 
 
@@ -181,8 +181,3 @@ def lorentz_degree(h: BernsteinPoly, cap: int = 512) -> int | str:
         if np.min(c) >= -COEF_TOL:
             return M
     return "exceeds cap"
-
-
-def submodel_nesting_check(param: SubmodelParam) -> SubmodelParam:
-    """One elevation step: a member at degree m is a member at degree m + 1."""
-    return SubmodelParam(param.m + 1, _elevate_once(param.c))

@@ -5,10 +5,15 @@ library code it checks (quadrature, finite differences, brute force,
 rational arithmetic), so oracle and implementation cannot share a bug.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import sympy
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import gammaln
 
 from pickpoly import BernsteinPoly, copula_cdf, evaluate
 
@@ -104,3 +109,141 @@ def gcm_bruteforce(x: np.ndarray, f: np.ndarray) -> np.ndarray:
             if np.all(line <= f + 1e-12):
                 out = np.maximum(out, line)
     return out
+
+
+@dataclass(frozen=True)
+class HypergeoSpec:
+    """Hypergeometric(n, M, N): k successes drawing n from M marked of N."""
+
+    n: int
+    M: int
+    N: int
+
+    def __post_init__(self):
+        if not (0 <= self.n <= self.N and 0 <= self.M <= self.N):
+            raise ValueError(f"invalid hypergeometric spec {self}")
+
+    def support(self) -> range:
+        return range(max(0, self.n + self.M - self.N), min(self.n, self.M) + 1)
+
+
+def hypergeo_pmf(spec: HypergeoSpec, k: int) -> float:
+    """P(Y = k) = C(M,k) C(N-M,n-k) / C(N,n) via log-gamma; 0 off support."""
+    if k not in spec.support():
+        return 0.0
+    n, M, N = spec.n, spec.M, spec.N
+
+    def logc(a, b):
+        return gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1)
+
+    return float(np.exp(logc(M, k) + logc(N - M, n - k) - logc(N, n)))
+
+
+def hypergeo_coefficient_tensor(m: int) -> np.ndarray:
+    """Coefficient tensor of h_theta from hypergeometric expectations (oracle).
+
+    c(k, m; P^2) = E[p_Y p_{k-Y}] with Y ~ Hypergeometric(k, deg P, m), and
+    likewise for the Q part of P^2 + t(1-t) Q^2 (m even) or
+    t P^2 + (1-t) Q^2 (m odd), one support point at a time.
+    """
+    T = np.zeros((m + 1, m + 1, m + 1))
+    if m % 2 == 0:
+        dp = m // 2          # degree of P; Q has degree dp - 1
+        qoff = dp + 1
+        for k in range(m + 1):
+            sp = HypergeoSpec(k, dp, m)
+            for y in sp.support():
+                if 0 <= k - y <= dp:
+                    T[k, y, k - y] += hypergeo_pmf(sp, y)
+            if 1 <= k <= m - 1:
+                w = k * (m - k) / (m * (m - 1))
+                sq = HypergeoSpec(k - 1, dp - 1, m - 2)
+                for y in sq.support():
+                    if 0 <= k - y - 1 <= dp - 1:
+                        T[k, qoff + y, qoff + k - y - 1] += w * hypergeo_pmf(sq, y)
+    else:
+        d = (m - 1) // 2     # degree of both P and Q
+        qoff = d + 1
+        for k in range(m + 1):
+            if k >= 1:
+                sp = HypergeoSpec(k - 1, d, m - 1)
+                for y in sp.support():
+                    if 0 <= k - 1 - y <= d:
+                        T[k, y, k - 1 - y] += (k / m) * hypergeo_pmf(sp, y)
+            if k <= m - 1:
+                sq = HypergeoSpec(k, d, m - 1)
+                for y in sq.support():
+                    if 0 <= k - y <= d:
+                        T[k, qoff + y, qoff + k - y] += ((m - k) / m) * hypergeo_pmf(sq, y)
+    return 0.5 * (T + np.transpose(T, (0, 2, 1)))
+
+
+_T = sympy.Symbol("t")
+
+
+def _bernstein_expr(coeffs):
+    m = len(coeffs) - 1
+    return sum(sympy.Rational(c) * math.comb(m, k) * _T**k * (1 - _T) ** (m - k)
+               for k, c in enumerate(coeffs))
+
+
+def _bernstein_from_poly(poly: sympy.Poly, m: int) -> list[Fraction]:
+    # exact basis change c_k = sum_{j<=k} C(k,j)/C(m,j) a_j
+    a = [Fraction(int(x.p), int(x.q)) for x in reversed(poly.all_coeffs())]
+    a += [Fraction(0)] * (m + 1 - len(a))
+    return [sum(Fraction(math.comb(k, j), math.comb(m, j)) * a[j] for j in range(k + 1))
+            for k in range(m + 1)]
+
+
+@st.composite
+def rational_root_polys(draw):
+    """Exact Bernstein coefficients of (t - r)^2 g + s or (t - r) g.
+
+    r = a/b is a rational point of (0, 1), g has positive rational Bernstein
+    coefficients (so g >= 1/16 on [0,1]) and the shift s is 0 or +-delta
+    with delta >= 1e-9. The minimum on [0,1] is then exactly 0, at least
+    delta, at most -delta, or (simple root) at most -1/(64*16): never in
+    [-1e-12, 0), where the certificate's -1e-12 floor may disagree with the
+    exact sign.
+    """
+    b = draw(st.integers(2, 64))
+    r = sympy.Rational(draw(st.integers(1, b - 1)), b)
+    g = _bernstein_expr([Fraction(n, 16)
+                         for n in draw(st.lists(st.integers(1, 64), min_size=1, max_size=5))])
+    if draw(st.booleans()):
+        delta = sympy.Rational(1, 10 ** draw(st.integers(2, 9))) * draw(st.sampled_from([-1, 0, 1]))
+        expr = (_T - r) ** 2 * g + delta
+    else:
+        expr = (_T - r) * g
+    poly = sympy.Poly(sympy.expand(expr), _T)
+    return _bernstein_from_poly(poly, poly.degree())
+
+
+def exact_nonnegative(coeffs) -> bool:
+    """Whether the polynomial with rational Bernstein coefficients is >= 0 on [0,1].
+
+    Exact: it changes sign inside (0,1) iff a factor of odd multiplicity in
+    its square-free decomposition has a root there (Sturm root counting);
+    otherwise its sign on [0,1] is that at any rational non-root.
+    """
+    poly = sympy.Poly(_bernstein_expr(coeffs), _T)
+    if poly.is_zero:
+        return True
+    for factor, mult in poly.sqf_list()[1]:
+        if mult % 2 == 1:
+            inside = factor.count_roots(0, 1) - (factor.eval(0) == 0) - (factor.eval(1) == 0)
+            if inside > 0:
+                return False
+    q = next(sympy.Rational(1, n) for n in range(2, poly.degree() + 3)
+             if poly.eval(sympy.Rational(1, n)) != 0)
+    return bool(poly.eval(q) > 0)
+
+
+def exact_minimum(coeffs) -> float:
+    """Minimum on [0,1] over the endpoints and the real critical points inside."""
+    poly = sympy.Poly(_bernstein_expr(coeffs), _T)
+    values = [poly.eval(0), poly.eval(1)]
+    if poly.degree() >= 2:
+        values += [poly.as_expr().subs(_T, x).evalf(40)
+                   for x in sympy.real_roots(poly.diff(_T)) if 0 < x < 1]
+    return float(min(values))

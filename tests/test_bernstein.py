@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import integrate
 
-from helpers import ALOG_PARAMS, POLFULL_H, POLFULL_POWER, alog_value
+from helpers import (
+    ALOG_PARAMS,
+    POLFULL_H,
+    POLFULL_POWER,
+    alog_value,
+    exact_minimum,
+    rational_root_polys,
+)
 from pickpoly import (
     BernsteinPoly,
     PowerPoly,
@@ -227,6 +235,15 @@ def test_global_minimum_quadratics():
     assert (t, v) == (0.0, 0.0)
     _, v = global_minimum(BernsteinPoly([4.0]))
     assert v == 4.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_root_polys())
+def test_global_minimum_agrees_with_exact_critical_points(coeffs):
+    P = BernsteinPoly([float(c) for c in coeffs])
+    t, v = global_minimum(P)
+    assert v == pytest.approx(exact_minimum(coeffs), abs=1e-9)
+    assert evaluate(P, t) == pytest.approx(v, abs=1e-12)
 
 
 def test_poly_json_roundtrip():

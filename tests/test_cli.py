@@ -176,6 +176,49 @@ def test_study_rejects_unknown_optim_keys(tmp_path, capsys):
     assert "'barrier'" in msg["message"] and "'xtol'" in msg["message"]
 
 
+@pytest.mark.parametrize("optim, field", [
+    ({"starts": "3"}, "starts"), ({"starts": -2}, "starts"),
+    ({"seed": 0.5}, "seed"), ({"maxfev": 0}, "maxfev"),
+])
+def test_study_rejects_bad_optim_values(tmp_path, capsys, optim, field):
+    config = {"model": MIX_MODEL_JSON, "n": 40, "replicates": 2, "m": 0,
+              "estimators": ["sub"], "optim": optim}
+    code, _, err = run(capsys, "study", "--in", write(tmp_path / "study.json", config))
+    assert code == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and field in msg["message"]
+
+
+def test_study_rejects_negative_m(tmp_path, capsys):
+    config = {"model": MIX_MODEL_JSON, "n": 40, "replicates": 2, "m": -1, "estimators": ["cfg"]}
+    code, _, err = run(capsys, "study", "--in", write(tmp_path / "study.json", config))
+    assert code == 1
+    assert "m must be >= 0" in json.loads(err)["message"]
+
+
+def test_study_rejects_non_object_config(tmp_path, capsys):
+    code, _, err = run(capsys, "study", "--in", write(tmp_path / "study.json", [1, 2]))
+    assert code == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and "JSON object" in msg["message"]
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--m", "2", "--starts", "-1"], "starts"),
+    (["--m", "2", "--starts", "0"], "starts"),
+    (["--m", "2", "--seed", "-1"], "seed"),
+    (["--m", "-1"], "m must be >= 0"),
+])
+@pytest.mark.parametrize("model", ["full", "sub"])
+def test_fit_rejects_bad_arguments(tmp_path, capsys, model, args, field):
+    data = tmp_path / "data.csv"
+    data.write_text("u,v\n0.2,0.3\n0.6,0.5\n0.8,0.9\n0.4,0.1\n")
+    code, out, err = run(capsys, "fit", "--in", str(data), "--model", model, *args)
+    assert code == 1 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and field in msg["message"]
+
+
 def test_console_script_entry_point(tmp_path):
     import os
     import shutil

@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
 
-from helpers import POLFULL_H, lukacs_quadratic_theta
+from helpers import (
+    POLFULL_H,
+    HypergeoSpec,
+    hypergeo_coefficient_tensor,
+    hypergeo_pmf,
+    lukacs_quadratic_theta,
+)
 from pickpoly import (
     BernsteinPoly,
     FullModelParam,
-    HypergeoSpec,
     InfeasibleThetaError,
     bernstein_to_power,
     certify_nonnegative,
     evaluate,
     feasibility,
-    hypergeo_pmf,
     sample_feasible,
     theta_to_h,
     theta_to_pickands,
     validate_pickands,
 )
+from pickpoly.full_model import coefficient_tensor
 
 
 def test_hypergeo_pmf_examples():
@@ -38,6 +43,12 @@ def test_hypergeo_spec_domain_errors():
         HypergeoSpec(3, 1, 2)
     with pytest.raises(ValueError):
         HypergeoSpec(1, 3, 2)
+
+
+def test_coefficient_tensor_matches_hypergeometric_oracle():
+    # product-rule tensor against the support-by-support hypergeometric build
+    for m in range(1, 41):
+        assert np.max(np.abs(coefficient_tensor(m) - hypergeo_coefficient_tensor(m))) <= 1e-13
 
 
 def test_theta_to_h_small_cases():

@@ -41,7 +41,7 @@ def test_sample_set_validation():
     with pytest.raises(ValueError):
         SampleSet([0.5], [0.5, 0.6])
     s = SampleSet([0.2, 0.9], [0.4, 0.5])
-    assert s.n == 2 and s.pairs == [(0.2, 0.4), (0.9, 0.5)]
+    assert s.n == 2 and s.u.tolist() == [0.2, 0.9] and s.v.tolist() == [0.4, 0.5]
 
 
 def test_sample_set_rank_transform():
@@ -203,6 +203,28 @@ def test_fit_warns_when_sample_too_small():
     data = sample_copula(MIX_MODEL, 5, 13)
     with pytest.warns(UserWarning):
         fit_full(data, 4, OptimConfig(starts=2, seed=8, maxfev=60))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("starts", 0), ("starts", -1), ("starts", "3"), ("starts", 2.0), ("starts", True),
+    ("seed", 1.5), ("seed", -1), ("seed", "0"),
+    ("maxfev", 0), ("maxfev", 10.0),
+])
+def test_optim_config_rejects_bad_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimConfig(**{field: value})
+
+
+def test_optim_config_accepts_integers():
+    config = OptimConfig(starts=np.int64(3), seed=2**63, maxfev=None)
+    assert config.starts == 3 and OptimConfig(maxfev=1).maxfev == 1
+
+
+@pytest.mark.parametrize("fit", [fit_full, fit_sub])
+def test_fit_rejects_negative_m(fit):
+    data = sample_copula(MIX_MODEL, 20, 3)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        fit(data, -1, OptimConfig(starts=2))
 
 
 def test_fit_deterministic_given_seed():

@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import integrate
 
 from conftest import random_valid_pickands
-from helpers import POLFULL_H, POLFULL_POWER, fd_mixed_partial, quad_a_from_h
+from helpers import (
+    POLFULL_H,
+    POLFULL_POWER,
+    exact_minimum,
+    exact_nonnegative,
+    fd_mixed_partial,
+    quad_a_from_h,
+    rational_root_polys,
+)
 from pickpoly import (
     BernsteinPoly,
+    CertificateInconclusiveError,
     GenericPickands,
     NotSpectralDensityError,
     PickandsPoly,
@@ -26,6 +36,7 @@ from pickpoly import (
     validate_pickands,
     vee,
 )
+from pickpoly import pickands as pickands_module
 
 COUNTEREXAMPLE = PowerPoly([1.0, 0.0, 0.0, -1.0, 1.0])  # 1 - t^3 + t^4
 
@@ -75,6 +86,29 @@ def test_certify_examples():
     assert bad.witness == pytest.approx(0.5, abs=0.05)
     trivial = certify_nonnegative(BernsteinPoly([0.2, 0.0, 3.0]))
     assert trivial.nonneg and trivial.subdivisions == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_root_polys())
+def test_certify_agrees_with_exact_root_isolation(coeffs):
+    assert not -1e-12 <= exact_minimum(coeffs) < 0.0  # the case is outside the tolerance band
+    P = BernsteinPoly([float(c) for c in coeffs])
+    report = certify_nonnegative(P)
+    assert report.nonneg == exact_nonnegative(coeffs)
+    if not report.nonneg:
+        assert evaluate(P, report.witness) < -1e-12
+
+
+def test_certify_inconclusive_only_without_witness(monkeypatch):
+    # with the depth cap lowered to 3, the double root of (t - 7/10)^2 stays undecided
+    monkeypatch.setattr(pickands_module, "_CERTIFY_DEPTH", 3)
+    with pytest.raises(CertificateInconclusiveError):
+        certify_nonnegative(power_to_bernstein(PowerPoly([0.49, -1.4, 1.0])))
+    # (t - 7/10)^2 ((t - 1/4)^2 - 1/100): the walk meets the undecided double
+    # root first, then the negative dip around 1/4, which decides the sign
+    dip = np.polynomial.polynomial.polymul([0.49, -1.4, 1.0], [0.0525, -0.5, 1.0])
+    report = certify_nonnegative(power_to_bernstein(PowerPoly(dip)))
+    assert not report.nonneg and 0.15 < report.witness < 0.35
 
 
 def test_certify_matches_quadratic_closed_form(rng):

@@ -150,6 +150,11 @@ def test_run_study_rejects_non_integer_thread_env(monkeypatch):
         run_study(config)
 
 
+def test_study_config_rejects_negative_m():
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=-1, estimators=("cfg",))
+
+
 def test_run_study_failure_policy(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("forced failure")

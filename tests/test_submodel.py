@@ -13,8 +13,8 @@ from pickpoly import (
     h_from_a,
     in_submodel_a,
     in_submodel_h,
+    elevate_degree,
     lorentz_degree,
-    submodel_nesting_check,
     theta_to_h,
     validate_pickands,
 )
@@ -117,9 +117,10 @@ def test_endpoint_zero_does_not_count_as_interior():
 
 
 def test_nesting_examples():
-    grown = submodel_nesting_check(SubmodelParam(0, [2.0]))
-    assert grown.m == 1 and np.allclose(grown.c, [2.0, 2.0])
-    mix = submodel_nesting_check(SubmodelParam(0, [1.8]))
+    # one elevation step keeps a member in the polytope (validated on construction)
+    grown = SubmodelParam(1, elevate_degree(BernsteinPoly([2.0]), 1).coeffs)
+    assert np.allclose(grown.c, [2.0, 2.0])
+    mix = SubmodelParam(1, elevate_degree(BernsteinPoly([1.8]), 1).coeffs)
     assert np.allclose(mix.c, [1.8, 1.8])
 
 
@@ -131,7 +132,7 @@ def test_nesting_random_members(rng):
             report = in_submodel_h(c)
             if not report["member"]:
                 continue
-            grown = submodel_nesting_check(SubmodelParam(m, c))
+            grown = SubmodelParam(m + 1, elevate_degree(BernsteinPoly(c), m + 1).coeffs)
             assert in_submodel_h(grown.c)["member"]
             count += 1
 
