@@ -8,6 +8,7 @@ wall-clock info goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -43,14 +44,18 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _write_out(text: str, path: str | None) -> None:
+def _open_out(path: str | None):
+    """The output file at path, or stdout (left open) when path is None."""
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
+def _write_out(text: str, path: str | None) -> None:
+    with _open_out(path) as fh:
+        fh.write(text)
+        if path is None and not text.endswith("\n"):
+            fh.write("\n")
 
 
 def _dump(obj) -> str:
@@ -70,7 +75,10 @@ def _read_sample(path: str, ranks: bool) -> SampleSet:
         header = fh.readline().strip()
         if [c.strip() for c in header.split(",")] != ["u", "v"]:
             raise ValueError(f'data CSV must start with header "u,v", got {header!r}')
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        lines = fh.read().splitlines()
+    if not any(line.strip() for line in lines):
+        raise ValueError("data CSV has no data rows below its header")
+    rows = np.loadtxt(lines, delimiter=",", ndmin=2)
     if rows.shape[1] != 2:
         raise ValueError("data CSV must have exactly two columns")
     return SampleSet.from_arrays(rows[:, 0], rows[:, 1], ranks=ranks)
@@ -107,15 +115,19 @@ def _cmd_measures(args) -> int:
     return 0
 
 
+# rows of the simulate CSV formatted per write: the whole text at once
+# would hold every row string in memory together
+_CSV_CHUNK = 8192
+
+
 def _cmd_simulate(args) -> int:
     model = model_from_json(_read_json(args.model))
     sample = sample_copula(model, args.n, args.seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["u", "v"])
-    for u, v in zip(sample.u, sample.v):
-        writer.writerow([repr(float(u)), repr(float(v))])
-    _write_out(buf.getvalue(), args.out)
+    with _open_out(args.out) as fh:
+        fh.write("u,v\n")
+        for i in range(0, sample.n, _CSV_CHUNK):
+            rows = zip(sample.u[i:i + _CSV_CHUNK].tolist(), sample.v[i:i + _CSV_CHUNK].tolist())
+            fh.write("".join([f"{u!r},{v!r}\n" for u, v in rows]))
     return 0
 
 

@@ -10,7 +10,9 @@ no zero inside (0,1); the smallest such degree is the Lorentz degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -131,13 +133,84 @@ def _deflate_right(c: np.ndarray) -> np.ndarray:
     return c[:-1] * (m / (m - np.arange(0.0, m)))
 
 
+def _exact_power_coeffs(c: np.ndarray, shift: float) -> list[int]:
+    # integer power coefficients (ascending) of a positive multiple of the
+    # polynomial with Bernstein coefficients c - shift, read exactly:
+    # a_j = C(m,j) sum_{k<=j} (-1)^(j-k) C(j,k) c_k
+    fr = [Fraction(float(x)) - Fraction(shift) for x in c]
+    den = math.lcm(*(f.denominator for f in fr))
+    ci = [int(f * den) for f in fr]
+    m = len(ci) - 1
+    return _trim([math.comb(m, j) * sum((-1) ** (j - k) * math.comb(j, k) * ci[k] for k in range(j + 1))
+                  for j in range(m + 1)])
+
+
+def _trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _derivative(p: list[int]) -> list[int]:
+    return [j * a for j, a in enumerate(p)][1:]
+
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    # a positive multiple of the remainder of a divided by b, made primitive
+    # (integer coefficients, ascending; b nonzero)
+    a = list(a)
+    lb, sb = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(a) >= len(b):
+        q, shift = sb * a[-1], len(a) - len(b)
+        a = [lb * x for x in a]
+        for i, bi in enumerate(b):
+            a[shift + i] -= q * bi
+        a.pop()
+        _trim(a)
+    g = math.gcd(*a) if a else 1
+    return [x // g for x in a]
+
+
+def _sign_changes(values: list[int]) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _exact_root_inside(c: np.ndarray, shift: float = 0.0) -> bool:
+    """Whether the polynomial with Bernstein coefficients c - shift, read as
+    exact rationals, has a root inside (0, 1).
+
+    Sturm's theorem on the sequence p, p', -rem, ... (a Euclid remainder
+    sequence, so it ends in gcd(p, p')) counts the distinct roots in (0, 1]
+    as the drop in sign changes from 0 to 1; a root at 1 is then taken off.
+    """
+    p = _exact_power_coeffs(c, shift)
+    seq = [p, _derivative(p)]
+    while len(seq[-1]) > 1:
+        r = _remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-x for x in r])
+    at_one = [sum(q) for q in seq]
+    return _sign_changes([q[0] for q in seq]) - _sign_changes(at_one) - (at_one[0] == 0) > 0
+
+
+# an h that the float minimum cannot separate from zero counts as touching
+# zero when its exact minimum inside (0, 1) is at most this fraction of its
+# largest coefficient: a few ulp, the resolution of the float coefficients
+_TOUCH_RTOL = 2.0**-50
+
+
 def _has_interior_zero(h: BernsteinPoly) -> bool:
     """Certificate-based detection of a zero of h inside (0, 1).
 
-    Endpoint zeros are deflated exactly first, then the branch-and-bound
-    minimum decides: a minimum <= 1e-12 * scale counts as a zero; anything
-    larger is treated as strictly positive (ambiguous tiny minima are left to
-    the degree-elevation cap, never over-claimed as zeros).
+    Endpoint zeros are deflated exactly first. A branch-and-bound minimum
+    above 1e-12 * scale means h is strictly positive inside. At or below it
+    the floats cannot decide, so the coefficients are read as exact
+    rationals: h touches zero when h - 2^-50 * scale (every Bernstein
+    coefficient lowered by that much) has a root inside (0, 1), that is,
+    when the exact minimum of h there is at most 2^-50 * scale. A tiny but
+    resolvable positive minimum is thus never claimed as a zero.
     """
     c = np.asarray(h.coeffs, dtype=float)
     scale = max(1.0, float(np.max(np.abs(c))))
@@ -147,10 +220,9 @@ def _has_interior_zero(h: BernsteinPoly) -> bool:
         c = _deflate_right(c)
     if c.size == 1:
         return False
-    g = BernsteinPoly(c)
     gscale = max(1.0, float(np.max(np.abs(c))))
-    _, vmin = global_minimum(g)
-    return vmin <= 1e-12 * gscale
+    _, vmin = global_minimum(BernsteinPoly(c))
+    return vmin <= 1e-12 * gscale and _exact_root_inside(c, _TOUCH_RTOL * gscale)
 
 
 def lorentz_degree(h: BernsteinPoly, cap: int = 512) -> int | str:

@@ -247,3 +247,46 @@ def exact_minimum(coeffs) -> float:
         values += [poly.as_expr().subs(_T, x).evalf(40)
                    for x in sympy.real_roots(poly.diff(_T)) if 0 < x < 1]
     return float(min(values))
+
+
+def bisection_conditional(A, u, w) -> np.ndarray:
+    """v with dC/du(u, v) = w by 80 bisection steps on (1e-14, 1 - 1e-14) (oracle).
+
+    The sampler's former root finder: the analytic partial
+    dC/du = (C/u){A(t) - t A'(t)} and nothing else, so it shares no slope,
+    step rule or stopping test with the Newton iteration it checks.
+    """
+    logu = np.log(u)
+    lo = np.full(u.shape, 1e-14)
+    hi = np.full(u.shape, 1.0 - 1e-14)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        logm = np.log(mid)
+        s = logu + logm
+        t = logm / s
+        a = A.value(t)
+        cond = np.exp(s * a - logu) * (a - t * A.deriv(t))
+        go_left = cond >= w
+        hi = np.where(go_left, mid, hi)
+        lo = np.where(go_left, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def conditional_cdf(A, u, v):
+    """dC/du(u, v) = (C/u){A(t) - t A'(t)} with t = log v / log uv."""
+    logu, logv = np.log(u), np.log(v)
+    s = logu + logv
+    t = logv / s
+    a = A.value(t)
+    return np.exp(s * a - logu) * (a - t * A.deriv(t))
+
+
+def exact_roots_inside(coeffs) -> int:
+    """Number of distinct roots in the open interval (0, 1) of the polynomial
+    with rational Bernstein coefficients ``coeffs`` (sympy root counting on
+    its square-free part)."""
+    poly = sympy.Poly(_bernstein_expr(coeffs), _T)
+    if poly.degree() < 1:
+        return 0
+    part = poly.sqf_part()
+    return part.count_roots(0, 1) - (part.eval(0) == 0) - (part.eval(1) == 0)

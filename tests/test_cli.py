@@ -1,9 +1,14 @@
+import csv
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import POLFULL_H, POLFULL_POWER
+from pickpoly import SampleSet, sample_copula
+from pickpoly import cli as cli_module
 from pickpoly.cli import main
 
 POLFULL_POWER_JSON = {"basis": "power", "degree": 4, "coeffs": list(map(float, POLFULL_POWER))}
@@ -79,6 +84,66 @@ def test_simulate_deterministic_csv(tmp_path, capsys):
     assert lines[0] == "u,v" and len(lines) == 51
     u, v = map(float, lines[1].split(","))
     assert 0.0 < u < 1.0 and 0.0 < v < 1.0
+
+
+def _csv_writer_text(sample) -> str:
+    # the former simulate writer, kept as the oracle for the output bytes
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["u", "v"])
+    for u, v in zip(sample.u, sample.v):
+        writer.writerow([repr(float(u)), repr(float(v))])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [1, 2, cli_module._CSV_CHUNK, cli_module._CSV_CHUNK + 1])
+def test_simulate_csv_matches_csv_writer(tmp_path, capsys, n):
+    model = write(tmp_path / "model.json", MIX_MODEL_JSON)
+    out = tmp_path / "sample.csv"
+    assert main(["simulate", "--model", model, "--n", str(n), "--seed", "4", "--out", str(out)]) == 0
+    expected = _csv_writer_text(sample_copula(cli_module.model_from_json(MIX_MODEL_JSON), n, 4))
+    assert out.read_bytes() == expected.encode()
+    # to stdout, byte for byte the same
+    code, stdout, _ = run(capsys, "simulate", "--model", model, "--n", str(n), "--seed", "4")
+    assert code == 0 and stdout == expected
+
+
+def test_simulate_csv_exponent_form_values(tmp_path, capsys, monkeypatch):
+    # repr switches to exponent form below 1e-4; the rows must still match
+    values = np.array([1e-14, 1e-16, 5e-05, 0.0001, 1.0 - 1e-14, 0.1 + 0.2, 2.0**-52])
+    fixed = SampleSet(values, values[::-1])
+    monkeypatch.setattr(cli_module, "sample_copula", lambda model, n, seed: fixed)
+    model = write(tmp_path / "model.json", MIX_MODEL_JSON)
+    out = tmp_path / "sample.csv"
+    assert main(["simulate", "--model", model, "--n", "7", "--seed", "0", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == _csv_writer_text(fixed)
+    assert "\n1e-14,2.220446049250313e-16\n" in text
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--n", "-3", "--seed", "1"], "n must be"),
+    (["--n", "0", "--seed", "1"], "n must be"),
+    (["--n", "5", "--seed", "-1"], "seed must be"),
+])
+def test_simulate_rejects_bad_n_and_seed(tmp_path, capsys, args, field):
+    model = write(tmp_path / "model.json", MIX_MODEL_JSON)
+    code, out, err = run(capsys, "simulate", "--model", model, *args)
+    assert code == 1 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and field in msg["message"]
+
+
+@pytest.mark.parametrize("body", ["u,v\n", "u,v", "u,v\n\n  \n"])
+def test_fit_rejects_header_only_csv(tmp_path, capsys, body):
+    data = tmp_path / "data.csv"
+    data.write_text(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "fit", "--in", str(data), "--model", "cfg")
+    assert code == 1 and out == ""
+    msg = json.loads(err)  # one JSON line: no warning text leaked ahead of it
+    assert msg["error"] == "ValueError" and "no data rows" in msg["message"]
 
 
 def test_fit_subcommands(tmp_path, capsys):

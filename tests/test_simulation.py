@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import ALOG_PARAMS, MIX_PSI, POLFULL_H, alog_value
+from helpers import (
+    ALOG_PARAMS,
+    MIX_PSI,
+    POLFULL_H,
+    alog_value,
+    bisection_conditional,
+    conditional_cdf,
+)
 from pickpoly import (
     AsymmetricLogistic,
     BernsteinPoly,
+    FullModelParam,
     OptimConfig,
     PickandsPoly,
     PolynomialModel,
@@ -14,12 +22,15 @@ from pickpoly import (
     SymmetricMixed,
     a_from_h,
     copula_cdf,
+    copula_density,
     model_from_json,
     model_pickands,
     model_to_json,
     run_study,
     sample_copula,
+    sample_feasible,
     split_seed,
+    theta_to_pickands,
 )
 from pickpoly import simulation as simulation_module
 
@@ -101,6 +112,117 @@ def test_sampler_deterministic():
     a = sample_copula(ALOG_MODEL, 100, 9)
     b = sample_copula(ALOG_MODEL, 100, 9)
     assert np.all(a.u == b.u) and np.all(a.v == b.v)
+
+
+# the sampler's models plus its hardest cases: a near-comonotone logistic
+# (alpha = 0.1, psi = 1), independence (psi = 0) and a degree-6 polynomial
+SOLVER_MODELS = {
+    "alog": ALOG_MODEL,
+    "alog-steep": AsymmetricLogistic(0.1, 1.0, 1.0),
+    "mix": MIX_MODEL,
+    "mix-independent": SymmetricMixed(0.0),
+    "poly6": PolynomialModel(theta_to_pickands(
+        FullModelParam(4, sample_feasible(4, np.random.default_rng(6), 1)[0]))),
+}
+
+
+def _solve(model, u, w):
+    # the solver on all of u, w at once (sample_copula solves in blocks)
+    return simulation_module._solve_conditional(simulation_module._pickands_kernel(model), u, w)
+
+
+def _drawn_uw(n, seed):
+    # the (u, w) that sample_copula draws from this seed
+    rng = np.random.default_rng(seed)
+    return np.clip(rng.random(n), 1e-16, 1.0 - 1e-16), rng.random(n)
+
+
+@pytest.mark.parametrize("name", SOLVER_MODELS)
+def test_sampler_matches_bisection_oracle(name):
+    model = SOLVER_MODELS[name]
+    s = sample_copula(model, 4000, 17)
+    u, w = _drawn_uw(4000, 17)
+    assert np.array_equal(s.u, u)
+    oracle = bisection_conditional(model_pickands(model), u, w)
+    assert np.max(np.abs(s.v - oracle) / oracle) <= 1e-10
+
+
+EXTREME_U = np.array([1e-16, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 1e-16])
+EXTREME_W = np.array([1e-15, 1e-9, 1e-4, 0.5, 1.0 - 1e-4, 1.0 - 1e-9, 1.0 - 1e-15])
+
+
+@pytest.mark.parametrize("name", SOLVER_MODELS)
+def test_solver_at_clipped_u_and_extreme_w(name):
+    # where the conditional cdf is nearly flat (density c), F's rounding
+    # (a few eps) leaves v undetermined by about eps / c: both solvers may
+    # then stop anywhere in that range
+    model = SOLVER_MODELS[name]
+    A = model_pickands(model)
+    u, w = (g.ravel() for g in np.meshgrid(EXTREME_U, EXTREME_W))
+    v = _solve(model, u, w)
+    oracle = bisection_conditional(A, u, w)
+    assert np.all((v >= 1e-14) & (v <= 1.0 - 1e-14))
+    flat = 64.0 * np.finfo(float).eps / np.minimum(copula_density(A, u, v), copula_density(A, u, oracle))
+    assert np.all(np.abs(v - oracle) <= 1e-10 * oracle + flat)
+
+
+@pytest.mark.parametrize("name", SOLVER_MODELS)
+def test_solver_residual_within_a_few_ulp(name):
+    # |F(v) - w| is no more than moving v by a few ulp changes F (slope
+    # c(u, v)) plus a few ulp of F's own rounding, which grows with the
+    # exponent log u + log v of the copula
+    model = SOLVER_MODELS[name]
+    A = model_pickands(model)
+    u, w = _drawn_uw(4000, 23)
+    v = _solve(model, u, w)
+    resid = np.abs(conditional_cdf(A, u, v) - w)
+    eps = np.finfo(float).eps
+    rounding = eps * (1.0 + np.abs(np.log(u)) + np.abs(np.log(v)))
+    assert np.all(resid <= 8.0 * (copula_density(A, u, v) * np.spacing(v) + rounding))
+
+
+@pytest.mark.parametrize("name", SOLVER_MODELS)
+def test_solver_step_counts(monkeypatch, name):
+    # every step evaluates the kernel once on the active elements, so the
+    # evaluated widths count the steps (the former bisection took 80, and
+    # accepting Newton points only inside the open bracket about 55 on
+    # many elements)
+    widths = []
+    kernel = simulation_module._pickands_kernel
+
+    def counting(model):
+        inner = kernel(model)
+
+        def f(t):
+            widths.append(t.size)
+            return inner(t)
+        return f
+
+    monkeypatch.setattr(simulation_module, "_pickands_kernel", counting)
+    n = 4000
+    sample_copula(SOLVER_MODELS[name], n, 29)
+    assert sum(widths) / n <= 10.0
+    assert len(widths) <= 30
+
+
+def test_sample_copula_values_independent_of_blocking():
+    # each v depends only on its own (u, w): the blocked sample, one solve of
+    # all pairs and a solve of every 7th pair alone agree bit for bit
+    n = simulation_module._BLOCK + 100
+    model = SOLVER_MODELS["poly6"]
+    s = sample_copula(model, n, 31)
+    u, w = _drawn_uw(n, 31)
+    assert np.array_equal(s.v, _solve(model, u, w))
+    assert np.array_equal(s.v[::7], _solve(model, u[::7], w[::7]))
+
+
+@pytest.mark.parametrize("n, seed, match", [
+    (0, 1, "n must be"), (-3, 1, "n must be"), (2.5, 1, "n must be"), (True, 1, "n must be"),
+    (10, -1, "seed must be"), (10, 1.5, "seed must be"),
+])
+def test_sample_copula_rejects_bad_n_and_seed(n, seed, match):
+    with pytest.raises(ValueError, match=match):
+        sample_copula(MIX_MODEL, n, seed)
 
 
 TINY_OPTIM = OptimConfig(starts=3, seed=0, maxfev=120)

@@ -1,9 +1,19 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import ALOG_PARAMS, POLFULL_H, alog_value, exact_lorentz_degree
+from hypothesis import assume, given, settings
+
+from helpers import (
+    ALOG_PARAMS,
+    POLFULL_H,
+    alog_value,
+    exact_lorentz_degree,
+    exact_roots_inside,
+    rational_root_polys,
+)
 from pickpoly import (
     BernsteinPoly,
     FullModelParam,
@@ -18,6 +28,7 @@ from pickpoly import (
     theta_to_h,
     validate_pickands,
 )
+from pickpoly import submodel as submodel_module
 
 
 def h_alpha_beta(alpha: float, beta: float) -> BernsteinPoly:
@@ -103,6 +114,47 @@ def test_lorentz_infinite_iff_interior_zero(rng):
             assert isinstance(result, int)
             checked += 1
     assert checked >= 60
+
+
+# h of theta polynomial 53 of the benchmark's certify workload at seed 5001
+# (degree 20): strictly positive, with exact minimum 1.03e-13 on [0, 1]
+# (sympy, critical points of the exact rational polynomial), which the float
+# minimum alone counted as a zero
+POLY53_H = [float.fromhex(x) for x in (
+    "0x1.1912c7926c055p+1", "0x1.f487410f2a9ecp+1", "0x1.85ac40e46a564p+2",
+    "0x1.a4dbe3ec39ebep+2", "0x1.25d67fe7bb16cp+1", "-0x1.b0761f64012c8p+1",
+    "0x1.15fa41f7f7fc0p+0", "0x1.8a03612d6e8d4p+1", "-0x1.199b05d70c2cap+2",
+    "0x1.5ea2f2044c6a2p+0", "0x1.99acd83cdbae8p+1", "-0x1.b8258db24feb6p+2",
+    "0x1.9b6aa55c59feep+2", "-0x1.c9dac3bf8662cp+2", "0x1.85f67486be76cp+3",
+    "-0x1.3bf926abb18a1p+2", "0x1.b81f47a69d31ep+3", "-0x1.8b25e0fecb638p+2",
+    "-0x1.bb33a157c87aap-1", "0x1.3b286dceb830ap+0", "0x1.2f21d960cd0c4p-1")]
+
+
+def test_lorentz_tiny_positive_minimum_is_not_a_zero():
+    h = BernsteinPoly(POLY53_H)
+    assert 0.0 < submodel_module.global_minimum(h)[1] <= 1e-12 * 13.75  # inside the float band
+    assert lorentz_degree(h) == "exceeds cap"
+
+
+def test_lorentz_touching_zero_decided_exactly():
+    # (t - 1/4)^2 has dyadic Bernstein coefficients [1/16, -3/16, 9/16], so
+    # the floats hold it exactly; lifting it by 2^-40 (inside the float band
+    # 1e-12, above the exact touching tolerance 2^-50) makes it positive
+    c = np.array([1.0 / 16.0, -3.0 / 16.0, 9.0 / 16.0])
+    assert lorentz_degree(BernsteinPoly(c)) == "infinite"
+    assert lorentz_degree(BernsteinPoly(c + 2.0**-53)) == "infinite"
+    assert lorentz_degree(BernsteinPoly(c + 2.0**-40)) == "exceeds cap"
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_root_polys())
+def test_exact_root_inside_agrees_with_sympy(coeffs):
+    # scale the exact coefficients to integers, so the floats hold them exactly
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    assume(max(abs(x) for x in ints) < 2**53 and ints[0] != 0 and ints[-1] != 0)
+    c = np.array(ints, dtype=float)
+    assert submodel_module._exact_root_inside(c) == (exact_roots_inside(ints) > 0)
 
 
 def test_endpoint_zero_does_not_count_as_interior():
