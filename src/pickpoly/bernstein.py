@@ -7,8 +7,8 @@ parametric models) stores polynomials in the Bernstein basis
 
 because the constraints of interest act directly on the coefficients.
 Evaluation uses the de Casteljau convex-combination scheme, degree elevation
-the single-step averaging identity, and basis changes the exact triangular
-recurrences; no least-squares fitting anywhere.
+one direct map built from exact binomial ratio chains, and basis changes the
+exact triangular recurrences; no least-squares fitting anywhere.
 """
 
 from __future__ import annotations
@@ -175,22 +175,52 @@ def second_derivative_coeffs(P: BernsteinPoly) -> BernsteinPoly:
     return BernsteinPoly(m * (m - 1) * np.diff(P.coeffs, n=2))
 
 
-def _elevate_once(c: np.ndarray) -> np.ndarray:
-    # c(j, m+1) = (j/(m+1)) c(j-1, m) + (1 - j/(m+1)) c(j, m)
+# the degree-elevation map is built and applied in blocks of rows holding
+# at most this many entries, so memory does not grow with the target degree
+_ELEVATION_BLOCK = 2**16
+
+
+def _elevation_rows(m: int, M: int, j: np.ndarray) -> np.ndarray:
+    """Rows j of the degree-m -> M elevation map W, c(M) = W c(m).
+
+    W[j,k] = C(j,k) C(M-j,m-k) / C(M,m) is a hypergeometric pmf in k, so
+    each row is a ratio chain W[j,k+1] / W[j,k] = (j-k)(m-k) / ((k+1)(M-j-m+k+1))
+    with exact integer factors. The chain starts at 1 at the row's mode
+    floor((m+1)(j+1)/(M+2)) and walks out both ways, where the ratios are
+    below 1, so nothing overflows and only entries far below the mode's
+    underflow; dividing by the row sum (1 for the pmf) normalizes it.
+    Entries outside the support come out exactly 0.
+    """
+    j = j[:, None]
+    k = np.arange(m)
+    mode = (m + 1) * (j + 1) // (M + 2)
+    num = ((j - k) * (m - k)).astype(float)
+    den = ((k + 1) * (M - j - m + k + 1)).astype(float)
+    above = k >= mode
+    # rightward ratios from the mode, leftward inverse ratios up to it; the
+    # divisor is >= 1 on both sides, and a nonpositive factor marks the end
+    # of the support
+    step = np.maximum(np.where(above, num, den), 0.0) / np.where(above, den, num)
+    w = np.ones((j.shape[0], m + 1))
+    w[:, 1:] = np.cumprod(np.where(above, step, 1.0), axis=1)
+    w[:, :-1] *= np.cumprod(np.where(above, 1.0, step)[:, ::-1], axis=1)[:, ::-1]
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _elevated_blocks(c: np.ndarray, M: int):
+    """Yield the degree-M Bernstein coefficients of c, one row block at a time."""
     m = c.size - 1
-    j = np.arange(m + 2) / (m + 1)
-    out = np.empty(m + 2)
-    out[0] = c[0]
-    out[-1] = c[-1]
-    out[1:-1] = j[1:-1] * c[:-1] + (1.0 - j[1:-1]) * c[1:]
-    return out
+    rows = max(1, _ELEVATION_BLOCK // (m + 1))
+    for start in range(0, M + 1, rows):
+        yield _elevation_rows(m, M, np.arange(start, min(start + rows, M + 1))) @ c
 
 
 def elevate_degree(P: BernsteinPoly, target: int) -> BernsteinPoly:
     """Re-express P in the Bernstein basis of a higher degree.
 
-    Applies the single-step averaging identity target - degree times; values
-    on [0,1] are unchanged.
+    One direct degree-m -> target map, c_j = sum_k C(j,k) C(target-j, m-k)
+    / C(target, m) c_k, with each weight within a few ulp of its exact
+    value; values on [0,1] are unchanged.
 
     Raises
     ------
@@ -199,10 +229,7 @@ def elevate_degree(P: BernsteinPoly, target: int) -> BernsteinPoly:
     """
     if target < P.degree:
         raise ValueError(f"target degree {target} below current degree {P.degree}")
-    c = np.asarray(P.coeffs, dtype=float)
-    for _ in range(target - P.degree):
-        c = _elevate_once(c)
-    return BernsteinPoly(c)
+    return BernsteinPoly(np.concatenate(list(_elevated_blocks(P.coeffs, target))))
 
 
 def bernstein_approx(f: Callable[[float], float], m: int) -> BernsteinPoly:

@@ -3,7 +3,7 @@
 Bernstein approximations of Pickands functions are exactly the polynomials
 whose second derivative h has nonnegative Bernstein coefficients on top of
 the two endpoint-derivative caps, so the parameter space of h is a polytope.
-The submodel is nested across degrees via single-step degree elevation, and a
+The submodel is nested across degrees via degree elevation, and a
 polynomial h >= 0 joins it at some degree if and only if h is constant or has
 no zero inside (0,1); the smallest such degree is the Lorentz degree.
 """
@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, _elevate_once, global_minimum
-from .pickands import certify_nonnegative, endpoint_functionals
+from .bernstein import BernsteinPoly, _branch_and_bound, _elevated_blocks
+from .pickands import _CERTIFY_DEPTH, certify_nonnegative, endpoint_functionals
 
 COEF_TOL = 1e-12
 
@@ -204,10 +204,12 @@ _TOUCH_RTOL = 2.0**-50
 def _has_interior_zero(h: BernsteinPoly) -> bool:
     """Certificate-based detection of a zero of h inside (0, 1).
 
-    Endpoint zeros are deflated exactly first. A branch-and-bound minimum
-    above 1e-12 * scale means h is strictly positive inside. At or below it
-    the floats cannot decide, so the coefficients are read as exact
-    rationals: h touches zero when h - 2^-50 * scale (every Bernstein
+    Endpoint zeros are deflated exactly first. Then the subdivision walk
+    runs with the floor 1e-12 * scale: when it drops every subinterval
+    there, every Bernstein coefficient bound, and so h, stays above the
+    floor and h has no zero. When it finds a value below the floor, or ends
+    undecided, the floats cannot decide, so the coefficients are read as
+    exact rationals: h touches zero when h - 2^-50 * scale (every Bernstein
     coefficient lowered by that much) has a root inside (0, 1), that is,
     when the exact minimum of h there is at most 2^-50 * scale. A tiny but
     resolvable positive minimum is thus never claimed as a zero.
@@ -221,17 +223,27 @@ def _has_interior_zero(h: BernsteinPoly) -> bool:
     if c.size == 1:
         return False
     gscale = max(1.0, float(np.max(np.abs(c))))
-    _, vmin = global_minimum(BernsteinPoly(c))
-    return vmin <= 1e-12 * gscale and _exact_root_inside(c, _TOUCH_RTOL * gscale)
+    floor = 1e-12 * gscale
+    _, vmin, _, undecided = _branch_and_bound(c, floor, _CERTIFY_DEPTH)
+    if vmin >= floor and not undecided:
+        return False
+    return _exact_root_inside(c, _TOUCH_RTOL * gscale)
+
+
+def _elevation_clears(c: np.ndarray, M: int) -> bool:
+    # every degree-M coefficient >= -1e-12; stops at the first block that fails
+    return all(np.min(block) >= -COEF_TOL for block in _elevated_blocks(c, M))
 
 
 def lorentz_degree(h: BernsteinPoly, cap: int = 512) -> int | str:
     """Smallest degree M at which all Bernstein coefficients of h are >= 0.
 
-    Elevates one degree at a time (the minimal M is wanted). Returns
-    "infinite" without iterating when h has a zero inside (0,1) — then no
-    elevation ever clears the coefficients — and "exceeds cap" when the cap
-    is reached first.
+    Returns "infinite" when h has a zero inside (0,1), since then no
+    elevation ever clears the coefficients. Elevation averages coefficients,
+    so the least one never decreases with M and passing the -1e-12 test is
+    monotone in M: one direct elevation to the cap answers "exceeds cap",
+    and otherwise M is found by galloping up from deg(h) and bisecting, each
+    probe one direct degree-M elevation.
 
     Raises
     ------
@@ -243,13 +255,20 @@ def lorentz_degree(h: BernsteinPoly, cap: int = 512) -> int | str:
     report = certify_nonnegative(h)
     if not report.nonneg:
         raise ValueError(f"h is negative near t = {report.witness}")
-    c = np.asarray(h.coeffs, dtype=float)
+    c = h.coeffs
     if np.min(c) >= -COEF_TOL:
         return h.degree
     if _has_interior_zero(h):
         return "infinite"
-    for M in range(h.degree + 1, cap + 1):
-        c = _elevate_once(c)
-        if np.min(c) >= -COEF_TOL:
-            return M
-    return "exceeds cap"
+    if not _elevation_clears(c, cap):
+        return "exceeds cap"
+    # fails at lo, clears at hi; probe lo + step, doubling the step after
+    # each failure, until a probe clears, then halve [lo, hi]
+    lo, hi, step = h.degree, cap, 1
+    while hi - lo > 1:
+        mid = min(lo + step, (lo + hi) // 2)
+        if _elevation_clears(c, mid):
+            hi = mid
+        else:
+            lo, step = mid, 2 * step
+    return hi

@@ -98,6 +98,47 @@ def exact_lorentz_degree(coeffs_rational, cap: int = 300):
     return None
 
 
+def iterated_elevation(coeffs, target: int) -> np.ndarray:
+    """Degree elevation by the single-step averaging identity, repeated (oracle).
+
+    c(j, m+1) = (j/(m+1)) c(j-1, m) + (1 - j/(m+1)) c(j, m), applied
+    target - m times: the library's former route, which shares no weight
+    with the direct degree-m -> target map.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    for _ in range(target - (c.size - 1)):
+        j = np.arange(1, c.size) / c.size
+        c = np.concatenate([c[:1], j * c[:-1] + (1.0 - j) * c[1:], c[-1:]])
+    return c
+
+
+def _elevated_numerators(coeffs, target: int) -> tuple[list[int], int]:
+    # c_j(M) = sum_k c_k C(m,k) C(M-m, j-k) / C(M, j); with the exact
+    # rationals c_k = num_k / den this returns (s, den), c_j(M) = s_j / (den C(M, j))
+    fr = [Fraction(x) for x in coeffs]
+    den = math.lcm(*(f.denominator for f in fr))
+    m = len(fr) - 1
+    w = [int(f * den) * math.comb(m, k) for k, f in enumerate(fr)]
+    row = [math.comb(target - m, i) for i in range(target - m + 1)]
+    return [sum(w[k] * row[j - k] for k in range(max(0, j - target + m), min(m, j) + 1))
+            for j in range(target + 1)], den
+
+
+def exact_elevation(coeffs, target: int) -> list[Fraction]:
+    """Degree-``target`` Bernstein coefficients of exact rational (or float) ``coeffs``."""
+    s, den = _elevated_numerators(coeffs, target)
+    return [Fraction(sj, den * math.comb(target, j)) for j, sj in enumerate(s)]
+
+
+def exact_elevation_clears(coeffs, target: int) -> bool:
+    """Whether every exact degree-``target`` coefficient is >= -1e-12.
+
+    One integer comparison per coefficient: s_j 10^12 >= -den C(target, j).
+    """
+    s, den = _elevated_numerators(coeffs, target)
+    return all(sj * 10**12 >= -den * math.comb(target, j) for j, sj in enumerate(s))
+
+
 def gcm_bruteforce(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Greatest convex minorant on a grid via supporting lines, O(n^3)."""
     n = x.size
@@ -195,6 +236,25 @@ def _bernstein_from_poly(poly: sympy.Poly, m: int) -> list[Fraction]:
             for k in range(m + 1)]
 
 
+def _root_and_cofactor(draw):
+    # a rational point r = a/b of (0, 1) and g with positive rational
+    # Bernstein coefficients (so g >= 1/16 on [0,1])
+    b = draw(st.integers(2, 64))
+    r = sympy.Rational(draw(st.integers(1, b - 1)), b)
+    g = _bernstein_expr([Fraction(n, 16)
+                         for n in draw(st.lists(st.integers(1, 64), min_size=1, max_size=5))])
+    return r, g
+
+
+@st.composite
+def double_root_polys(draw):
+    """Exact Bernstein coefficients of (t - r)^2 g, whose minimum 0 on [0,1]
+    sits at the rational point r of (0, 1)."""
+    r, g = _root_and_cofactor(draw)
+    poly = sympy.Poly(sympy.expand((_T - r) ** 2 * g), _T)
+    return _bernstein_from_poly(poly, poly.degree())
+
+
 @st.composite
 def rational_root_polys(draw):
     """Exact Bernstein coefficients of (t - r)^2 g + s or (t - r) g.
@@ -206,10 +266,7 @@ def rational_root_polys(draw):
     [-1e-12, 0), where the certificate's -1e-12 floor may disagree with the
     exact sign.
     """
-    b = draw(st.integers(2, 64))
-    r = sympy.Rational(draw(st.integers(1, b - 1)), b)
-    g = _bernstein_expr([Fraction(n, 16)
-                         for n in draw(st.lists(st.integers(1, 64), min_size=1, max_size=5))])
+    r, g = _root_and_cofactor(draw)
     if draw(st.booleans()):
         delta = sympy.Rational(1, 10 ** draw(st.integers(2, 9))) * draw(st.sampled_from([-1, 0, 1]))
         expr = (_T - r) ** 2 * g + delta

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from helpers import (
     POLFULL_H,
     POLFULL_POWER,
     alog_value,
+    exact_elevation,
     exact_minimum,
+    iterated_elevation,
     rational_root_polys,
 )
 from pickpoly import (
@@ -146,6 +149,33 @@ def test_elevation_preserves_values(rng):
         Q = elevate_degree(P, deg + int(rng.integers(1, 31)))
         ref = evaluate(P, xs)
         assert np.max(np.abs(evaluate(Q, xs) - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("m", range(31))
+def test_elevation_matches_exact_rationals(m):
+    # every degree-M coefficient within 8(m+1) ulp of max|c| of the exact
+    # rational elevation of the same float coefficients
+    rng = np.random.default_rng(m)
+    c = rng.normal(size=m + 1) * 10.0 ** int(rng.integers(-3, 4))
+    tol = Fraction(8 * (m + 1) * float(np.finfo(float).eps) * float(np.max(np.abs(c))))
+    for M in sorted({m, m + 1, 2 * m - 1, 64, 200, 512, 600}):
+        if M < m:
+            continue
+        got = elevate_degree(BernsteinPoly(c), M).coeffs
+        exact = exact_elevation(c, M)
+        assert max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact)) <= tol
+
+
+@pytest.mark.parametrize("M", [1101, 1500, 2200])
+def test_elevation_matches_iterated_oracle_at_high_degree(M):
+    # from m = 1100, a weight chain started at W[j,0] = C(M-j, m) / C(M, m)
+    # underflows for M = 1500 and 2200 (1/C(1500, 400) ~ 1e-380), so a range
+    # limit in the direct map shows here as wrong coefficients
+    m = 1100
+    c = np.random.default_rng(m).normal(size=m + 1)
+    got = elevate_degree(BernsteinPoly(c), M).coeffs
+    ref = iterated_elevation(c, M)
+    assert np.max(np.abs(got - ref)) <= 8 * (m + 1) * np.finfo(float).eps * np.max(np.abs(c))
 
 
 def test_elevation_below_degree_is_error():

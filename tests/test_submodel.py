@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     ALOG_PARAMS,
     POLFULL_H,
     alog_value,
+    double_root_polys,
+    exact_elevation_clears,
     exact_lorentz_degree,
     exact_roots_inside,
     rational_root_polys,
@@ -25,10 +29,12 @@ from pickpoly import (
     in_submodel_h,
     elevate_degree,
     lorentz_degree,
+    sample_feasible,
     theta_to_h,
     validate_pickands,
 )
 from pickpoly import submodel as submodel_module
+from pickpoly.bernstein import _ELEVATION_BLOCK, global_minimum
 
 
 def h_alpha_beta(alpha: float, beta: float) -> BernsteinPoly:
@@ -132,8 +138,69 @@ POLY53_H = [float.fromhex(x) for x in (
 
 def test_lorentz_tiny_positive_minimum_is_not_a_zero():
     h = BernsteinPoly(POLY53_H)
-    assert 0.0 < submodel_module.global_minimum(h)[1] <= 1e-12 * 13.75  # inside the float band
+    assert 0.0 < global_minimum(h)[1] <= 1e-12 * 13.75  # inside the float band
     assert lorentz_degree(h) == "exceeds cap"
+
+
+def test_lorentz_theta_model_matches_exact_elevation():
+    # for each degree 4..30, the first h of each Lorentz class among 16
+    # feasible theta: a finite answer L must clear exactly at L and fail at
+    # L - 1, "exceeds cap" must fail exactly at the cap
+    rng = np.random.default_rng(20261018)
+    classes = {"finite": 0, "exceeds cap": 0}
+    for m in range(4, 31):
+        seen = set()
+        for theta in sample_feasible(m, rng, 16):
+            h = theta_to_h(FullModelParam(m, theta))
+            result = lorentz_degree(h)
+            kind = "finite" if isinstance(result, int) else result
+            if kind in seen:
+                continue
+            seen.add(kind)
+            classes[kind] += 1
+            if kind == "finite":
+                assert exact_elevation_clears(h.coeffs, result)
+                assert result == m or not exact_elevation_clears(h.coeffs, result - 1)
+            else:
+                assert kind == "exceeds cap"
+                assert not exact_elevation_clears(h.coeffs, 512)
+    assert classes == {"finite": 27, "exceeds cap": 27}
+
+
+@settings(max_examples=100, deadline=None)
+@given(double_root_polys(),
+       st.sampled_from([0.0, 2.0**-45, 1e-13, 5e-13, 0.99e-12, 1.01e-12, 2e-12, 1e-11]),
+       st.sampled_from([1.0, -1.0]))
+def test_interior_zero_floor_walk_agrees_with_exact_roots(coeffs, s, sign):
+    # h = (t - r)^2 g + s scale, with s on both sides of the walk's floor
+    # 1e-12 * scale: h touches zero exactly when h - 2^-50 scale (its float
+    # coefficients read as rationals) has a root inside (0, 1)
+    c = np.array([float(x) for x in coeffs])
+    scale = max(1.0, float(np.max(np.abs(c))))
+    c = c + sign * s * scale
+    scale = max(1.0, float(np.max(np.abs(c))))
+    touch = Fraction(2.0**-50) * Fraction(scale)
+    expected = exact_roots_inside([Fraction(x) - touch for x in c]) > 0
+    assert submodel_module._has_interior_zero(BernsteinPoly(c)) == expected
+    if sign > 0:
+        assert expected == (s == 0.0)
+        assert (lorentz_degree(BernsteinPoly(c)) == "infinite") == expected
+
+
+def test_lorentz_large_cap_memory_does_not_grow_with_cap():
+    # the elevation probe runs over row blocks, so a cap of 10^6 (degree-20
+    # rows: 168 MB unblocked) stays within a few blocks of memory
+    cases = [(BernsteinPoly(POLFULL_H), 6), (h_alpha_beta(1.0, 1.999999), "exceeds cap"),
+             (BernsteinPoly(POLY53_H), "exceeds cap")]
+    for h, expected in cases:
+        tracemalloc.start()
+        try:
+            result = lorentz_degree(h, cap=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == expected
+        assert peak <= 16 * 8 * _ELEVATION_BLOCK
 
 
 def test_lorentz_touching_zero_decided_exactly():
