@@ -180,16 +180,18 @@ def _sampling_box(m: int) -> np.ndarray:
     return np.minimum(ext0, ext1)
 
 
-def sample_feasible(m: int, rng: np.random.Generator, count: int, max_batches: int = 40) -> np.ndarray:
+def sample_feasible(m: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` random points spread over Theta_m; rows are draws.
 
     Rejection sampling from the tightest box around E0 cap E1 (exactly
-    uniform) while the acceptance rate supports it; in higher dimensions,
-    where box rejection collapses, it falls back to the star-shaped scheme:
-    Gaussian direction xi, scaled to the boundary radius
-    1/sqrt(max(q0(xi), q1(xi))) and pulled inside by U^(1/(m+1)). The
-    fallback covers the whole body including the boundary region, though not
-    with exactly uniform measure. Deterministic given the generator state.
+    uniform) while the acceptance rate supports it: up to 40 batches, but
+    only one when the first batch accepts fewer than count / 40 points. In
+    higher dimensions (m >= 8), where box rejection collapses, the rest come
+    from the star-shaped scheme: Gaussian direction xi, scaled to the
+    boundary radius 1/sqrt(max(q0(xi), q1(xi))) and pulled inside by
+    U^(1/(m+1)). The fallback covers the whole body including the boundary
+    region, though not with exactly uniform measure. Deterministic given
+    the generator state.
     """
     if m == 0:
         return rng.uniform(0.0, 2.0, size=(count, 1))
@@ -197,7 +199,7 @@ def sample_feasible(m: int, rng: np.random.Generator, count: int, max_batches: i
     box = _sampling_box(m)
     out = []
     have = 0
-    for _ in range(max_batches):
+    for batch in range(40):
         cand = rng.uniform(-1.0, 1.0, size=(max(8 * count, 2048), m + 1)) * box
         q0 = np.einsum("ri,ij,rj->r", cand, Q0, cand)
         q1 = np.einsum("ri,ij,rj->r", cand, Q1, cand)
@@ -207,6 +209,8 @@ def sample_feasible(m: int, rng: np.random.Generator, count: int, max_batches: i
             have += keep.shape[0]
         if have >= count:
             return np.concatenate(out)[:count]
+        if batch == 0 and 40 * have < count:
+            break
     xi = rng.normal(size=(count - have, m + 1))
     q0 = np.einsum("ri,ij,rj->r", xi, Q0, xi)
     q1 = np.einsum("ri,ij,rj->r", xi, Q1, xi)

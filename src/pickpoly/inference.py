@@ -12,10 +12,14 @@ Estimators, all returning genuine Pickands functions by construction:
 
 Both MLEs share one likelihood engine: for fixed data the log-likelihood is
 a smooth function of the spectral coefficients h with a closed-form
-gradient, evaluated through a design matrix built once per (data, m). The
-problems are nonconcave, so each driver runs SLSQP with exact constraint
-Jacobians from many feasible random starts, pulls every final point
-radially back into the parameter space and keeps the best; the
+gradient and Hessian, evaluated through a design matrix built once per
+(data, m) for a whole stack of points at a time. The problems are
+nonconcave, so each fitter searches from many feasible random starts and
+keeps the best; all starts advance together in one batched search, run as
+a scipy ``minimize`` custom method: a damped-BFGS SQP over Theta_m whose QP
+over the two linearised caps is solved in closed form, and a primal-dual
+interior point with the exact Hessian over the polytope. Every final point
+is pulled radially back into the parameter space and scored; the
 independence parameter (loglik exactly 0) is always a fallback candidate.
 Everything is deterministic given the seed.
 """
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 from scipy.stats import rankdata
 
 from .bernstein import BernsteinPoly, eval_with_derivatives
@@ -92,10 +96,11 @@ class SampleSet:
 class OptimConfig:
     """Knobs for the multi-start search (deterministic given seed).
 
-    ``starts`` random feasible starting points, drawn from ``seed``; each
-    local SLSQP search stops after at most ``maxfev`` iterations (None keeps
-    SLSQP's default of 100). A non-integer field, ``starts`` or ``maxfev``
-    below 1, or a negative ``seed`` raises a ValueError naming the field.
+    ``starts`` random feasible starting points, drawn from ``seed``, all
+    searched together; each start stops after at most ``maxfev`` iterations
+    of the search (None keeps the default of 100). A non-integer field,
+    ``starts`` or ``maxfev`` below 1, or a negative ``seed`` raises a
+    ValueError naming the field.
     """
 
     starts: int = 20
@@ -157,19 +162,23 @@ def log_likelihood(A, data: SampleSet) -> float:
 
 
 _UNDEFINED_OBJ = 1e12
-# SLSQP stops once the objective (in nats) settles to this; two searches that
-# reach the same optimum then agree to ~1e-13 rather than ~1e-8
+# a search stops once its objective (in nats) settles to this and a step or
+# KKT test agrees; two searches that reach the same optimum then agree to
+# ~1e-13 rather than ~1e-8
 _FTOL = 1e-10
+# iteration cap of each start when OptimConfig.maxfev is None
+_MAXITER = 100
 
 
 class _LogLik:
-    """Log-likelihood of A_h and its gradient in h, for fixed data and degree m.
+    """Log-likelihood of A_h, its gradient and Hessian in h, for fixed data and degree m.
 
     A is an affine image of the spectral coefficients h, so at fixed
     pseudo-angles the two factors of the density brace and A'' are affine in
     h as well. One stacked (3n x (m+1)) design matrix, built once, maps h to
-    them; a value-and-gradient call is then one matvec, one transposed
-    matvec and a few length-n vector operations.
+    them. Every method takes a (starts x (m+1)) stack of points, so a whole
+    multistart is evaluated by a few matrix products and elementwise passes
+    over (starts x n) arrays.
     """
 
     def __init__(self, data: SampleSet, m: int):
@@ -179,65 +188,372 @@ class _LogLik:
         val, d1, d2 = (np.column_stack(cols) for cols in
                        zip(*(eval_with_derivatives(-K[:, j], t) for j in range(m + 1))))
         self.n = t.size
-        self.T = coefficient_tensor(m) if m >= 1 else None
+        p = m + 1
+        # T[k] flattened into columns k*p + i, so theta @ T holds every T[k] theta
+        self.T = coefficient_tensor(m).reshape(p * p, p).T if m >= 1 else None
         self.design = np.vstack([val + (1.0 - t)[:, None] * d1, val - t[:, None] * d1, d2])
+        self.design_t = np.ascontiguousarray(self.design.T)
         self.curv = -t * (1.0 - t) / s
         self.lin = s @ val
+        self._outer = None
 
-    def objective(self, h: np.ndarray) -> tuple[float, np.ndarray]:
-        """Negative loglik and its gradient in h.
-
-        Where a density is nonpositive (SLSQP may try points slightly outside
-        the caps) the value is a large finite constant, so its line search
-        backs off instead of failing on inf or NaN.
-        """
+    def _factors(self, h: np.ndarray):
         n = self.n
-        z = self.design @ h
-        f1 = 1.0 + z[:n]
-        f2 = 1.0 + z[n:2 * n]
-        brace = f1 * f2 + self.curv * z[2 * n:]
-        if brace.min() <= 0.0:
-            return _UNDEFINED_OBJ, np.zeros_like(h)
-        inv = 1.0 / brace
-        weights = np.concatenate([f2 * inv, f1 * inv, self.curv * inv])
-        return -float(self.lin @ h + np.log(brace).sum()), -(self.lin + weights @ self.design)
+        z = h @ self.design_t
+        f1 = 1.0 + z[:, :n]
+        f2 = 1.0 + z[:, n:2 * n]
+        return f1, f2, f1 * f2 + self.curv * z[:, 2 * n:]
 
-    def theta_objective(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """The objective through h_k = theta' T[k] theta (m >= 1).
+    def objective(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Negative loglik of every row of h and its gradient in h.
+
+        Where a density is nonpositive (a search may try points slightly
+        outside the caps) the row's value is a large finite constant and its
+        gradient zero, so a line search backs off instead of failing on inf
+        or NaN; the other rows are unaffected.
+        """
+        f1, f2, brace = self._factors(h)
+        bad = brace.min(axis=1) <= 0.0
+        if bad.any():
+            brace[bad] = 1.0
+        inv = 1.0 / brace
+        value = -(h @ self.lin + np.log(brace).sum(axis=1))
+        weights = np.concatenate([f2 * inv, f1 * inv, self.curv * inv], axis=1)
+        grad = -(self.lin + weights @ self.design)
+        if bad.any():
+            value[bad] = _UNDEFINED_OBJ
+            grad[bad] = 0.0
+        return value, grad
+
+    def hessian(self, h: np.ndarray) -> np.ndarray:
+        """Hessian in h of the negative loglik at every row of h, (starts x p x p).
+
+        With a_i, b_i, c_i the three design rows of observation i and
+        g_i = f2 a_i + f1 b_i + curv c_i, it is
+        sum_i g_i g_i' / brace_i^2 - (a_i b_i' + b_i a_i') / brace_i: six
+        weighted sums of per-observation outer products, which a table built
+        once per (data, m) turns into one matrix product.
+        """
+        n, p = self.n, h.shape[1]
+        if self._outer is None:
+            a, b, c = self.design[:n], self.design[n:2 * n], self.design[2 * n:]
+
+            def sym(x, y):
+                xy = (x[:, :, None] * y[:, None, :]).reshape(n, p * p)
+                return xy if x is y else xy + (y[:, :, None] * x[:, None, :]).reshape(n, p * p)
+
+            self._outer = np.vstack([sym(a, a), sym(b, b), sym(c, c),
+                                     sym(a, b), sym(a, c), sym(b, c)])
+        f1, f2, brace = self._factors(h)
+        inv = 1.0 / brace
+        inv2 = inv * inv
+        cw = self.curv * inv2
+        weights = np.concatenate([f2 * f2 * inv2, f1 * f1 * inv2, self.curv * cw,
+                                  f1 * f2 * inv2 - inv, f2 * cw, f1 * cw], axis=1)
+        return (weights @ self._outer).reshape(-1, p, p)
+
+    def theta_objective(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The objective through h_k = theta' T[k] theta (m >= 1), row by row.
 
         dh_k/dtheta = 2 T[k] theta, so the gradient is 2 (sum_k g_k T[k]) theta.
         """
-        Tth = self.T @ theta
-        f, g = self.objective(Tth @ theta)
-        return f, 2.0 * (g @ Tth)
+        p = theta.shape[1]
+        Tth = (theta @ self.T).reshape(-1, p, p)
+        f, g = self.objective((Tth @ theta[:, :, None])[:, :, 0])
+        return f, 2.0 * (g[:, None, :] @ Tth)[:, 0, :]
 
 
-def _multistart(data: SampleSet, objective, starts: np.ndarray, config: OptimConfig,
-                candidate, **problem):
-    """SLSQP from each start; the best projected candidate by its loglik.
+# A search trusts the likelihood formula only this far beyond the caps of
+# Theta_m (in q = theta' Q theta); further out A_theta is no Pickands function
+# and the formula is unbounded below.
+_CAP_SLACK = 0.1
 
-    ``candidate(x)`` pulls a search's final point back inside the parameter
-    space and returns (param, h). Candidates are scored by the de Casteljau
-    log-likelihood of a_from_h(h), the arithmetic of ``log_likelihood``, so
-    the reported value is exactly that of the estimate built from the
-    winner. The independence point (loglik exactly 0) is the baseline, so
-    the winner never falls below it; ties keep the earlier candidate.
-    Returns (param or None, loglik, success).
+
+def _sqp(fun, x0, *, constraints, maxiter=_MAXITER, ftol=_FTOL, **_):
+    """Damped-BFGS SQP over Theta_m = {theta : theta' Q_j theta <= 1, j = 0, 1}.
+
+    A scipy custom method: ``fun`` maps a (starts x p) stack to values and
+    gradients, ``x0`` is the flattened stack of starts and ``constraints``
+    the stacked forms (Q0, Q1). All starts advance together. Each iteration
+    solves the QP over the two linearised caps in closed form, trying the
+    active sets {}, {0}, {1} and {0, 1} with the inverse BFGS matrix, then
+    backtracks on the l1 merit function f + rho . max(0, q - 1). The update
+    is Powell-damped, using B s = alpha (A' lambda - g) from the QP's own
+    optimality conditions, so only the inverse is kept. A start stops at a
+    KKT point (the QP predicts a decrease below ``ftol``), when f moves by
+    less than ``ftol`` and the step is tiny or the predicted decrease small,
+    when its line search fails from the identity matrix, or after
+    ``maxiter`` iterations. Returns the final stack as ``x``, per-start
+    ``converged`` flags, and ``fun`` the best final value.
+    """
+    Q = constraints
+    p = Q.shape[-1]
+    Qcat = np.concatenate([Q[0], Q[1]], axis=1)
+
+    def caps(x):
+        # (x' Q_j)_j and the forms x' Q_j x, for every row
+        QX = (x @ Qcat).reshape(-1, 2, p)
+        return QX, (QX @ x[:, :, None])[:, :, 0]
+
+    X = x0.reshape(-1, p).copy()
+    count = X.shape[0]
+    F, G = fun(X)
+    nfev = 1
+    eye = np.eye(p)
+    Hinv = np.tile(eye, (count, 1, 1))
+    reset = np.ones(count, bool)  # Hinv is the identity
+    rho = np.zeros((count, 2))
+    nit = np.zeros(count, int)
+    active = np.ones(count, bool)
+    ok = np.zeros(count, bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while active.any():
+            act = active.nonzero()[0]
+            x, f, g, Hi = X[act], F[act], G[act], Hinv[act]
+            QX, q = caps(x)
+            c = 1.0 - q
+            # columns g, a_0, a_1 (a_j = -2 Q_j x, the gradient of c_j) through Hinv
+            GA = np.concatenate([g[:, None, :], -2.0 * QX], axis=1)
+            HGA = Hi @ GA.transpose(0, 2, 1)
+            N = GA @ HGA
+            e0, e1 = N[:, 1, 0] - c[:, 0], N[:, 2, 0] - c[:, 1]
+            m00, m01, m11 = N[:, 1, 1], N[:, 1, 2], N[:, 2, 2]
+            # multipliers of the active sets {}, {0}, {1}, {0, 1}: the first
+            # whose step keeps both linearised caps and whose multipliers are >= 0
+            l0, l1 = e0 / m00, e1 / m11
+            det = m00 * m11 - m01 * m01
+            free = (e0 <= 0.0) & (e1 <= 0.0)
+            only0 = ~free & (l0 >= 0.0) & (l0 * m01 >= e1)
+            only1 = ~free & ~only0 & (l1 >= 0.0) & (l1 * m01 >= e0)
+            lam = np.empty((act.size, 3))
+            lam[:, 0] = -1.0
+            both0 = np.fmax((m11 * e0 - m01 * e1) / det, 0.0)
+            both1 = np.fmax((m00 * e1 - m01 * e0) / det, 0.0)
+            lam[:, 1] = np.where(only0, l0, np.where(free | only1, 0.0, both0))
+            lam[:, 2] = np.where(only1, l1, np.where(free | only0, 0.0, both1))
+            d = (HGA @ lam[:, :, None])[:, :, 0]
+            gd = (N[:, 0, :] * lam).sum(axis=1)
+            lam = lam[:, 1:]
+            rh = np.maximum(lam, 0.5 * (rho[act] + lam))
+            rho[act] = rh
+            penalty = (rh * np.maximum(-c, 0.0)).sum(axis=1)
+            phi = f + penalty
+            slope = gd - penalty
+            pred = np.abs(gd) + np.abs(lam * c).sum(axis=1)
+            kkt = (pred < ftol) & (penalty == 0.0)
+            # backtracking by safeguarded quadratic interpolation
+            alpha = np.ones(act.size)
+            trying = ~kkt
+            xn, fn, gn, qn = x.copy(), f.copy(), g.copy(), q.copy()
+            for _ in range(10):
+                idx = trying.nonzero()[0]
+                if idx.size == 0:
+                    break
+                a = alpha[idx]
+                xt = x[idx] + a[:, None] * d[idx]
+                qt = caps(xt)[1]
+                ft, gt = fun(xt)
+                nfev += 1
+                excess = (rh[idx] * np.maximum(qt - 1.0, 0.0)).sum(axis=1) + ft - phi[idx]
+                good = (excess <= 0.1 * a * slope[idx]) & (qt.max(axis=1) <= 1.0 + _CAP_SLACK)
+                hit = idx[good]
+                xn[hit], fn[hit], gn[hit], qn[hit] = xt[good], ft[good], gt[good], qt[good]
+                trying[hit] = False
+                if hit.size < idx.size:
+                    miss, a = idx[~good], a[~good]
+                    guess = -slope[miss] * a * a / (2.0 * (excess[~good] - a * slope[miss]))
+                    alpha[miss] = np.clip(guess, 0.1 * a, 0.5 * a)
+            s = xn - x
+            # damped BFGS update of the inverse Hessian of the Lagrangian
+            y = gn - g + 2.0 * (lam[:, None, :] @ caps(s)[0])[:, 0, :]
+            Bs = alpha[:, None] * ((lam[:, None, :] @ GA[:, 1:, :])[:, 0, :] - g)
+            sBs = (s * Bs).sum(axis=1)
+            sy = (s * y).sum(axis=1)
+            damp = np.where(sy < 0.2 * sBs, 0.8 * sBs / (sBs - sy), 1.0)
+            y = damp[:, None] * y + (1.0 - damp)[:, None] * Bs
+            sy = (s * y).sum(axis=1)
+            update = (sy > 0.0) & ~trying & ~kkt
+            r = np.where(update, 1.0 / sy, 0.0)
+            Hy = (Hi @ y[:, :, None])[:, :, 0]
+            sHy = s[:, :, None] * Hy[:, None, :]
+            ss = s[:, :, None] * s[:, None, :]
+            Hi += ((r + r * r * (y * Hy).sum(axis=1))[:, None, None] * ss
+                   - r[:, None, None] * (sHy + sHy.transpose(0, 2, 1)))
+            # a failed line search restarts from the identity; failing there ends the start
+            stuck = trying & reset[act]
+            if trying.any():
+                Hi[trying] = eye
+            reset[act] = trying | (reset[act] & ~update)
+            settled = ((np.abs(fn - f) < ftol) & ~trying & (qn.max(axis=1) <= 1.0 + ftol)
+                       & (((s * s).sum(axis=1) < 1e-16) | (pred < 1e-6)))
+            X[act], F[act], G[act], Hinv[act] = xn, fn, gn, Hi
+            nit[act] += 1
+            ok[act] = kkt | settled
+            active[act] = ~(ok[act] | stuck) & (nit[act] < maxiter)
+    return OptimizeResult(x=X, fun=float(F.min()), nfev=nfev, success=bool(ok.all()), converged=ok)
+
+
+# Interior point: barrier parameters run mu <- max(_MU_MIN, min(0.2 mu, mu^1.5))
+# from 0.1 (the IPOPT monotone rule); a subproblem is solved once its barrier
+# KKT error is below _KAPPA mu. At _MU_MIN the last subproblem's duality gap,
+# (m + 3) mu, is near _FTOL, while the slacks of active bounds, about mu / z,
+# stay far above the rounding error of 1 - W c.
+_MU_MIN = 1e-12
+_KAPPA = 10.0
+
+
+def _interior_point(loglik: _LogLik, starts: np.ndarray, W: np.ndarray, maxiter: int):
+    """Primal-dual interior point over the polytope {c >= 0, W c <= 1}, all starts at once.
+
+    A sequence of barrier subproblems min f - mu sum log(slacks) at falling
+    mu (Fiacco-McCormick; Nocedal & Wright 2006, ch. 19), each solved by one
+    ``minimize`` call to ``_barrier_stage`` warm-started from the previous
+    stage's primal and dual points. ``maxiter`` caps each start's Newton
+    iterations over all stages. Returns every start's final point and
+    whether it met the last subproblem's stopping test.
+    """
+    C = starts
+    duals = (1.0 / C, 1.0 / (1.0 - C @ W.T))  # on the central path of mu = 1
+    spent = np.zeros(C.shape[0], int)
+    mu = 0.1
+    while True:
+        res = minimize(loglik.objective, C.ravel(), method=_barrier_stage, hess=loglik.hessian,
+                       constraints=W, options={"mu": mu, "duals": duals, "spent": spent,
+                                               "maxiter": maxiter})
+        C, duals, spent = res.x, res.duals, res.spent
+        if mu == _MU_MIN or np.all(spent >= maxiter):
+            return C, res.converged & (mu == _MU_MIN)
+        mu = max(_MU_MIN, min(0.2 * mu, mu ** 1.5))
+
+
+def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter=_MAXITER,
+                   ftol=_FTOL, **_):
+    """Primal-dual Newton iterations on one barrier subproblem, every start at once.
+
+    A scipy custom method: ``fun`` maps a (starts x p) stack to values and
+    gradients, ``hess`` to the exact Hessians, ``x0`` is the flattened stack
+    of strictly interior points, ``constraints`` the (2 x p) cap weights W,
+    ``duals`` the multipliers of c >= 0 and of the caps, and ``spent`` the
+    iterations each start has used. The Newton matrix
+    H + diag(z/c) + W' diag(z_w/s_w) W is shifted by its least eigenvalue
+    where that is not positive (the likelihood is not concave in h) and
+    solved by LU, which stays accurate as slacks shrink; each step keeps 1%
+    of the distance to every bound (fraction to the boundary) and backtracks
+    on the barrier function. A start leaves the stage once its barrier KKT
+    error is below _KAPPA mu; in the last stage (mu = _MU_MIN) once the
+    duality gap and the change of f are below ``ftol`` and the dual residual
+    or the step is small. Returns the points, ``duals``, ``spent`` and
+    per-start ``converged`` flags.
+    """
+    W = constraints
+    p = W.shape[1]
+
+    def reach(v, dv):
+        # the step along dv that takes some entry of each (positive) row of v to 0
+        return np.where(dv < 0.0, -v / dv, np.inf).min(axis=1)
+
+    C = x0.reshape(-1, p).copy()
+    Zc, Zw = duals[0].copy(), duals[1].copy()
+    spent = spent.copy()
+    F, G = fun(C)
+    nfev = 1
+    eye = np.eye(p)
+    last = mu == _MU_MIN
+    ok = np.zeros(C.shape[0], bool)
+    active = spent < maxiter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while active.any():
+            act = active.nonzero()[0]
+            c, f, g, zc, zw = C[act], F[act], G[act], Zc[act], Zw[act]
+            s = 1.0 - c @ W.T
+            if not last:
+                dual = np.abs(g - zc + zw @ W).max(axis=1) / np.maximum(1.0, np.abs(g).max(axis=1))
+                comp = np.maximum(np.abs(c * zc - mu).max(axis=1), np.abs(s * zw - mu).max(axis=1))
+                done = np.maximum(dual, comp) <= _KAPPA * mu
+                ok[act[done]] = True
+                active[act[done]] = False
+                if done.all():
+                    break
+                keep = ~done
+                act, c, f, g, zc, zw, s = (v[keep] for v in (act, c, f, g, zc, zw, s))
+            H = hess(c)
+            K = H + (zc / c)[:, :, None] * eye + (W.T * (zw / s)[:, None, :]) @ W
+            rhs = mu / c - (mu / s) @ W - g
+            least = np.linalg.eigvalsh(K)[:, 0]
+            shift = np.where(least > 0.0, 0.0, 1e-8 * np.abs(H).max(axis=(1, 2)) - least)
+            dc = np.linalg.solve(K + shift[:, None, None] * eye, rhs[:, :, None])[:, :, 0]
+            ds = -dc @ W.T
+            dzc = mu / c - zc - zc / c * dc
+            dzw = mu / s - zw - zw / s * ds
+            tau = max(0.99, 1.0 - mu)
+            alpha = np.minimum(1.0, tau * np.minimum(reach(c, dc), reach(s, ds)))
+            alpha_d = np.minimum(1.0, tau * np.minimum(reach(zc, dzc), reach(zw, dzw)))
+            phi = f - mu * (np.log(c).sum(axis=1) + np.log(s).sum(axis=1))
+            slope = -(rhs * dc).sum(axis=1)
+            trying = np.ones(act.size, bool)
+            cn, fn, gn = c.copy(), f.copy(), g.copy()
+            for _ in range(20):
+                idx = trying.nonzero()[0]
+                if idx.size == 0:
+                    break
+                ct = c[idx] + alpha[idx, None] * dc[idx]
+                st = 1.0 - ct @ W.T
+                ft, gt = fun(ct)
+                nfev += 1
+                phit = ft - mu * (np.log(ct).sum(axis=1) + np.log(st).sum(axis=1))
+                # sufficient decrease, up to the rounding noise of phi
+                bound = phi[idx] + 1e-4 * alpha[idx] * slope[idx] + 1e-14 * np.abs(phi[idx])
+                good = (phit <= bound) & (ct.min(axis=1) > 0.0) & (st.min(axis=1) > 0.0)
+                hit = idx[good]
+                cn[hit], fn[hit], gn[hit] = ct[good], ft[good], gt[good]
+                trying[hit] = False
+                alpha[idx[~good]] *= 0.5
+            zc = zc + alpha_d[:, None] * dzc
+            zw = zw + alpha_d[:, None] * dzw
+            C[act], F[act], G[act], Zc[act], Zw[act] = cn, fn, gn, zc, zw
+            spent[act] += 1
+            stop = trying.copy()  # no acceptable step: the stage ends for this start
+            if last:
+                sn = 1.0 - cn @ W.T
+                gap = (cn * zc).sum(axis=1) + (sn * zw).sum(axis=1)
+                dual = np.abs(gn - zc + zw @ W).max(axis=1)
+                settled = ((gap < ftol) & (np.abs(fn - f) < ftol)
+                           & ((dual < 1e-6 * np.maximum(1.0, np.abs(gn).max(axis=1)))
+                              | (np.abs(cn - c).max(axis=1) < 1e-6)))
+                ok[act] = settled
+                stop |= settled
+            active[act] = ~stop & (spent[act] < maxiter)
+    return OptimizeResult(x=C, fun=float(F.min()), nfev=nfev, success=bool(ok.all()),
+                          converged=ok, duals=(Zc, Zw), spent=spent)
+
+
+def _multistart(data: SampleSet, search, candidate):
+    """One batched search from all starts; the best projected candidate by its loglik.
+
+    ``search()`` advances every start at once and returns each start's final
+    point and whether it converged. ``candidate(x)`` pulls a final point
+    back inside the parameter space and returns (param, h). Candidates are
+    scored by the de Casteljau log-likelihood of a_from_h(h), the arithmetic
+    of ``log_likelihood``, so the reported value is exactly that of the
+    estimate built from the winner. The independence point (loglik exactly
+    0) is the baseline, so the winner never falls below it; ties keep the
+    earlier candidate. Returns (param or None, loglik, converged).
     """
     t, s = _pseudo_angles(data)
-    options = {"ftol": _FTOL}
-    if config.maxfev is not None:
-        options["maxiter"] = config.maxfev
+    points, converged = search()
     best, best_ll, best_ok = None, 0.0, True
-    for x0 in starts:
-        res = minimize(objective, x0, jac=True, method="SLSQP", options=options, **problem)
-        if not np.all(np.isfinite(res.x)):
+    for x, ok in zip(points, converged):
+        if not np.all(np.isfinite(x)):
             continue
-        param, h = candidate(res.x)
+        param, h = candidate(x)
         ll = _loglik_terms(a_from_h(h).coeffs, t, s)
         if ll > best_ll:
-            best, best_ll, best_ok = param, ll, bool(res.success)
+            best, best_ll, best_ok = param, ll, bool(ok)
     return best, best_ll, best_ok
+
+
+def _iteration_cap(config: OptimConfig) -> int:
+    return _MAXITER if config.maxfev is None else config.maxfev
 
 
 def _check_degree(n: int, m: int):
@@ -254,15 +570,18 @@ def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> Fi
     loglik = _LogLik(data, m)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
     starts = sample_feasible(m, rng, config.starts)
+    maxiter = _iteration_cap(config)
     if m == 0:
-        # theta is h itself; the caps reduce to theta <= 2
-        objective, problem = loglik.objective, {"bounds": [(0.0, 2.0)]}
+        # theta is h itself and Theta_0 = [0, 2] is the degree-0 polytope
+        def search():
+            return _interior_point(loglik, starts, _cap_weights(0), maxiter)
     else:
         Q = np.stack(form_matrices(m))
-        objective = loglik.theta_objective
-        problem = {"constraints": {"type": "ineq",
-                                   "fun": lambda th: 1.0 - (Q @ th) @ th,
-                                   "jac": lambda th: -2.0 * (Q @ th)}}
+
+        def search():
+            res = minimize(loglik.theta_objective, starts.ravel(), method=_sqp, constraints=Q,
+                           options={"maxiter": maxiter})
+            return res.x, res.converged
 
     def candidate(theta: np.ndarray):
         if m == 0:
@@ -273,7 +592,7 @@ def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> Fi
         param = FullModelParam(m, theta)
         return param, theta_to_h(param)
 
-    param, ll, ok = _multistart(data, objective, starts, config, candidate, **problem)
+    param, ll, ok = _multistart(data, search, candidate)
     if param is None:
         param = FullModelParam(m, np.zeros(m + 1))
     return FitResult(theta_to_pickands(param), ll, param, config.starts, ok)
@@ -313,10 +632,10 @@ def fit_sub(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> Fit
         param = SubmodelParam(m, c / max(1.0, *(W @ c)))
         return param, BernsteinPoly(param.c)
 
-    param, ll, ok = _multistart(
-        data, loglik.objective, starts, config, candidate,
-        bounds=[(0.0, None)] * (m + 1),
-        constraints={"type": "ineq", "fun": lambda c: 1.0 - W @ c, "jac": lambda c: -W})
+    def search():
+        return _interior_point(loglik, starts, W, _iteration_cap(config))
+
+    param, ll, ok = _multistart(data, search, candidate)
     if param is None:
         param = SubmodelParam(m, np.zeros(m + 1))
     estimate = PickandsPoly(a_from_h(BernsteinPoly(param.c)))

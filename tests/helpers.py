@@ -13,9 +13,23 @@ import numpy as np
 import sympy
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.optimize import minimize
 from scipy.special import gammaln
 
-from pickpoly import BernsteinPoly, copula_cdf, evaluate
+from pickpoly import (
+    BernsteinPoly,
+    FullModelParam,
+    PickandsPoly,
+    a_from_h,
+    copula_cdf,
+    endpoint_functionals,
+    evaluate,
+    log_likelihood,
+    sample_feasible,
+    theta_to_pickands,
+)
+from pickpoly.full_model import _sampling_box, form_matrices
+from pickpoly.inference import _FTOL, _MAXITER, _cap_weights, _LogLik, _polytope_starts
 
 # The quartic model: A = 1 - (83/180)t + t^2 - (7/9)t^3 + (43/180)t^4,
 # whose second derivative has Bernstein coefficients [2, -1/3, 1/5].
@@ -347,3 +361,85 @@ def exact_roots_inside(coeffs) -> int:
         return 0
     part = poly.sqf_part()
     return part.count_roots(0, 1) - (part.eval(0) == 0) - (part.eval(1) == 0)
+
+
+def slsqp_multistart_loglik(data, m: int, config, model: str) -> float:
+    """Best loglik of one SLSQP search per start, the oracle for fit_full / fit_sub.
+
+    The library's former multistart: the same starts as ``fit_full``
+    (``model="full"``) or ``fit_sub`` (``"sub"``), each searched on its own by
+    scipy's SLSQP with exact constraint Jacobians, each final point pulled
+    radially back into the parameter space and scored by the public
+    ``log_likelihood``; the independence point (loglik 0) is the floor. It
+    shares the likelihood engine's value and gradient with the library, but
+    not its optimizer or stopping rules.
+    """
+    engine = _LogLik(data, m)
+    options = {"ftol": _FTOL, "maxiter": _MAXITER if config.maxfev is None else config.maxfev}
+    spawn = 0 if model == "full" else 1
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(spawn,)))
+    if model == "full" and m > 0:
+        Q = np.stack(form_matrices(m))
+        starts = sample_feasible(m, rng, config.starts)
+        fun = _row_objective(engine.theta_objective)
+        problem = {"constraints": {"type": "ineq", "fun": lambda th: 1.0 - (Q @ th) @ th,
+                                   "jac": lambda th: -2.0 * (Q @ th)}}
+    else:
+        W = _cap_weights(m)
+        starts = (sample_feasible(0, rng, config.starts) if model == "full"
+                  else _polytope_starts(m, rng, config.starts, W))
+        fun = _row_objective(engine.objective)
+        problem = {"bounds": [(0.0, None)] * (m + 1),
+                   "constraints": {"type": "ineq", "fun": lambda c: 1.0 - W @ c, "jac": lambda c: -W}}
+    best = 0.0
+    for x0 in starts:
+        x = minimize(fun, x0, jac=True, method="SLSQP", options=options, **problem).x
+        if not np.all(np.isfinite(x)):
+            continue
+        if model == "full" and m > 0:
+            x = x / np.sqrt(max(1.0, *((Q @ x) @ x)))
+            estimate = theta_to_pickands(FullModelParam(m, x))
+        else:
+            h = BernsteinPoly(np.maximum(x, 0.0))
+            h = BernsteinPoly(h.coeffs / max(1.0, *endpoint_functionals(h)))
+            estimate = PickandsPoly(a_from_h(h))
+        best = max(best, log_likelihood(estimate, data))
+    return best
+
+
+def _row_objective(batched):
+    # the engine evaluates stacks of points; SLSQP asks for one at a time
+    def fun(x):
+        f, g = batched(x[None, :])
+        return float(f[0]), g[0]
+    return fun
+
+
+def sample_feasible_forty_batches(m: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The former ``sample_feasible``: always up to 40 box-rejection batches.
+
+    Kept as the reference for the draws at m <= 5, where the first batch
+    accepts enough that the library never stops box rejection early.
+    """
+    if m == 0:
+        return rng.uniform(0.0, 2.0, size=(count, 1))
+    Q0, Q1 = form_matrices(m)
+    box = _sampling_box(m)
+    out, have = [], 0
+    for _ in range(40):
+        cand = rng.uniform(-1.0, 1.0, size=(max(8 * count, 2048), m + 1)) * box
+        q0 = np.einsum("ri,ij,rj->r", cand, Q0, cand)
+        q1 = np.einsum("ri,ij,rj->r", cand, Q1, cand)
+        keep = cand[(q0 <= 1.0) & (q1 <= 1.0)]
+        if keep.size:
+            out.append(keep)
+            have += keep.shape[0]
+        if have >= count:
+            return np.concatenate(out)[:count]
+    xi = rng.normal(size=(count - have, m + 1))
+    q0 = np.einsum("ri,ij,rj->r", xi, Q0, xi)
+    q1 = np.einsum("ri,ij,rj->r", xi, Q1, xi)
+    radius = 1.0 / np.sqrt(np.maximum(q0, q1))
+    radial = rng.uniform(size=count - have) ** (1.0 / (m + 1))
+    out.append(xi * (radius * radial)[:, None])
+    return np.concatenate(out)[:count]

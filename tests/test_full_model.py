@@ -7,6 +7,7 @@ from helpers import (
     hypergeo_coefficient_tensor,
     hypergeo_pmf,
     lukacs_quadratic_theta,
+    sample_feasible_forty_batches,
 )
 from pickpoly import (
     BernsteinPoly,
@@ -88,6 +89,26 @@ def test_theta_to_h_always_certifiably_nonnegative(rng):
     for m in (1, 2, 5, 8):
         for theta in sample_feasible(m, rng, 25):
             assert certify_nonnegative(theta_to_h(FullModelParam(m, theta))).nonneg
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("count", [1, 8, 20, 300])
+def test_sample_feasible_keeps_box_rejection_draws_up_to_m5(m, count):
+    # at m <= 5 the first box-rejection batch accepts far more than count / 40
+    # points, so the draws are those of the former 40-batch sampler
+    seed = 100 * m + count
+    new = sample_feasible(m, np.random.default_rng(seed), count)
+    old = sample_feasible_forty_batches(m, np.random.default_rng(seed), count)
+    assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("m", [8, 10, 20, 30])
+def test_sample_feasible_high_degree_draws_lie_in_theta_m(m, rng):
+    thetas = sample_feasible(m, rng, 64)
+    assert thetas.shape == (64, m + 1) and np.all(np.isfinite(thetas))
+    assert len({th.tobytes() for th in thetas}) == 64
+    for th in thetas:
+        assert feasibility(FullModelParam(m, th)).feasible
 
 
 def test_sign_flip_symmetry(rng):

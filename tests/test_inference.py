@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import MIX_PSI, POLFULL_H, fd_mixed_partial, gcm_bruteforce
+from helpers import MIX_PSI, POLFULL_H, fd_mixed_partial, gcm_bruteforce, slsqp_multistart_loglik
 from pickpoly import (
     AsymmetricLogistic,
     BernsteinPoly,
@@ -274,10 +274,21 @@ def test_engine_value_matches_decasteljau_loglik(m, rng):
     data = sample_copula(SymmetricMixed(0.7), 150, 30 + m)
     engine = _LogLik(data, m)
     _, hs = _engine_points(m, rng)
-    for h in hs:
+    values = -engine.objective(np.array(hs))[0]
+    for h, value in zip(hs, values):
         expected = log_likelihood(PickandsPoly(a_from_h(BernsteinPoly(h))), data)
         assert np.isfinite(expected)
-        assert -engine.objective(h)[0] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+def _central_diff(f, x, step=1e-6):
+    # derivative of f along each coordinate at every row of x: (rows, p, *f's trailing shape)
+    out = []
+    for i in range(x.shape[1]):
+        e = np.zeros_like(x)
+        e[:, i] = step
+        out.append((f(x + e) - f(x - e)) / (2.0 * step))
+    return np.stack(out, axis=1)
 
 
 @pytest.mark.parametrize("m", ENGINE_DEGREES)
@@ -285,24 +296,41 @@ def test_engine_gradients_match_central_differences(m, rng):
     data = sample_copula(AsymmetricLogistic(0.5, 0.9, 0.6), 120, 40 + m)
     engine = _LogLik(data, m)
     thetas, hs = _engine_points(m, rng)
-    for h in hs:
-        fd = _central_diff(lambda x: engine.objective(x)[0], h)
-        assert np.allclose(engine.objective(h)[1], fd, rtol=1e-5, atol=1e-5 * data.n)
+    hs = np.array(hs)
+    fd = _central_diff(lambda x: engine.objective(x)[0], hs)
+    assert np.allclose(engine.objective(hs)[1], fd, rtol=1e-5, atol=1e-5 * data.n)
     if m == 0:
         return
-    for th in 0.9 * thetas:
-        fd = _central_diff(lambda x: engine.theta_objective(x)[0], th)
-        assert np.allclose(engine.theta_objective(th)[1], fd, rtol=1e-5, atol=1e-5 * data.n)
+    thetas = 0.9 * thetas
+    fd = _central_diff(lambda x: engine.theta_objective(x)[0], thetas)
+    assert np.allclose(engine.theta_objective(thetas)[1], fd, rtol=1e-5, atol=1e-5 * data.n)
 
 
-def test_engine_objective_finite_where_density_breaks_down():
+@pytest.mark.parametrize("m", ENGINE_DEGREES)
+def test_engine_hessian_matches_central_differences(m, rng):
+    data = sample_copula(AsymmetricLogistic(0.5, 0.9, 0.6), 120, 50 + m)
+    engine = _LogLik(data, m)
+    hs = np.array(_engine_points(m, rng)[1])
+    hess = engine.hessian(hs)
+    assert hess.shape == (hs.shape[0], m + 1, m + 1)
+    assert np.allclose(hess, hess.transpose(0, 2, 1), rtol=0.0, atol=1e-12 * np.abs(hess).max())
+    fd = _central_diff(lambda x: engine.objective(x)[1], hs)
+    assert np.allclose(hess, fd, rtol=1e-5, atol=1e-5 * data.n)
+
+
+def test_engine_objective_finite_where_density_breaks_down(rng):
     data = sample_copula(MIX_MODEL, 60, 14)
     engine = _LogLik(data, 2)
     # far outside the caps the Pickands function dips below max(t, 1-t)
-    h = np.full(3, 40.0)
-    assert _loglik_terms(a_from_h(BernsteinPoly(h)).coeffs, *_pseudo_angles(data)) == float("-inf")
-    value, grad = engine.objective(h)
-    assert np.isfinite(value) and value > 1e6 and np.all(grad == 0.0)
+    bad = np.full(3, 40.0)
+    assert _loglik_terms(a_from_h(BernsteinPoly(bad)).coeffs, *_pseudo_angles(data)) == float("-inf")
+    good = np.array(_polytope_points(2, rng, 2))
+    value, grad = engine.objective(np.vstack([good[0], bad, good[1]]))
+    assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
+    assert value[1] > 1e6 and np.all(grad[1] == 0.0)
+    # the other rows are exactly what they are on their own
+    alone_value, alone_grad = engine.objective(good)
+    assert np.array_equal(value[[0, 2]], alone_value) and np.array_equal(grad[[0, 2]], alone_grad)
 
 
 def test_fit_loglik_is_loglik_of_estimate():
@@ -316,17 +344,54 @@ def test_fit_loglik_is_loglik_of_estimate():
                 assert feasibility(res.param).feasible
 
 
+def _check_against_oracle(data, m, config):
+    # each MLE reaches the best of one SLSQP search per start (beyond 1e-6 n),
+    # the full model nests the submodel, neither falls below independence,
+    # and each reported loglik is that of its estimate
+    n = data.n
+    fits = {"full": fit_full(data, m, config), "sub": fit_sub(data, m, config)}
+    for model, res in fits.items():
+        oracle = slsqp_multistart_loglik(data, m, config, model)
+        assert res.loglik >= oracle - 1e-6 * n, (model, n, m, res.loglik, oracle)
+        assert res.loglik >= 0.0
+        assert res.loglik == log_likelihood(res.estimate, data)
+    assert fits["full"].loglik >= fits["sub"].loglik - 1e-6 * n, (n, m, fits)
+
+
 @pytest.mark.parametrize("model", [SymmetricMixed(0.9), AsymmetricLogistic(0.5, 0.9, 0.6)],
                          ids=["mix", "alog"])
 def test_full_model_nests_submodel_at_criterion_10_settings(model):
     # Theta_m contains the polytope, so a maximizer over Theta_m cannot fall
     # below the submodel maximizer at equal m (beyond 1e-6 n), and neither
-    # falls below the independence point
+    # falls below the independence point or the SLSQP oracle
     config = OptimConfig(starts=8, seed=0, maxfev=300)
     for n, m in ((100, 5), (200, 8), (200, 10)):
         for seed in range(200, 204):
-            data = sample_copula(model, n, seed)
-            full = fit_full(data, m, config)
-            sub = fit_sub(data, m, config)
-            assert full.loglik >= sub.loglik - 1e-6 * n, (n, m, seed, full.loglik, sub.loglik)
-            assert full.loglik >= 0.0 and sub.loglik >= 0.0
+            _check_against_oracle(sample_copula(model, n, seed), m, config)
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_fits_reach_slsqp_oracle_under_strong_dependence(n):
+    # alog(0.3, 1, 1) puts most spectral mass near 1/2, where the density is
+    # steep; this is where per-start SLSQP searches failed most often
+    model = AsymmetricLogistic(0.3, 1.0, 1.0)
+    for m in (3, 5, 10):
+        for seed in (0, 1):
+            _check_against_oracle(sample_copula(model, n, 500 + seed), m,
+                                  OptimConfig(starts=8, seed=seed, maxfev=300))
+
+
+def test_fits_reach_slsqp_oracle_at_degree_zero():
+    for seed in range(3):
+        _check_against_oracle(sample_copula(MIX_MODEL, 150, 60 + seed), 0,
+                              OptimConfig(starts=5, seed=seed, maxfev=200))
+
+
+def test_fit_full_m0_reaches_the_exact_constant_maximizer():
+    # at m = 0 the loglik is a function of the one number h on [0, 2]; a fine
+    # grid brackets its maximum, which the fit must reach
+    data = sample_copula(MIX_MODEL, 200, 9)
+    res = fit_full(data, 0, OptimConfig(starts=3, seed=4))
+    grid = np.linspace(0.0, 2.0, 2001)
+    best = max(log_likelihood(PickandsPoly(a_from_h(BernsteinPoly([h]))), data) for h in grid)
+    assert res.loglik >= best - 1e-9
