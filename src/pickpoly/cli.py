@@ -31,6 +31,7 @@ from .measures import approx_error_bound, tau_measures
 from .pickands import PickandsPoly, comonotone, validate_pickands
 from .simulation import (
     StudyConfig,
+    _json_field,
     model_from_json,
     model_pickands,
     run_study,
@@ -183,16 +184,21 @@ def _cmd_study(args) -> int:
     if not isinstance(raw, dict):
         raise ValueError(f"study config must be a JSON object, got {type(raw).__name__}")
     optim = _optim_config(raw["optim"]) if "optim" in raw else None
+    raw = {"estimators": ("full", "sub", "cfg"), "seed": 0, "grid": 101, "ranks": False, **raw}
+
+    def field(key, cast):
+        return _json_field(raw, key, cast, "study config")
+
     config = StudyConfig(
         model=model_from_json(raw["model"]),
-        n=int(raw["n"]),
-        replicates=int(raw["replicates"]),
-        m=int(raw["m"]),
-        estimators=tuple(raw.get("estimators", ("full", "sub", "cfg"))),
-        seed=int(raw.get("seed", 0)),
-        grid=int(raw.get("grid", 101)),
+        n=field("n", int),
+        replicates=field("replicates", int),
+        m=field("m", int),
+        estimators=field("estimators", tuple),
+        seed=field("seed", int),
+        grid=field("grid", int),
         optim=optim,
-        ranks=bool(raw.get("ranks", False)),
+        ranks=field("ranks", bool),
     )
     report = run_study(config)
     _write_out(_dump(report.payload()), args.out)
@@ -218,7 +224,8 @@ def _cmd_study(args) -> int:
 
 def _cmd_bound(args) -> int:
     obj = _read_json(args.model)
-    A = comonotone() if obj.get("model") == "comonotone" else model_pickands(model_from_json(obj))
+    como = isinstance(obj, dict) and obj.get("model") == "comonotone"
+    A = comonotone() if como else model_pickands(model_from_json(obj))
     b = approx_error_bound(A, args.m, args.t)
     _write_out(_dump({"error": b.error, "bound": b.bound, "v_bound": b.v_bound}), args.out)
     return 0

@@ -45,9 +45,9 @@ from .full_model import (
 )
 from .pickands import (
     PickandsPoly,
+    _kernel,
     a_from_h,
     a_from_h_matrix,
-    copula_density,
     vee,
 )
 from .submodel import PiecewiseLinearPickands, SubmodelParam
@@ -136,9 +136,10 @@ def _pseudo_angles(data: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     return t, s
 
 
-def _loglik_terms(acoeffs: np.ndarray, t: np.ndarray, s: np.ndarray) -> float:
-    # sum of log copula densities; -inf when a density is nonpositive
-    val, d1, d2 = eval_with_derivatives(acoeffs, t)
+def _loglik_terms(values, t: np.ndarray, s: np.ndarray) -> float:
+    # sum of log copula densities from values = (A, A', A'') at the
+    # pseudo-angles; -inf when a density is nonpositive
+    val, d1, d2 = values
     brace = (val + (1.0 - t) * d1) * (val - t * d1) - t * (1.0 - t) * d2 / s
     if np.any(brace <= 0.0):
         return LOGLIK_NEG_INF
@@ -148,17 +149,14 @@ def _loglik_terms(acoeffs: np.ndarray, t: np.ndarray, s: np.ndarray) -> float:
 def log_likelihood(A, data: SampleSet) -> float:
     """Sum of log copula densities of the data under A.
 
-    A may be a PickandsPoly (fast coefficient path) or a GenericPickands.
-    Returns -inf when the density is nonpositive at some observation.
+    A is a PickandsPoly or a GenericPickands, read through one
+    ``A.kernel`` call at the data's pseudo-angles. Returns -inf when the
+    density is nonpositive at some observation. A PiecewiseLinearPickands
+    (the CFG estimate, whose A'' is a measure) has no density and raises a
+    TypeError.
     """
-    if isinstance(A, PickandsPoly):
-        t, s = _pseudo_angles(data)
-        return _loglik_terms(A.poly.coeffs, t, s)
-    dens = copula_density(A, data.u, data.v)
-    dens = np.atleast_1d(dens)
-    if np.any(dens <= 0.0):
-        return LOGLIK_NEG_INF
-    return float(np.sum(np.log(dens)))
+    t, s = _pseudo_angles(data)
+    return _loglik_terms(_kernel(A, t), t, s)
 
 
 _UNDEFINED_OBJ = 1e12
@@ -546,7 +544,7 @@ def _multistart(data: SampleSet, search, candidate):
         if not np.all(np.isfinite(x)):
             continue
         param, h = candidate(x)
-        ll = _loglik_terms(a_from_h(h).coeffs, t, s)
+        ll = _loglik_terms(eval_with_derivatives(a_from_h(h).coeffs, t), t, s)
         if ll > best_ll:
             best, best_ll, best_ok = param, ll, bool(ok)
     return best, best_ll, best_ok

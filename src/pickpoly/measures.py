@@ -75,13 +75,14 @@ class ApproxBound:
     v_bound: float | None = None
 
 
-def approx_error_bound(A: GenericPickands, m: int, t: float) -> ApproxBound:
+def approx_error_bound(A: PickandsPoly | GenericPickands, m: int, t: float) -> ApproxBound:
     """Bernstein approximation error B_m(A,t) - A(t) and its pmf bound.
 
-    The error is nonnegative (Jensen) and bounded by
-    2t(1-t) P_t(S_{m-1} = floor(mt)). For the comonotone function V
-    (tag "comonotone") the finer bound {1 - V(t)} P_t(S_{m-1} = floor(m/2))
-    is also reported; both bounds are attained at t = 1/2.
+    A is any Pickands type; only its ``value`` is read. The error is
+    nonnegative (Jensen) and bounded by 2t(1-t) P_t(S_{m-1} = floor(mt)).
+    For the comonotone V (a GenericPickands tagged "comonotone") the finer
+    bound {1 - V(t)} P_t(S_{m-1} = floor(m/2)) is also reported; both bounds
+    are attained at t = 1/2.
     """
     if m < 1:
         raise ValueError("approximation order must be >= 1")
@@ -89,6 +90,6 @@ def approx_error_bound(A: GenericPickands, m: int, t: float) -> ApproxBound:
     error = float(evaluate(B, t) - A.value(t))
     bound = float(2.0 * t * (1.0 - t) * binom_pmf(math.floor(m * t), m - 1, t))
     v_bound = None
-    if A.tag == "comonotone":
+    if isinstance(A, GenericPickands) and A.tag == "comonotone":
         v_bound = float((1.0 - vee(t)) * binom_pmf(m // 2, m - 1, t))
     return ApproxBound(error, bound, v_bound)

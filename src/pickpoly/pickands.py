@@ -12,12 +12,16 @@ masses of the spectral measure at 0 and 1 are one minus those functionals.
 This module implements the validation of polynomial Pickands functions, a
 certified nonnegativity decision procedure, the coefficient maps h <-> A,
 spectral-measure reconstruction, and copula cdf/density evaluation.
+
+Every Pickands type has ``value(t)``. PickandsPoly and GenericPickands also
+have ``kernel(t)``, (A, A', A'') at an array t in one call: all that the
+copula density, the likelihood and the sampler read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -25,7 +29,7 @@ import numpy as np
 from .bernstein import (
     BernsteinPoly,
     _branch_and_bound,
-    derivative_coeffs,
+    eval_with_derivatives,
     evaluate,
     second_derivative_coeffs,
 )
@@ -146,32 +150,19 @@ class PickandsPoly:
     def m(self) -> int:
         return self.poly.degree - 2
 
-    @cached_property
-    def _d1(self) -> BernsteinPoly:
-        return derivative_coeffs(self.poly)
-
-    @cached_property
-    def _d2(self) -> BernsteinPoly:
-        return second_derivative_coeffs(self.poly)
-
     def value(self, t):
         return evaluate(self.poly, t)
 
-    def deriv(self, t):
-        return evaluate(self._d1, t)
-
-    def deriv2(self, t):
-        return evaluate(self._d2, t)
+    def kernel(self, t: np.ndarray):
+        """(A, A', A'') at a 1-d array t in [0, 1] (unchecked), in one de Casteljau pass."""
+        return eval_with_derivatives(self.poly.coeffs, t)
 
 
 def _call_vec(f: Callable, t: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(f(t), dtype=float)
-        if out.shape == t.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(x)) for x in t])
+    out = np.asarray(f(t), dtype=float)
+    if out.shape != t.shape:
+        raise ValueError(f"Pickands callable gave shape {out.shape} for t of shape {t.shape}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -179,8 +170,9 @@ class GenericPickands:
     """Pickands function given by callables (A, A', A'') plus a tag.
 
     Used for non-polynomial models (e.g. the asymmetric logistic family).
-    Construction checks A(0) = A(1) = 1 and V <= A <= 1 on a 1001-point grid
-    to 1e-12. Derivative callables are only required on the open interval.
+    Each callable maps an array of t to an array of its shape (else a
+    ValueError). Construction checks A(0) = A(1) = 1 and V <= A <= 1 on a
+    1001-point grid to 1e-12. Derivatives are only required on (0, 1).
     """
 
     a: Callable
@@ -202,15 +194,9 @@ class GenericPickands:
         out = _call_vec(self.a, np.atleast_1d(t))
         return float(out[0]) if t.ndim == 0 else out
 
-    def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        out = _call_vec(self.da, np.atleast_1d(t))
-        return float(out[0]) if t.ndim == 0 else out
-
-    def deriv2(self, t):
-        t = np.asarray(t, dtype=float)
-        out = _call_vec(self.d2a, np.atleast_1d(t))
-        return float(out[0]) if t.ndim == 0 else out
+    def kernel(self, t: np.ndarray):
+        """(A, A', A'') at an array t: the three callables."""
+        return _call_vec(self.a, t), _call_vec(self.da, t), _call_vec(self.d2a, t)
 
 
 def comonotone() -> GenericPickands:
@@ -353,17 +339,28 @@ def copula_cdf(A, u, v):
     return float(out[0]) if scalar else out
 
 
+def _kernel(A, t: np.ndarray):
+    # (A, A', A'') at t; a value-only type, whose A'' is a measure, has no density
+    if not hasattr(A, "kernel"):
+        raise TypeError(f"{type(A).__name__} has no kernel (A, A', A''), so no copula density")
+    return A.kernel(t)
+
+
 def copula_density(A, u, v):
     """Copula density d2 C_A / du dv on the open square.
 
     With s = log(uv) and t = log v / s the closed form is
 
-        c(u, v) = exp{s (A - 1)} [ {A + (1-t) A'} {A - t A'} - t(1-t) A'' / s ].
+        c(u, v) = exp{s (A - 1)} [ {A + (1-t) A'} {A - t A'} - t(1-t) A'' / s ]
+
+    from one ``A.kernel`` call (A a PickandsPoly or GenericPickands).
 
     Raises
     ------
     ValueError
         If u or v sits on the boundary {0, 1}.
+    TypeError
+        If A has no ``kernel``, as a PiecewiseLinearPickands.
     """
     ua = _check_in(u, 0.0, 1.0, "u")
     va = _check_in(v, 0.0, 1.0, "v")
@@ -371,9 +368,9 @@ def copula_density(A, u, v):
         raise ValueError("density requires u, v strictly inside (0, 1)")
     scalar = ua.ndim == 0 and va.ndim == 0
     ua, va = np.broadcast_arrays(np.atleast_1d(ua), np.atleast_1d(va))
-    s = np.log(ua) + np.log(va)
-    t = np.log(va) / s
-    a, d1, d2 = A.value(t), A.deriv(t), A.deriv2(t)
+    s = (np.log(ua) + np.log(va)).ravel()
+    t = np.log(va).ravel() / s
+    a, d1, d2 = _kernel(A, t)
     brace = (a + (1.0 - t) * d1) * (a - t * d1) - t * (1.0 - t) * d2 / s
     out = np.exp(s * (a - 1.0)) * brace
-    return float(out[0]) if scalar else out
+    return float(out[0]) if scalar else out.reshape(ua.shape)

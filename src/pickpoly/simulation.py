@@ -19,15 +19,9 @@ from typing import Union
 
 import numpy as np
 
-from .bernstein import (
-    PowerPoly,
-    eval_with_derivatives,
-    poly_from_json,
-    poly_to_json,
-    power_to_bernstein,
-)
+from .bernstein import PowerPoly, poly_from_json, poly_to_json, power_to_bernstein
 from .inference import FitResult, OptimConfig, SampleSet, _is_int, fit_cfg, fit_full, fit_sub
-from .pickands import GenericPickands, PickandsPoly
+from .pickands import GenericPickands, PickandsPoly, independence
 
 
 class StudyError(RuntimeError):
@@ -70,42 +64,39 @@ class PolynomialModel:
 ReferenceModel = Union[AsymmetricLogistic, SymmetricMixed, PolynomialModel]
 
 
-def model_pickands(model: ReferenceModel) -> GenericPickands:
-    """The model's Pickands function with analytic first and second derivative."""
+def model_pickands(model: ReferenceModel) -> PickandsPoly | GenericPickands:
+    """The model's Pickands function, with ``value`` and ``kernel`` (A, A', A'').
+
+    A PolynomialModel gives its own PickandsPoly; the other models give a
+    GenericPickands of their closed-form A, A' and A''.
+    """
     if isinstance(model, SymmetricMixed):
         psi = model.psi
         return GenericPickands(
             a=lambda t: 1.0 - psi * t + psi * t * t,
             da=lambda t: psi * (2.0 * t - 1.0),
-            d2a=lambda t: np.full_like(np.asarray(t, dtype=float), 2.0 * psi),
+            d2a=lambda t: np.full_like(t, 2.0 * psi),
             tag="mix",
         )
     if isinstance(model, PolynomialModel):
-        p = model.pickands
-        return GenericPickands(a=p.value, da=p.deriv, d2a=p.deriv2, tag="poly")
+        return model.pickands
     if isinstance(model, AsymmetricLogistic):
         alpha, psi1, psi2 = model.alpha, model.psi1, model.psi2
         if alpha == 1.0 or psi1 == 0.0 or psi2 == 0.0:
-            # the bracket collapses to a linear term and A is identically 1
-            one = lambda t: np.ones_like(np.asarray(t, dtype=float))
-            zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-            return GenericPickands(a=one, da=zero, d2a=zero, tag="alog")
+            return independence()  # the bracket collapses to a linear term: A == 1
         r = 1.0 / alpha
         c1, c2 = psi1**r, psi2**r
 
         def a(t):
-            t = np.asarray(t, dtype=float)
             g = c1 * t**r + c2 * (1.0 - t) ** r
             return (1.0 - psi1) * t + (1.0 - psi2) * (1.0 - t) + g**alpha
 
         def da(t):
-            t = np.asarray(t, dtype=float)
             g = c1 * t**r + c2 * (1.0 - t) ** r
             dg = r * (c1 * t ** (r - 1.0) - c2 * (1.0 - t) ** (r - 1.0))
             return (psi2 - psi1) + alpha * g ** (alpha - 1.0) * dg
 
         def d2a(t):
-            t = np.asarray(t, dtype=float)
             g = c1 * t**r + c2 * (1.0 - t) ** r
             dg = r * (c1 * t ** (r - 1.0) - c2 * (1.0 - t) ** (r - 1.0))
             d2g = r * (r - 1.0) * (c1 * t ** (r - 2.0) + c2 * (1.0 - t) ** (r - 2.0))
@@ -132,28 +123,30 @@ def model_to_json(model: ReferenceModel) -> dict:
     raise TypeError(f"unknown reference model {model!r}")
 
 
+def _json_field(obj: dict, key: str, cast, where: str):
+    """cast(obj[key]); a ValueError naming the field if it is missing or cast fails."""
+    try:
+        return cast(obj[key])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{where}: {key!r} must be {cast.__name__}, got {obj.get(key)!r}") from None
+
+
 def model_from_json(obj: dict) -> ReferenceModel:
-    """Parse the model JSON schema: alog | mix | poly."""
+    """Parse the model JSON schema: alog | mix | poly; ValueError on malformed input."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"model JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("model")
     if kind == "alog":
-        return AsymmetricLogistic(float(obj["alpha"]), float(obj["psi1"]), float(obj["psi2"]))
+        return AsymmetricLogistic(*(_json_field(obj, k, float, "model JSON")
+                                    for k in ("alpha", "psi1", "psi2")))
     if kind == "mix":
-        return SymmetricMixed(float(obj["psi"]))
+        return SymmetricMixed(_json_field(obj, "psi", float, "model JSON"))
     if kind == "poly":
         poly = poly_from_json(obj["pickands"])
         if isinstance(poly, PowerPoly):
             poly = power_to_bernstein(poly)
         return PolynomialModel(PickandsPoly(poly))
     raise ValueError(f"model JSON: unknown model kind {kind!r}")
-
-
-def _pickands_kernel(model: ReferenceModel):
-    """A callable t -> (A, A', A'') over an array of t in [0, 1]: one kernel pass."""
-    if isinstance(model, PolynomialModel):
-        coeffs = model.pickands.poly.coeffs
-        return lambda t: eval_with_derivatives(coeffs, t)
-    A = model_pickands(model)
-    return lambda t: (A.value(t), A.deriv(t), A.deriv2(t))
 
 
 # the search bracket for v; the Newton step, relative to min(v, 1 - v) (the
@@ -185,7 +178,7 @@ def sample_copula(model: ReferenceModel, n: int, seed: int) -> SampleSet:
     rng = np.random.default_rng(seed)
     u = np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
     w = rng.random(n)
-    kernel = _pickands_kernel(model)
+    kernel = model_pickands(model).kernel
     v = np.empty(n)
     # blocks bound the iteration's temporaries; each v depends only on its
     # own (u, w), so the blocking does not change any value

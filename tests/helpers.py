@@ -335,8 +335,8 @@ def bisection_conditional(A, u, w) -> np.ndarray:
         logm = np.log(mid)
         s = logu + logm
         t = logm / s
-        a = A.value(t)
-        cond = np.exp(s * a - logu) * (a - t * A.deriv(t))
+        a, d1, _ = A.kernel(t)
+        cond = np.exp(s * a - logu) * (a - t * d1)
         go_left = cond >= w
         hi = np.where(go_left, mid, hi)
         lo = np.where(go_left, lo, mid)
@@ -348,8 +348,8 @@ def conditional_cdf(A, u, v):
     logu, logv = np.log(u), np.log(v)
     s = logu + logv
     t = logv / s
-    a = A.value(t)
-    return np.exp(s * a - logu) * (a - t * A.deriv(t))
+    a, d1, _ = A.kernel(t)
+    return np.exp(s * a - logu) * (a - t * d1)
 
 
 def exact_roots_inside(coeffs) -> int:

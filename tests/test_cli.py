@@ -188,6 +188,58 @@ def test_bound_subcommand_comonotone(tmp_path, capsys):
     assert res["v_bound"] == pytest.approx(3.0 / 16.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("model", [
+    {"model": "alog", "alpha": 0.5, "psi1": 0.9, "psi2": 0.6},
+    MIX_MODEL_JSON,
+    {"model": "poly", "pickands": POLFULL_POWER_JSON},
+])
+@pytest.mark.parametrize("t", ["0.3", "0.5"])
+def test_bound_subcommand_models(tmp_path, capsys, model, t):
+    path = write(tmp_path / "model.json", model)
+    code, out, _ = run(capsys, "bound", "--model", path, "--m", "6", "--t", t)
+    assert code == 0
+    res = json.loads(out)
+    assert 0.0 <= res["error"] <= res["bound"]
+    assert res["v_bound"] is None
+
+
+MALFORMED_MODELS = [
+    ([1, 2], "object"),
+    ({"model": "alog", "alpha": None, "psi1": 0.5, "psi2": 0.5}, "'alpha'"),
+    ({"model": "mix", "psi": [0.5]}, "'psi'"),
+]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", ["--n", "5", "--seed", "1"]),
+    ("bound", ["--m", "4", "--t", "0.5"]),
+])
+@pytest.mark.parametrize("model, field", MALFORMED_MODELS)
+def test_malformed_model_json_exits_1(tmp_path, capsys, command, extra, model, field):
+    path = write(tmp_path / "model.json", model)
+    code, out, err = run(capsys, command, "--model", path, *extra)
+    assert code == 1 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and field in msg["message"]
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"model": [1]}, "object"),
+    ({"model": {"model": "alog", "alpha": None, "psi1": 0.5, "psi2": 0.5}}, "'alpha'"),
+    ({"n": None}, "'n'"),
+    ({"replicates": "many"}, "'replicates'"),
+    ({"estimators": 5}, "'estimators'"),
+    ({"seed": None}, "'seed'"),
+])
+def test_study_rejects_malformed_fields(tmp_path, capsys, change, field):
+    config = {"model": MIX_MODEL_JSON, "n": 40, "replicates": 2, "m": 0, "estimators": ["cfg"]}
+    path = write(tmp_path / "study.json", {**config, **change})
+    code, _, err = run(capsys, "study", "--in", path)
+    assert code == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and field in msg["message"]
+
+
 def test_study_subcommand(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PICKPOLY_THREADS", "1")
     config = {

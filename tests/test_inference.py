@@ -6,6 +6,7 @@ from pickpoly import (
     AsymmetricLogistic,
     BernsteinPoly,
     FullModelParam,
+    GenericPickands,
     OptimConfig,
     PickandsPoly,
     PiecewiseLinearPickands,
@@ -13,6 +14,7 @@ from pickpoly import (
     SampleSet,
     SymmetricMixed,
     a_from_h,
+    copula_density,
     endpoint_functionals,
     feasibility,
     fit_cfg,
@@ -28,6 +30,7 @@ from pickpoly import (
     validate_pickands,
     vee,
 )
+from pickpoly.bernstein import eval_with_derivatives
 from pickpoly.inference import _LogLik, _loglik_terms, _pseudo_angles
 
 MIX_MODEL = SymmetricMixed(MIX_PSI)
@@ -71,8 +74,21 @@ def test_loglik_single_pair_matches_fd_density():
 
 def test_loglik_generic_equals_polynomial_route():
     data = sample_copula(MIX_MODEL, 40, 3)
-    generic = model_pickands(PolynomialModel(MIX_A))
+    psi = MIX_PSI
+    generic = GenericPickands(a=lambda t: 1.0 - psi * t + psi * t * t,
+                              da=lambda t: psi * (2.0 * t - 1.0),
+                              d2a=lambda t: np.full_like(t, 2.0 * psi), tag="mix")
     assert log_likelihood(generic, data) == pytest.approx(log_likelihood(MIX_A, data), abs=1e-10)
+
+
+def test_density_and_loglik_reject_piecewise_linear_estimate():
+    data = sample_copula(MIX_MODEL, 60, 4)
+    est = fit_cfg(data).estimate
+    assert isinstance(est, PiecewiseLinearPickands)
+    with pytest.raises(TypeError, match="PiecewiseLinearPickands"):
+        log_likelihood(est, data)
+    with pytest.raises(TypeError, match="PiecewiseLinearPickands"):
+        copula_density(est, 0.3, 0.6)
 
 
 def test_loglik_sentinel_on_nonpositive_density():
@@ -83,7 +99,7 @@ def test_loglik_sentinel_on_nonpositive_density():
     t = np.array([0.3, 0.5])
     s = np.array([-0.01, -0.02])  # pairs near (1,1), where concavity bites
     concave = np.array([1.0, 1.4, 1.0])
-    assert _loglik_terms(concave, t, s) == float("-inf")
+    assert _loglik_terms(eval_with_derivatives(concave, t), t, s) == float("-inf")
 
 
 def test_gcm_examples():
@@ -323,7 +339,9 @@ def test_engine_objective_finite_where_density_breaks_down(rng):
     engine = _LogLik(data, 2)
     # far outside the caps the Pickands function dips below max(t, 1-t)
     bad = np.full(3, 40.0)
-    assert _loglik_terms(a_from_h(BernsteinPoly(bad)).coeffs, *_pseudo_angles(data)) == float("-inf")
+    t, s = _pseudo_angles(data)
+    bad_kernel = eval_with_derivatives(a_from_h(BernsteinPoly(bad)).coeffs, t)
+    assert _loglik_terms(bad_kernel, t, s) == float("-inf")
     good = np.array(_polytope_points(2, rng, 2))
     value, grad = engine.objective(np.vstack([good[0], bad, good[1]]))
     assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))

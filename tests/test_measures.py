@@ -72,7 +72,8 @@ def test_tau_monotone_reversal():
 
 def test_tau_generic_quadrature_agrees_with_polynomial_route():
     poly = theta_to_pickands(FullModelParam(2, [0.9, -0.3, 0.7]))
-    generic = GenericPickands(a=poly.value, da=poly.deriv, d2a=poly.deriv2, tag="wrapped")
+    generic = GenericPickands(a=poly.value, da=lambda t: poly.kernel(t)[1],
+                              d2a=lambda t: poly.kernel(t)[2], tag="wrapped")
     p_rep = tau_measures(poly)
     g_rep = tau_measures(generic)
     assert g_rep.tau1 == pytest.approx(p_rep.tau1, abs=1e-12)
@@ -119,10 +120,9 @@ def test_bound_holds_across_abscissae(rng):
     ts = np.linspace(0.0, 1.0, 51)
     for m_model in (1, 4):
         for A in random_valid_pickands(rng, m_model, 3):
-            gen = GenericPickands(a=A.value, da=A.deriv, d2a=A.deriv2, tag="poly")
             for m in (2, 8, 32):
                 for t in ts:
-                    b = approx_error_bound(gen, m, float(t))
+                    b = approx_error_bound(A, m, float(t))
                     assert -1e-12 <= b.error <= b.bound + 1e-12
 
 

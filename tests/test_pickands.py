@@ -16,6 +16,7 @@ from helpers import (
 from pickpoly import (
     BernsteinPoly,
     CertificateInconclusiveError,
+    FullModelParam,
     GenericPickands,
     NotSpectralDensityError,
     PickandsPoly,
@@ -27,12 +28,16 @@ from pickpoly import (
     comonotone,
     copula_cdf,
     copula_density,
+    derivative_coeffs,
     endpoint_functionals,
     evaluate,
     h_from_a,
     independence,
     power_to_bernstein,
+    sample_feasible,
+    second_derivative_coeffs,
     spectral_measure,
+    theta_to_pickands,
     validate_pickands,
     vee,
 )
@@ -219,8 +224,9 @@ def test_endpoint_functionals_match_derivatives(rng):
     for m in (1, 3, 6):
         for A in random_valid_pickands(rng, m, 4):
             q0, q1 = endpoint_functionals(h_from_a(A.poly))
-            assert q0 == pytest.approx(-A.deriv(0.0), abs=1e-11)
-            assert q1 == pytest.approx(A.deriv(1.0), abs=1e-11)
+            d0, d1 = A.kernel(np.array([0.0, 1.0]))[1]
+            assert q0 == pytest.approx(-d0, abs=1e-11)
+            assert q1 == pytest.approx(d1, abs=1e-11)
 
 
 def test_copula_cdf_examples():
@@ -261,6 +267,12 @@ def test_copula_density_matches_finite_difference():
         assert np.min(dens) >= -1e-10
         fd = np.array([fd_mixed_partial(A, u, v) for v in grid])
         assert np.allclose(dens, fd, rtol=1e-4, atol=1e-7)
+    # a 2-d grid gives the pointwise values in its own shape
+    uu, vv = np.meshgrid(grid[:5], grid)
+    dens = copula_density(A, uu, vv)
+    assert dens.shape == uu.shape
+    pointwise = [[copula_density(A, u, v) for u, v in zip(ru, rv)] for ru, rv in zip(uu, vv)]
+    assert np.allclose(dens, pointwise, rtol=1e-14, atol=0.0)
 
 
 def test_copula_density_integrates_to_one():
@@ -302,6 +314,33 @@ def test_generic_pickands_validates_boundary_conditions():
         GenericPickands(a=lambda t: 1.0 - np.asarray(t, float) * (1 - np.asarray(t, float)) * 2.5,
                         da=lambda t: np.zeros_like(np.asarray(t, float)),
                         d2a=lambda t: np.zeros_like(np.asarray(t, float)))
+
+
+def test_generic_pickands_rejects_non_vectorized_callables():
+    zero = lambda t: np.zeros_like(np.asarray(t, float))
+    with pytest.raises(ValueError, match="shape"):
+        GenericPickands(a=lambda t: 1.0, da=zero, d2a=zero)
+    A = GenericPickands(a=lambda t: np.ones_like(t), da=lambda t: 0.0, d2a=zero)
+    with pytest.raises(ValueError, match="shape"):
+        A.kernel(np.array([0.25, 0.5]))
+
+
+def test_poly_kernel_matches_derivative_polynomials(rng):
+    # the former route: de Casteljau on the coefficients of A' and A''.
+    # Both routes round at O(eps) per level of a triangle whose entries are
+    # at most max|c|, scaled by deg (A') and deg (deg - 1) (A'').
+    eps = np.finfo(float).eps
+    t = np.concatenate([[0.0, 1.0], rng.random(200)])
+    for m in (0, 1, 2, 4, 8, 16, 30):
+        for theta in sample_feasible(m, rng, 4):
+            A = theta_to_pickands(FullModelParam(m, theta))
+            n, c = A.poly.degree, np.abs(A.poly.coeffs).max()
+            a, d1, d2 = A.kernel(t)
+            ref1 = evaluate(derivative_coeffs(A.poly), t)
+            ref2 = evaluate(second_derivative_coeffs(A.poly), t)
+            assert np.array_equal(a, evaluate(A.poly, t))
+            assert np.max(np.abs(d1 - ref1)) <= 16 * eps * n * c
+            assert np.max(np.abs(d2 - ref2)) <= 16 * eps * n * (n - 1) * c
 
 
 def test_vee():

@@ -65,8 +65,9 @@ def test_alog_derivatives_match_finite_differences():
     h = 1e-6
     fd1 = (A.value(ts + h) - A.value(ts - h)) / (2 * h)
     fd2 = (A.value(ts + h) - 2 * A.value(ts) + A.value(ts - h)) / h**2
-    assert np.max(np.abs(A.deriv(ts) - fd1)) < 1e-6
-    assert np.max(np.abs(A.deriv2(ts) - fd2)) < 2e-3
+    _, d1, d2 = A.kernel(ts)
+    assert np.max(np.abs(d1 - fd1)) < 1e-6
+    assert np.max(np.abs(d2 - fd2)) < 2e-3
 
 
 def test_split_seed_deterministic_and_distinct():
@@ -103,7 +104,8 @@ def test_conditional_cdf_monotone_in_v():
     for u in (0.2, 0.5, 0.8):
         s = np.log(u) + np.log(vs)
         t = np.log(vs) / s
-        cond = np.exp(s * A.value(t) - np.log(u)) * (A.value(t) - t * A.deriv(t))
+        a, d1, _ = A.kernel(t)
+        cond = np.exp(s * a - np.log(u)) * (a - t * d1)
         assert np.all(np.diff(cond) > -1e-12)
         assert cond[0] < 1e-3 and cond[-1] > 1 - 1e-3
 
@@ -128,7 +130,7 @@ SOLVER_MODELS = {
 
 def _solve(model, u, w):
     # the solver on all of u, w at once (sample_copula solves in blocks)
-    return simulation_module._solve_conditional(simulation_module._pickands_kernel(model), u, w)
+    return simulation_module._solve_conditional(model_pickands(model).kernel, u, w)
 
 
 def _drawn_uw(n, seed):
@@ -188,17 +190,17 @@ def test_solver_step_counts(monkeypatch, name):
     # accepting Newton points only inside the open bracket about 55 on
     # many elements)
     widths = []
-    kernel = simulation_module._pickands_kernel
+    pickands = simulation_module.model_pickands
 
-    def counting(model):
-        inner = kernel(model)
+    class Counting:
+        def __init__(self, model):
+            self.inner = pickands(model)
 
-        def f(t):
+        def kernel(self, t):
             widths.append(t.size)
-            return inner(t)
-        return f
+            return self.inner.kernel(t)
 
-    monkeypatch.setattr(simulation_module, "_pickands_kernel", counting)
+    monkeypatch.setattr(simulation_module, "model_pickands", Counting)
     n = 4000
     sample_copula(SOLVER_MODELS[name], n, 29)
     assert sum(widths) / n <= 10.0
