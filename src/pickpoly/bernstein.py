@@ -6,15 +6,21 @@ parametric models) stores polynomials in the Bernstein basis
     b_{k,m}(x) = C(m,k) x^k (1-x)^(m-k),   k = 0..m,
 
 because the constraints of interest act directly on the coefficients.
-Evaluation uses the de Casteljau convex-combination scheme, degree elevation
-one direct map built from exact binomial ratio chains, and basis changes the
-exact triangular recurrences; no least-squares fitting anywhere.
+Evaluation uses the de Casteljau convex-combination scheme and degree
+elevation one direct map built from exact binomial ratio chains. The basis
+changes and the subdivision walk's split and probe are fixed linear maps of
+the coefficients, one matrix per degree (for the probe, one row per
+abscissa): each entry is an exact rational rounded once to the nearest
+float, and each matrix or row is built on first use and kept in a small
+cache. The basis changes sum in extended precision. No least-squares
+fitting anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -254,11 +260,80 @@ def bernstein_approx(f: Callable[[float], float], m: int) -> BernsteinPoly:
     return BernsteinPoly(vals)
 
 
-def power_to_bernstein(P: PowerPoly, m: int | None = None) -> BernsteinPoly:
-    """Exact basis change from power to Bernstein coefficients.
+# the per-degree matrices of the basis changes and of the subdivision walk's
+# split are kept for this many recent degrees each; a degree-d basis change
+# takes (d+1)^2 long doubles (16 bytes each on x86-64) and a split matrix
+# 16(d+1)^2 bytes
+_MATRIX_CACHE = 8
 
-    c(k, m) = sum_{j<=k} [C(k,j)/C(m,j)] a_j, with exact integer binomials.
-    m defaults to the natural degree.
+
+def _rounded(num: int, den: int = 1) -> float:
+    """The exact rational num/den (den > 0) rounded to the nearest float.
+
+    Python's int / int is correctly rounded, subnormals included; a quotient
+    beyond the float range becomes +-inf.
+    """
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _extended(M: np.ndarray) -> np.ndarray:
+    """M as a read-only np.longdouble array; its float64 entries are held exactly.
+
+    The basis-change sums alternate in sign and cancel nearly all of their
+    terms' magnitude. A float64 BLAS product sums the terms of each SIMD
+    lane, all of one sign, apart, and had 3 to 7 times the error of an
+    ordered loop. numpy sums a long double product in order, without BLAS,
+    in the platform's extended precision where it has one (a 64-bit
+    significand on x86-64), and each result is rounded to float64 once.
+    """
+    return _frozen(M.astype(np.longdouble))
+
+
+def _pascal_rows(m: int):
+    """Yield the rows [C(r, 0), ..., C(r, r)] for r = 0..m as exact integers."""
+    row = [1]
+    yield row
+    for r in range(1, m + 1):
+        row = [1] + [row[k - 1] + row[k] for k in range(1, r)] + [1]
+        yield row
+
+
+@lru_cache(maxsize=_MATRIX_CACHE)
+def _power_to_bernstein_matrix(m: int) -> np.ndarray:
+    """T with T[k, j] = C(k, j) / C(m, j) for j <= k: c = T @ a."""
+    T = np.zeros((m + 1, m + 1))
+    top = [math.comb(m, j) for j in range(m + 1)]
+    for k, row in enumerate(_pascal_rows(m)):
+        T[k, :k + 1] = [_rounded(x, y) for x, y in zip(row, top)]
+    return _extended(T)
+
+
+@lru_cache(maxsize=_MATRIX_CACHE)
+def _bernstein_to_power_matrix(m: int) -> np.ndarray:
+    """U with U[j, k] = (-1)^(j-k) C(m, j) C(j, k) for k <= j: a = U @ c."""
+    U = np.zeros((m + 1, m + 1))
+    for j, row in enumerate(_pascal_rows(m)):
+        cmj = math.comb(m, j)
+        U[j, :j + 1] = [_rounded(cmj * x if (j - k) % 2 == 0 else -cmj * x)
+                        for k, x in enumerate(row)]
+    return _extended(U)
+
+
+def power_to_bernstein(P: PowerPoly, m: int | None = None) -> BernsteinPoly:
+    """Basis change from power to Bernstein coefficients.
+
+    c(k, m) = sum_{j<=k} [C(k,j)/C(m,j)] a_j: one product with the cached
+    degree-m matrix of these weights, each the exact ratio of integer
+    binomials rounded once to float64, summed in extended precision
+    (``_extended``). m defaults to the natural degree.
 
     Raises
     ------
@@ -270,46 +345,63 @@ def power_to_bernstein(P: PowerPoly, m: int | None = None) -> BernsteinPoly:
         m = nat
     if m < nat:
         raise ValueError(f"requested degree {m} below natural degree {nat}")
-    a = P.coeffs
-    c = np.empty(m + 1)
-    for k in range(m + 1):
-        acc = 0.0
-        for j in range(0, min(k, a.size - 1) + 1):
-            acc += (math.comb(k, j) / math.comb(m, j)) * a[j]
-        c[k] = acc
-    return BernsteinPoly(c)
+    a = P.coeffs[:m + 1]  # entries past m are zero, as m >= the natural degree
+    return BernsteinPoly((_power_to_bernstein_matrix(m)[:, :a.size] @ a).astype(float))
 
 
 def bernstein_to_power(P: BernsteinPoly) -> PowerPoly:
-    """Exact basis change from Bernstein to power coefficients.
+    """Basis change from Bernstein to power coefficients.
 
-    a_j = C(m,j) * sum_{k<=j} (-1)^(j-k) C(j,k) c_k.
+    a_j = C(m,j) * sum_{k<=j} (-1)^(j-k) C(j,k) c_k: one product with the
+    cached degree-m matrix of the integer weights (-1)^(j-k) C(m,j) C(j,k),
+    each rounded once to float64, summed in extended precision
+    (``_extended``). From degree 653 on, the largest weights pass the float
+    range, the result is not finite, and PowerPoly raises ValueError.
     """
-    m = P.degree
-    c = P.coeffs
-    a = np.empty(m + 1)
-    for j in range(m + 1):
-        acc = 0.0
-        for k in range(j + 1):
-            term = math.comb(j, k) * c[k]
-            acc += term if (j - k) % 2 == 0 else -term
-        a[j] = math.comb(m, j) * acc
-    return PowerPoly(a)
+    return PowerPoly((_bernstein_to_power_matrix(P.degree) @ P.coeffs).astype(float))
 
 
-def decasteljau_split(coeffs: np.ndarray):
-    """Split Bernstein coefficients at x = 1/2 into left/right halves."""
-    c = np.asarray(coeffs, dtype=float).copy()
-    n = c.size
-    left = np.empty(n)
-    right = np.empty(n)
-    left[0] = c[0]
-    right[-1] = c[-1]
-    for r in range(1, n):
-        c = 0.5 * (c[:-1] + c[1:])
-        left[r] = c[0]
-        right[n - 1 - r] = c[-1]
-    return left, right
+@lru_cache(maxsize=_MATRIX_CACHE)
+def _split_matrix(d: int) -> np.ndarray:
+    """The de Casteljau split at x = 1/2 as one (2(d+1), d+1) matrix [L; R].
+
+    L @ c and R @ c are the degree-d Bernstein coefficients of the halves on
+    [0, 1/2] and [1/2, 1]. L[r, k] = C(r, k) / 2^r is the left edge of the
+    de Casteljau triangle, and R its reflection, R[r, k] = L[d-r, d-k].
+    """
+    n = d + 1
+    S = np.zeros((2 * n, n))
+    for r, row in enumerate(_pascal_rows(d)):
+        S[r, :r + 1] = [_rounded(x, 1 << r) for x in row]
+    S[n:] = S[d::-1, ::-1]
+    return _frozen(S)
+
+
+# probe rows are built and kept one at a time: a walk reads only the rows
+# of the abscissae it probes, a few per walk, and a full probe matrix would
+# cost O(d^2) operations on integers of about d log2(d) bits (4.3 s at d = 1100)
+_PROBE_ROWS = 256
+
+
+@lru_cache(maxsize=_PROBE_ROWS)
+def _probe_row(d: int, k: int) -> np.ndarray:
+    """Row k of the probe matrix V, V[k, j] = b_{j,d}(k/d): V[k] @ c is the value at k/d.
+
+    V[k, j] = C(d, j) k^j (d-k)^(d-j) / d^d. The numerators follow each
+    other exactly, N_{j+1} = N_j (d-j) k / ((j+1)(d-k)); row d-k is row k
+    reversed.
+    """
+    if 2 * k > d:
+        return _probe_row(d, d - k)[::-1]
+    q = d - k
+    den = d ** d
+    num = q ** d
+    row = np.empty(d + 1)
+    row[0] = _rounded(num, den)
+    for j in range(d):
+        num = num * ((d - j) * k) // ((j + 1) * q)
+        row[j + 1] = _rounded(num, den)
+    return _frozen(row)
 
 
 # subintervals at depth 34 are 2**-34 < 1e-10 wide: the minimum's abscissa
@@ -323,10 +415,13 @@ def _branch_and_bound(coeffs: np.ndarray, floor: float | None, max_depth: int):
     The least coefficient on a subinterval bounds the polynomial below there,
     so a subinterval is dropped once that bound reaches the floor: the fixed
     ``floor`` when one is given, else the least value found so far. Each kept
-    subinterval is probed at the abscissa of its least coefficient and at its
-    midpoint (read off the de Casteljau split), then halved. With a floor the
-    walk stops at the first value below it. Subintervals that reach
-    ``max_depth`` still undropped are not split further.
+    subinterval is probed at the abscissa k/d of its least coefficient and at
+    its midpoint, then halved. Both steps are products with cached degree-d
+    maps: the probe is V[k] @ c (``_probe_row``), and the split [L; R] @ c
+    (``_split_matrix``) gives both halves, the midpoint value being the left
+    half's last coefficient. With a floor the walk
+    stops at the first value below it. Subintervals that reach ``max_depth``
+    still undropped are not split further.
 
     Returns (abscissa, value, splits, undecided): the least value found and
     where, the number of splits, and whether a subinterval hit max_depth.
@@ -341,7 +436,7 @@ def _branch_and_bound(coeffs: np.ndarray, floor: float | None, max_depth: int):
         k = int(np.argmin(c))
         if c[k] >= bound:
             continue
-        v = eval_with_derivatives(c, np.array([k / deg]))[0][0]
+        v = _probe_row(deg, k) @ c
         if v < best_v:
             best_t, best_v = a + (b - a) * k / deg, v
         if floor is not None and v < floor:
@@ -349,7 +444,8 @@ def _branch_and_bound(coeffs: np.ndarray, floor: float | None, max_depth: int):
         if depth >= max_depth:
             undecided = True
             continue
-        left, right = decasteljau_split(c)
+        halves = _split_matrix(deg) @ c
+        left, right = halves[:deg + 1], halves[deg + 1:]
         splits += 1
         mid = 0.5 * (a + b)
         if left[-1] < best_v:

@@ -26,7 +26,7 @@ from .bernstein import (
     poly_to_json,
     power_to_bernstein,
 )
-from .inference import OptimConfig, SampleSet, fit_cfg, fit_full, fit_sub
+from .inference import OptimConfig, SampleSet, _is_int, fit_cfg, fit_full, fit_sub
 from .measures import approx_error_bound, tau_measures
 from .pickands import PickandsPoly, comonotone, validate_pickands
 from .simulation import (
@@ -186,19 +186,25 @@ def _cmd_study(args) -> int:
     optim = _optim_config(raw["optim"]) if "optim" in raw else None
     raw = {"estimators": ("full", "sub", "cfg"), "seed": 0, "grid": 101, "ranks": False, **raw}
 
-    def field(key, cast):
-        return _json_field(raw, key, cast, "study config")
+    def field(key, ok, kind):
+        # exact JSON types: 40.9 is not an integer and "false" not a boolean
+        if key not in raw or not ok(raw[key]):
+            raise ValueError(f"study config: {key!r} must be {kind}, got {raw.get(key)!r}")
+        return raw[key]
+
+    def integer(key):
+        return field(key, _is_int, "an integer")
 
     config = StudyConfig(
         model=model_from_json(raw["model"]),
-        n=field("n", int),
-        replicates=field("replicates", int),
-        m=field("m", int),
-        estimators=field("estimators", tuple),
-        seed=field("seed", int),
-        grid=field("grid", int),
+        n=integer("n"),
+        replicates=integer("replicates"),
+        m=integer("m"),
+        estimators=_json_field(raw, "estimators", tuple, "study config"),
+        seed=integer("seed"),
+        grid=integer("grid"),
         optim=optim,
-        ranks=field("ranks", bool),
+        ranks=field("ranks", lambda x: isinstance(x, bool), "a boolean"),
     )
     report = run_study(config)
     _write_out(_dump(report.payload()), args.out)

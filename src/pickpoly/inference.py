@@ -32,7 +32,6 @@ from typing import Union
 
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
-from scipy.stats import rankdata
 
 from .bernstein import BernsteinPoly, eval_with_derivatives
 from .full_model import (
@@ -87,9 +86,20 @@ class SampleSet:
         v = np.asarray(v, dtype=float)
         if ranks:
             n = u.size
-            u = rankdata(u, method="average") / (n + 1)
-            v = rankdata(v, method="average") / (n + 1)
+            u = _midranks(u) / (n + 1)
+            v = _midranks(v) / (n + 1)
         return SampleSet(u, v)
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of x with ties given their mean rank (NaN stays NaN).
+
+    A tie group ending at rank e with c members has mean rank e - (c-1)/2,
+    a half-integer computed exactly.
+    """
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return np.where(np.isnan(x), np.nan, (ends - (counts - 1) / 2.0)[group.reshape(x.shape)])
 
 
 @dataclass(frozen=True)

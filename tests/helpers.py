@@ -290,6 +290,69 @@ def rational_root_polys(draw):
     return _bernstein_from_poly(poly, poly.degree())
 
 
+def _loop_split(c: np.ndarray):
+    """Halves of c at x = 1/2, one de Casteljau averaging level at a time."""
+    n = c.size
+    left, right = np.empty(n), np.empty(n)
+    left[0], right[-1] = c[0], c[-1]
+    for r in range(1, n):
+        c = 0.5 * (c[:-1] + c[1:])
+        left[r], right[n - 1 - r] = c[0], c[-1]
+    return left, right
+
+
+def _loop_value(c: np.ndarray, x: float) -> float:
+    """Value at x by the full de Casteljau triangle, one level at a time."""
+    while c.size > 1:
+        c = c[:-1] + x * (c[1:] - c[:-1])
+    return float(c[0])
+
+
+def loop_branch_and_bound(coeffs, floor, max_depth: int):
+    """The subdivision walk with per-level loops for the split and the probe (oracle).
+
+    Same search and floor rule as ``pickpoly.bernstein._branch_and_bound``,
+    which does each split and probe as one product with a cached matrix;
+    returns the same (abscissa, value, splits, undecided).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    deg = coeffs.size - 1
+    best_t, best_v = (0.0, coeffs[0]) if coeffs[0] <= coeffs[-1] else (1.0, coeffs[-1])
+    splits, undecided = 0, False
+    stack = [(0.0, 1.0, coeffs, 0)]
+    while stack and (floor is None or best_v >= floor):
+        a, b, c, depth = stack.pop()
+        bound = best_v if floor is None else floor
+        k = int(np.argmin(c))
+        if c[k] >= bound:
+            continue
+        v = _loop_value(c, k / deg)
+        if v < best_v:
+            best_t, best_v = a + (b - a) * k / deg, v
+        if floor is not None and v < floor:
+            break
+        if depth >= max_depth:
+            undecided = True
+            continue
+        left, right = _loop_split(c)
+        splits += 1
+        mid = 0.5 * (a + b)
+        if left[-1] < best_v:
+            best_t, best_v = mid, left[-1]
+        stack.append((a, mid, left, depth + 1))
+        stack.append((mid, b, right, depth + 1))
+    return best_t, float(best_v), splits, undecided
+
+
+def assert_correctly_rounded(entry: float, exact: Fraction) -> None:
+    """entry is exact to within one ulp; +-inf only where exact rounds past the float range."""
+    if math.isinf(entry):
+        # the largest float is 2^1024 - 2^971; from the halfway point on, values round to inf
+        assert abs(exact) >= 2**1024 - 2**970 and (entry > 0) == (exact > 0), (entry, exact)
+    else:
+        assert abs(Fraction(entry) - exact) <= Fraction(math.ulp(entry)), (entry, exact)
+
+
 def exact_nonnegative(coeffs) -> bool:
     """Whether the polynomial with rational Bernstein coefficients is >= 0 on [0,1].
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from helpers import (
@@ -11,9 +13,11 @@ from helpers import (
     POLFULL_H,
     POLFULL_POWER,
     alog_value,
+    assert_correctly_rounded,
     exact_elevation,
     exact_minimum,
     iterated_elevation,
+    loop_branch_and_bound,
     rational_root_polys,
 )
 from pickpoly import (
@@ -32,6 +36,14 @@ from pickpoly import (
     power_to_bernstein,
     second_derivative_coeffs,
 )
+from pickpoly.bernstein import (
+    _bernstein_to_power_matrix,
+    _branch_and_bound,
+    _power_to_bernstein_matrix,
+    _probe_row,
+    _split_matrix,
+)
+from pickpoly.pickands import _CERTIFY_DEPTH, _CERTIFY_FLOOR, certify_nonnegative
 
 
 def test_basis_eval_examples():
@@ -233,6 +245,25 @@ def test_power_bernstein_roundtrip(rng):
         assert np.allclose(back.coeffs, a, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is plain double on this platform")
+def test_basis_changes_keep_digits_through_cancellation(rng):
+    # degree-32 Pickands polynomials: the power coefficients reach 1e8-1e9
+    # and come from alternating sums about 2^32 times larger; summed in
+    # extended precision they are within a few ulp of the largest one
+    from conftest import random_valid_pickands
+
+    for A in random_valid_pickands(rng, 30, 20):
+        c, m = A.poly.coeffs, A.poly.degree
+        power = bernstein_to_power(A.poly).coeffs
+        exact = [math.comb(m, j) * sum((-1) ** (j - k) * math.comb(j, k) * Fraction(c[k])
+                                       for k in range(j + 1)) for j in range(m + 1)]
+        scale = float(np.max(np.abs(power)))
+        assert max(abs(Fraction(a) - e) for a, e in zip(power, exact)) <= 1e-12 * scale
+        back = power_to_bernstein(PowerPoly(power), m).coeffs
+        assert np.max(np.abs(back - c)) <= 1e-13 * scale
+
+
 def test_basis_integral_identity_prop21():
     # int_0^t b_{k,m} = (1/(m+1)) sum_{j>k} b_{j,m+1}(t), checked against quadrature
     for m, k, t in [(3, 1, 0.4), (6, 0, 0.9), (6, 6, 0.35), (9, 4, 0.62)]:
@@ -288,3 +319,114 @@ def test_poly_json_roundtrip():
         poly_from_json({"basis": "power", "degree": 2, "coeffs": [0.0, 1.0]})
     with pytest.raises(ValueError):
         poly_from_json({"basis": "chebyshev", "degree": 1, "coeffs": [0.0, 1.0]})
+
+
+def _exact_rows(d: int) -> dict:
+    """Rows of each cached degree-d map, with its entries as exact rationals by the textbook formulas."""
+    zero = Fraction(0)
+    return {
+        "L": (lambda r: _split_matrix(d)[r],
+              lambda r, k: Fraction(math.comb(r, k), 2**r) if k <= r else zero),
+        # right half of the de Casteljau split: C(d-r, k-r) / 2^(d-r)
+        "R": (lambda r: _split_matrix(d)[d + 1 + r],
+              lambda r, k: Fraction(math.comb(d - r, k - r), 2 ** (d - r)) if k >= r else zero),
+        "V": (lambda k: _probe_row(d, k),
+              lambda k, j: math.comb(d, j) * Fraction(k, d) ** j * Fraction(d - k, d) ** (d - j)),
+        "T": (lambda k: _power_to_bernstein_matrix(d)[k],
+              lambda k, j: Fraction(math.comb(k, j), math.comb(d, j)) if j <= k else zero),
+        "U": (lambda j: _bernstein_to_power_matrix(d)[j],
+              lambda j, k: Fraction((-1) ** (j - k) * math.comb(d, j) * math.comb(j, k))
+              if k <= j else zero),
+    }
+
+
+def _assert_rows_rounded(d: int, rows) -> None:
+    for name, (row, exact) in _exact_rows(d).items():
+        for i in rows:
+            assert row(i).shape == (d + 1,), name
+            for j in range(d + 1):
+                assert_correctly_rounded(float(row(i)[j]), exact(i, j))
+
+
+def test_cached_matrices_match_exact_rationals():
+    for d in range(1, 61):
+        _assert_rows_rounded(d, range(d + 1))
+    assert _split_matrix(60).shape == (122, 61)
+
+
+def test_cached_matrices_match_exact_rationals_past_float_exponent_range():
+    # at d = 1100, 2^d and C(d, d/2) overflow a float and many weights underflow
+    d = 1100
+    _assert_rows_rounded(d, (0, 1, 2, 367, 550, 551, 733, 1099, 1100))
+    assert np.isinf(_bernstein_to_power_matrix(d)).any()
+    assert np.count_nonzero(_probe_row(d, 1)) < d + 1  # underflowed weights are 0
+
+
+def test_cached_matrices_are_read_only():
+    for M in (_split_matrix(3), _probe_row(3, 1), _probe_row(3, 3),
+              _power_to_bernstein_matrix(3), _bernstein_to_power_matrix(3)):
+        with pytest.raises(ValueError):
+            M[0] = 2.0
+
+
+_walk_coeffs = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=31)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_coeffs)
+def test_walk_matches_loop_oracle(coeffs):
+    c = np.array(coeffs)
+    P = BernsteinPoly(c)
+    # global minimum: the same least value up to rounding, at an abscissa attaining it
+    t_old, v_old, _, _ = loop_branch_and_bound(c, None, 34)
+    t, v = global_minimum(P)
+    assert v == pytest.approx(v_old, abs=1e-12)
+    assert evaluate(P, t) <= v_old + 1e-12
+    # certificate: the same verdict wherever rounding cannot decide it, with a
+    # witness where the polynomial is negative
+    assume(abs(v_old - _CERTIFY_FLOOR) > 1e-9)
+    _, cv_old, _, _ = loop_branch_and_bound(c, _CERTIFY_FLOOR, _CERTIFY_DEPTH)
+    w, cv, _, _ = _branch_and_bound(c, _CERTIFY_FLOOR, _CERTIFY_DEPTH)
+    assert (cv < _CERTIFY_FLOOR) == (cv_old < _CERTIFY_FLOOR)
+    if cv < _CERTIFY_FLOOR:
+        assert evaluate(P, w) < 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(rational_root_polys())
+def test_walk_matches_loop_oracle_at_touching_zeros(coeffs):
+    c = np.array([float(x) for x in coeffs])
+    report = certify_nonnegative(BernsteinPoly(c))
+    _, v_old, _, undecided = loop_branch_and_bound(c, _CERTIFY_FLOOR, _CERTIFY_DEPTH)
+    assume(not undecided)
+    assert report.nonneg == (v_old >= _CERTIFY_FLOOR)
+
+
+def test_certificate_at_degree_1100():
+    # (t - 0.3)^2 + shift: the elevated coefficients dip below zero near
+    # t = 0.3 either way; the positive one is certified after splits, the
+    # negative one is caught by the first probe
+    def quadratic(shift):
+        return elevate_degree(power_to_bernstein(PowerPoly([0.09 + shift, -0.6, 1.0])), 1100)
+
+    P, Q = quadratic(1e-5), quadratic(-1e-5)
+    assert P.coeffs.min() < 0.0 and Q.coeffs.min() < 0.0
+    report = certify_nonnegative(P)
+    assert report.nonneg and report.subdivisions > 0
+    report = certify_nonnegative(Q)
+    assert not report.nonneg and abs(report.witness - 0.3) < math.sqrt(1e-5)
+
+
+def test_certificate_memory_at_degree_600():
+    d = 600
+    P = elevate_degree(power_to_bernstein(PowerPoly([0.09 + 1e-5, -0.6, 1.0])), d)
+    _split_matrix.cache_clear()
+    _probe_row.cache_clear()
+    tracemalloc.start()
+    try:
+        assert certify_nonnegative(P).nonneg
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the split matrix, 16 (d+1)^2 bytes, plus at most 1 MiB of probe rows and walk
+    assert peak < 16 * (d + 1) ** 2 + 2**20

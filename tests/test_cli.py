@@ -64,6 +64,14 @@ def test_convert_roundtrip(tmp_path, capsys):
     assert np.allclose(back["coeffs"], POLFULL_POWER, atol=1e-12)
 
 
+def test_convert_past_float_range_exits_1(tmp_path, capsys):
+    # at degree 1030 the power-basis weights C(m, j) C(j, k) pass the float range
+    path = write(tmp_path / "b.json", {"basis": "bernstein", "degree": 1030, "coeffs": [1.0] * 1031})
+    code, out, err = run(capsys, "convert", "--in", path)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_measures_subcommand(tmp_path, capsys):
     path = write(tmp_path / "poly.json", POLFULL_POWER_JSON)
     code, out, _ = run(capsys, "measures", "--in", path)
@@ -230,6 +238,11 @@ def test_malformed_model_json_exits_1(tmp_path, capsys, command, extra, model, f
     ({"replicates": "many"}, "'replicates'"),
     ({"estimators": 5}, "'estimators'"),
     ({"seed": None}, "'seed'"),
+    ({"n": 40.9}, "'n'"),
+    ({"m": True}, "'m'"),
+    ({"grid": 11.0}, "'grid'"),
+    ({"ranks": "false"}, "'ranks'"),
+    ({"ranks": 0}, "'ranks'"),
 ])
 def test_study_rejects_malformed_fields(tmp_path, capsys, change, field):
     config = {"model": MIX_MODEL_JSON, "n": 40, "replicates": 2, "m": 0, "estimators": ["cfg"]}
@@ -356,3 +369,20 @@ def test_console_script_entry_point(tmp_path):
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"degree": 6}
+
+
+def test_import_leaves_scipy_stats_out():
+    # a fresh interpreter, so modules the test suite loaded do not count
+    import os
+    import subprocess
+    import sys
+
+    import pickpoly
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pickpoly.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, pickpoly, pickpoly.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

@@ -31,7 +31,7 @@ from pickpoly import (
     vee,
 )
 from pickpoly.bernstein import eval_with_derivatives
-from pickpoly.inference import _LogLik, _loglik_terms, _pseudo_angles
+from pickpoly.inference import _LogLik, _loglik_terms, _midranks, _pseudo_angles
 
 MIX_MODEL = SymmetricMixed(MIX_PSI)
 MIX_A = PickandsPoly(BernsteinPoly([1.0, 1.0 - MIX_PSI / 2.0, 1.0]))
@@ -52,6 +52,25 @@ def test_sample_set_rank_transform():
     # midranks over n+1 = 5: ties at 0.5 get rank 2.5
     assert np.allclose(sorted(s.u), [1 / 5, 2.5 / 5, 2.5 / 5, 4 / 5])
     assert np.allclose(sorted(s.v), [1 / 5, 2 / 5, 3 / 5, 4 / 5])
+
+
+def test_midranks_bit_identical_to_scipy_rankdata(rng):
+    from scipy.stats import rankdata
+
+    for n in (1, 2, 7, 100, 1001):
+        for levels in (1, 3, n):
+            # draws from a few levels tie often; from n levels, seldom
+            x = rng.integers(0, levels, size=n) / levels + 0.5 / levels
+            assert np.array_equal(_midranks(x), rankdata(x, method="average"))
+            u, v = rng.permutation(x), x
+            s = SampleSet.from_arrays(u, v, ranks=True)
+            assert np.array_equal(s.u, rankdata(u, method="average") / (n + 1))
+            assert np.array_equal(s.v, rankdata(v, method="average") / (n + 1))
+
+
+def test_rank_transform_rejects_nan():
+    with pytest.raises(ValueError, match="u must lie"):
+        SampleSet.from_arrays([0.2, np.nan, 0.4], [0.1, 0.2, 0.3], ranks=True)
 
 
 def test_loglik_independence_is_zero():
