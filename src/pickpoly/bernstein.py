@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 
 def binom_pmf(k, n: int, p):
@@ -34,6 +33,8 @@ def binom_pmf(k, n: int, p):
     broadcast against each other; values of k outside {0,...,n} give 0.
     p = 0 and p = 1 are exact, since xlogy and xlog1py read 0 * log 0 as 0.
     """
+    from scipy.special import gammaln, xlog1py, xlogy
+
     k = np.asarray(k, dtype=float)
     p = np.asarray(p, dtype=float)
     valid = (k >= 0) & (k <= n) & (k == np.floor(k))
@@ -346,7 +347,9 @@ def power_to_bernstein(P: PowerPoly, m: int | None = None) -> BernsteinPoly:
     if m < nat:
         raise ValueError(f"requested degree {m} below natural degree {nat}")
     a = P.coeffs[:m + 1]  # entries past m are zero, as m >= the natural degree
-    return BernsteinPoly((_power_to_bernstein_matrix(m)[:, :a.size] @ a).astype(float))
+    with np.errstate(over="ignore", invalid="ignore"):  # BernsteinPoly rejects non-finite
+        c = (_power_to_bernstein_matrix(m)[:, :a.size] @ a).astype(float)
+    return BernsteinPoly(c)
 
 
 def bernstein_to_power(P: BernsteinPoly) -> PowerPoly:
@@ -358,7 +361,9 @@ def bernstein_to_power(P: BernsteinPoly) -> PowerPoly:
     (``_extended``). From degree 653 on, the largest weights pass the float
     range, the result is not finite, and PowerPoly raises ValueError.
     """
-    return PowerPoly((_bernstein_to_power_matrix(P.degree) @ P.coeffs).astype(float))
+    with np.errstate(over="ignore", invalid="ignore"):  # PowerPoly rejects non-finite
+        a = (_bernstein_to_power_matrix(P.degree) @ P.coeffs).astype(float)
+    return PowerPoly(a)
 
 
 @lru_cache(maxsize=_MATRIX_CACHE)

@@ -12,11 +12,11 @@ Degree 0 is parameterized directly by the constant value of h on [0,2].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import binom
 
 from .bernstein import BernsteinPoly
 from .pickands import PickandsPoly, a_from_h, endpoint_functionals
@@ -76,10 +76,20 @@ class FullModelParam:
 
 def _square_tensor(d: int) -> np.ndarray:
     # product rule b_{i,d} b_{j,d} = C(d,i) C(d,j) / C(2d,i+j) b_{i+j,2d}:
-    # c(k, 2d; P^2) = p^T S[k] p
+    # c(k, 2d; P^2) = p^T S[k] p. Each weight is an exact ratio of integers
+    # rounded once: while C(2d, d) <= 2^53, every C(d,i) C(d,j) <= C(2d,i+j)
+    # is exact in float64 and one IEEE division rounds it correctly; beyond
+    # that, Python int / int does.
+    row = [math.comb(d, i) for i in range(d + 1)]
+    wide = [math.comb(2 * d, k) for k in range(2 * d + 1)]
     i, j = np.meshgrid(np.arange(d + 1), np.arange(d + 1), indexing="ij")
     S = np.zeros((2 * d + 1, d + 1, d + 1))
-    S[i + j, i, j] = binom(d, i) * binom(d, j) / binom(2 * d, i + j)
+    if wide[d] <= 2**53:
+        r = np.array(row, dtype=float)
+        S[i + j, i, j] = np.outer(r, r) / np.array(wide, dtype=float)[i + j]
+    else:
+        S[i + j, i, j] = [[ri * rj / wide[a + b] for b, rj in enumerate(row)]
+                          for a, ri in enumerate(row)]
     return S
 
 

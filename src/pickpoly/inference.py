@@ -22,6 +22,15 @@ interior point with the exact Hessian over the polytope. Every final point
 is pulled radially back into the parameter space and scored; the
 independence parameter (loglik exactly 0) is always a fallback candidate.
 Everything is deterministic given the seed.
+
+The optimizer is bound on first use, not on import, so that validating,
+converting or sampling never loads ``scipy.optimize``: the module attribute
+``minimize`` is looked up through a PEP 562 module ``__getattr__`` that
+imports it and stores it in the module globals, and every local search
+calls whatever ``inference.minimize`` is bound to at call time (a caller
+may rebind it, e.g. to time each search). ``simulation.run_study`` binds it
+before creating its process pool, so the forked workers inherit the loaded
+optimizer instead of each importing it on its first fit.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 
 from .bernstein import BernsteinPoly, eval_with_derivatives
 from .full_model import (
@@ -52,6 +60,22 @@ from .pickands import (
 from .submodel import PiecewiseLinearPickands, SubmodelParam
 
 LOGLIK_NEG_INF = float("-inf")
+
+
+def __getattr__(name: str):
+    # PEP 562: ``minimize`` is bound from scipy.optimize on its first lookup.
+    if name != "minimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import minimize
+
+    globals()["minimize"] = minimize
+    return minimize
+
+
+def _minimize(*args, **kwargs):
+    """One local search through whatever ``inference.minimize`` is bound to now."""
+    fn = globals().get("minimize") or __getattr__("minimize")
+    return fn(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -398,6 +422,8 @@ def _sqp(fun, x0, *, constraints, maxiter=_MAXITER, ftol=_FTOL, **_):
             nit[act] += 1
             ok[act] = kkt | settled
             active[act] = ~(ok[act] | stuck) & (nit[act] < maxiter)
+    from scipy.optimize import OptimizeResult  # loaded by the minimize call running this
+
     return OptimizeResult(x=X, fun=float(F.min()), nfev=nfev, success=bool(ok.all()), converged=ok)
 
 
@@ -425,9 +451,9 @@ def _interior_point(loglik: _LogLik, starts: np.ndarray, W: np.ndarray, maxiter:
     spent = np.zeros(C.shape[0], int)
     mu = 0.1
     while True:
-        res = minimize(loglik.objective, C.ravel(), method=_barrier_stage, hess=loglik.hessian,
-                       constraints=W, options={"mu": mu, "duals": duals, "spent": spent,
-                                               "maxiter": maxiter})
+        res = _minimize(loglik.objective, C.ravel(), method=_barrier_stage, hess=loglik.hessian,
+                        constraints=W, options={"mu": mu, "duals": duals, "spent": spent,
+                                                "maxiter": maxiter})
         C, duals, spent = res.x, res.duals, res.spent
         if mu == _MU_MIN or np.all(spent >= maxiter):
             return C, res.converged & (mu == _MU_MIN)
@@ -531,6 +557,8 @@ def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter=_MAX
                 ok[act] = settled
                 stop |= settled
             active[act] = ~stop & (spent[act] < maxiter)
+    from scipy.optimize import OptimizeResult  # loaded by the minimize call running this
+
     return OptimizeResult(x=C, fun=float(F.min()), nfev=nfev, success=bool(ok.all()),
                           converged=ok, duals=(Zc, Zw), spent=spent)
 
@@ -587,8 +615,8 @@ def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> Fi
         Q = np.stack(form_matrices(m))
 
         def search():
-            res = minimize(loglik.theta_objective, starts.ravel(), method=_sqp, constraints=Q,
-                           options={"maxiter": maxiter})
+            res = _minimize(loglik.theta_objective, starts.ravel(), method=_sqp, constraints=Q,
+                            options={"maxiter": maxiter})
             return res.x, res.converged
 
     def candidate(theta: np.ndarray):

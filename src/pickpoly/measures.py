@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .bernstein import bernstein_approx, binom_pmf, evaluate
 from .pickands import GenericPickands, PickandsPoly, vee
@@ -45,6 +44,8 @@ def tau_measures(A: PickandsPoly | GenericPickands) -> DependenceReport:
     if isinstance(A, PickandsPoly):
         integral = float(np.mean(A.poly.coeffs))
     else:
+        from scipy import integrate
+
         integral, _ = integrate.quad(lambda t: float(A.value(t)), 0.0, 1.0,
                                      epsabs=1e-10, limit=200)
     tau2 = 4.0 * (1.0 - integral)

@@ -245,7 +245,12 @@ def _solve_conditional(kernel, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """One Monte Carlo experiment: model, sizes, estimators, seed, grid."""
+    """One Monte Carlo experiment: model, sizes, estimators, seed, grid.
+
+    An ``n``, ``replicates``, ``m``, ``seed`` or ``grid`` that is not an
+    integer, or is below 2, 1, 0, 0 or 2 respectively, raises a ValueError
+    naming the field.
+    """
 
     model: ReferenceModel
     n: int
@@ -258,17 +263,15 @@ class StudyConfig:
     ranks: bool = False  # fit on midrank pseudo-observations instead of true margins
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
+        for name, low in (("n", 2), ("replicates", 1), ("m", 0), ("seed", 0), ("grid", 2)):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
         bad = set(self.estimators) - {"full", "sub", "cfg"}
         if bad or not self.estimators:
             raise ValueError(f"estimators must be a nonempty subset of full/sub/cfg, got {bad}")
-        if self.grid < 2:
-            raise ValueError("grid must be >= 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,6 +365,8 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
         results = [_study_replicate(t) for t in tasks]
     else:
         chunk = max(1, config.replicates // (nthreads * 8))
+        import scipy.optimize  # noqa: F401  (the forked workers inherit it; see inference)
+
         with ProcessPoolExecutor(max_workers=nthreads) as pool:
             results = list(pool.map(_study_replicate, tasks, chunksize=chunk))
 

@@ -6,6 +6,9 @@ rational arithmetic), so oracle and implementation cannot share a bug.
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,6 +19,7 @@ from scipy import integrate
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
+import pickpoly
 from pickpoly import (
     BernsteinPoly,
     FullModelParam,
@@ -506,3 +510,16 @@ def sample_feasible_forty_batches(m: int, rng: np.random.Generator, count: int) 
     radial = rng.uniform(size=count - have) ** (1.0 / (m + 1))
     out.append(xi * (radius * radial)[:, None])
     return np.concatenate(out)[:count]
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python args...`` in a fresh interpreter that imports this pickpoly.
+
+    Modules the test suite has loaded do not count there, and neither does
+    pytest's capture of warnings: stdout and stderr are the process's own.
+    """
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pickpoly.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=env)

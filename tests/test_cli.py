@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import POLFULL_H, POLFULL_POWER
+from helpers import POLFULL_H, POLFULL_POWER, run_python
 from pickpoly import SampleSet, sample_copula
 from pickpoly import cli as cli_module
 from pickpoly.cli import main
@@ -372,17 +372,21 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_import_leaves_scipy_stats_out():
-    # a fresh interpreter, so modules the test suite loaded do not count
-    import os
-    import subprocess
-    import sys
+    # scipy loads where it is first used, never on import (a fresh interpreter,
+    # so modules the test suite loaded do not count)
+    code = ("import sys, pickpoly, pickpoly.cli; "
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
 
-    import pickpoly
 
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pickpoly.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, pickpoly, pickpoly.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env=env)
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+@pytest.mark.parametrize("poly", [
+    {"basis": "bernstein", "degree": 1030, "coeffs": [1.0] * 1031},  # weights past the float range
+    {"basis": "power", "degree": 3, "coeffs": [1e308] * 4},  # sums past the float range
+])
+def test_convert_past_float_range_writes_one_json_error(tmp_path, poly):
+    # a subprocess: in process, pytest captures numpy's RuntimeWarning
+    proc = run_python("-m", "pickpoly", "convert", "--in", write(tmp_path / "p.json", poly))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "ValueError",
+                                       "message": "coefficients must be finite"}

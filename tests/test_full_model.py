@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from pickpoly import (
     theta_to_pickands,
     validate_pickands,
 )
+from pickpoly import full_model
 from pickpoly.full_model import coefficient_tensor
 
 
@@ -205,3 +209,33 @@ def test_quartic_h_is_reachable():
 def test_param_json_roundtrip():
     p = FullModelParam(2, [0.5, -0.25, 1.5])
     assert FullModelParam.from_json(p.to_json()).theta.tolist() == p.theta.tolist()
+
+
+def _scipy_square_tensor(d: int) -> np.ndarray:
+    # the product-rule weights from scipy's floating-point binomials
+    from scipy.special import binom
+
+    i, j = np.meshgrid(np.arange(d + 1), np.arange(d + 1), indexing="ij")
+    S = np.zeros((2 * d + 1, d + 1, d + 1))
+    S[i + j, i, j] = binom(d, i) * binom(d, j) / binom(2 * d, i + j)
+    return S
+
+
+def test_coefficient_tensor_bit_identical_to_scipy_binomials(monkeypatch):
+    exact = [coefficient_tensor.__wrapped__(m) for m in range(1, 34)]
+    monkeypatch.setattr(full_model, "_square_tensor", _scipy_square_tensor)
+    for m, T in enumerate(exact, start=1):
+        assert np.array_equal(T, coefficient_tensor.__wrapped__(m)), m
+
+
+def test_square_tensor_correctly_rounded():
+    # every weight C(d,i) C(d,j) / C(2d,i+j) is the float nearest the exact
+    # ratio, on both sides of C(2d, d) = 2^53, through m = 60
+    for d in range(31):
+        S = full_model._square_tensor(d)
+        for i in range(d + 1):
+            for j in range(d + 1):
+                exact = Fraction(math.comb(d, i) * math.comb(d, j), math.comb(2 * d, i + j))
+                entry = S[i + j, i, j]
+                assert abs(Fraction(entry) - exact) <= Fraction(math.ulp(entry)) / 2, (d, i, j)
+        assert np.count_nonzero(S) == (d + 1) ** 2

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import MIX_PSI, POLFULL_H, fd_mixed_partial, gcm_bruteforce, slsqp_multistart_loglik
+from helpers import (
+    MIX_PSI,
+    POLFULL_H,
+    fd_mixed_partial,
+    gcm_bruteforce,
+    run_python,
+    slsqp_multistart_loglik,
+)
 from pickpoly import (
     AsymmetricLogistic,
     BernsteinPoly,
@@ -432,3 +439,32 @@ def test_fit_full_m0_reaches_the_exact_constant_maximizer():
     grid = np.linspace(0.0, 2.0, 2001)
     best = max(log_likelihood(PickandsPoly(a_from_h(BernsteinPoly([h]))), data) for h in grid)
     assert res.loglik >= best - 1e-9
+
+
+def test_rebound_minimize_sees_every_local_search():
+    # the optimizer is bound on its first lookup; a wrapper put in its place
+    # before any fit (as a tracer does) must see each local search once
+    code = """
+import sys
+import pickpoly as pp
+from pickpoly import inference
+assert "scipy.optimize" not in sys.modules
+real = inference.minimize
+calls = []
+
+def counting(*args, **kwargs):
+    calls.append(kwargs["method"].__name__)
+    return real(*args, **kwargs)
+
+inference.minimize = counting
+data = pp.sample_copula(pp.SymmetricMixed(0.9), 80, 3)
+config = pp.OptimConfig(starts=4, seed=1)
+for m in (1, 4):
+    pp.fit_full(data, m, config)
+pp.fit_sub(data, 4, config)
+assert inference.minimize is counting
+print(calls.count("_sqp"), calls.count("_barrier_stage"), len(calls))
+"""
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "7", "9"]

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import random_valid_pickands
-from helpers import ALOG_PARAMS, alog_value
+from helpers import ALOG_PARAMS, alog_value, run_python
 from pickpoly import (
+    AsymmetricLogistic,
     BernsteinPoly,
     FullModelParam,
     GenericPickands,
     PickandsPoly,
     approx_error_bound,
     bernstein_approx,
+    binom_pmf,
     comonotone,
     independence,
+    model_pickands,
     submodel_tau_range,
     tau_measures,
     theta_to_pickands,
@@ -135,3 +138,18 @@ def test_rate_check_v_at_half():
     # monotone approach to sqrt(1/(2 pi)) ~ 0.39894
     assert all(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1))
     assert abs(ratios[-1] - np.sqrt(1.0 / (2.0 * np.pi))) < 2e-4
+
+
+def test_scipy_paths_work_in_a_fresh_interpreter():
+    # quadrature and log-gamma import scipy where they are first used
+    code = """
+import pickpoly as pp
+model = pp.model_pickands(pp.AsymmetricLogistic(0.5, 0.1, 0.5))
+r = pp.tau_measures(model)
+print(repr(r.tau1), repr(r.tau2), repr(pp.binom_pmf(3, 10, 0.3)), repr(pp.submodel_tau_range(5, 1)))
+"""
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    r = tau_measures(model_pickands(AsymmetricLogistic(0.5, 0.1, 0.5)))
+    assert proc.stdout.split() == [repr(r.tau1), repr(r.tau2), repr(binom_pmf(3, 10, 0.3)),
+                                   repr(submodel_tau_range(5, 1))]

@@ -279,6 +279,27 @@ def test_study_config_rejects_negative_m():
         StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=-1, estimators=("cfg",))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("replicates", 2.0), ("n", 100.5), ("n", np.float64(30.0)), ("m", True), ("m", 2.0),
+    ("grid", 11.0), ("replicates", "2"), ("seed", 1.5),
+])
+def test_study_config_rejects_non_integer_sizes(field, value):
+    sizes = {"n": 30, "replicates": 2, "m": 0, "seed": 0, "grid": 11, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        StudyConfig(model=MIX_MODEL, estimators=("cfg",), **sizes)
+
+
+def test_study_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
+        StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0, estimators=("cfg",), seed=-1)
+
+
+def test_study_config_accepts_numpy_integers():
+    config = StudyConfig(model=MIX_MODEL, n=np.int64(30), replicates=np.int32(2), m=np.int64(0),
+                         estimators=("cfg",), seed=np.uint32(4), grid=np.int64(11))
+    assert run_study(config, threads=1).excluded["cfg"] == 0
+
+
 def test_run_study_failure_policy(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("forced failure")
