@@ -485,6 +485,8 @@ def poly_from_json(obj: dict) -> BernsteinPoly | PowerPoly:
         coeffs = obj["coeffs"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"polynomial JSON missing field: {exc}") from exc
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
+        raise ValueError(f"polynomial JSON: 'degree' must be an integer >= 0, got {degree!r}")
     if not isinstance(coeffs, (list, tuple)) or len(coeffs) != degree + 1:
         raise ValueError("polynomial JSON: coeffs length must equal degree + 1")
     if basis == "bernstein":

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .measures import approx_error_bound, tau_measures
 from .pickands import PickandsPoly, comonotone, validate_pickands
 from .simulation import (
     StudyConfig,
-    _json_field,
     model_from_json,
     model_pickands,
     run_study,
@@ -66,7 +65,7 @@ def _dump(obj) -> str:
 def _as_bernstein(poly, m: int | None = None) -> BernsteinPoly:
     if isinstance(poly, PowerPoly):
         return power_to_bernstein(poly, m)
-    if m is not None and m > poly.degree:
+    if m is not None and m != poly.degree:
         return elevate_degree(poly, m)
     return poly
 
@@ -184,7 +183,7 @@ def _cmd_study(args) -> int:
     if not isinstance(raw, dict):
         raise ValueError(f"study config must be a JSON object, got {type(raw).__name__}")
     optim = _optim_config(raw["optim"]) if "optim" in raw else None
-    raw = {"estimators": ("full", "sub", "cfg"), "seed": 0, "grid": 101, "ranks": False, **raw}
+    raw = {**{f.name: f.default for f in fields(StudyConfig) if f.default is not MISSING}, **raw}
 
     def field(key, ok, kind):
         # exact JSON types: 40.9 is not an integer and "false" not a boolean
@@ -200,7 +199,8 @@ def _cmd_study(args) -> int:
         n=integer("n"),
         replicates=integer("replicates"),
         m=integer("m"),
-        estimators=_json_field(raw, "estimators", tuple, "study config"),
+        estimators=tuple(field("estimators", lambda x: isinstance(x, (list, tuple))
+                               and all(isinstance(e, str) for e in x), "a list of strings")),
         seed=integer("seed"),
         grid=integer("grid"),
         optim=optim,

@@ -15,28 +15,20 @@ a smooth function of the spectral coefficients h with a closed-form
 gradient and Hessian, evaluated through a design matrix built once per
 (data, m) for a whole stack of points at a time. The problems are
 nonconcave, so each fitter searches from many feasible random starts and
-keeps the best; all starts advance together in one batched search, run as
-a scipy ``minimize`` custom method: a damped-BFGS SQP over Theta_m whose QP
-over the two linearised caps is solved in closed form, and a primal-dual
-interior point with the exact Hessian over the polytope. Every final point
-is pulled radially back into the parameter space and scored; the
+keeps the best; all starts advance together in one batched local search: a
+damped-BFGS SQP over Theta_m whose QP over the two linearised caps is solved
+in closed form, and a primal-dual interior point with the exact Hessian over
+the polytope, each local search one call of ``minimize``. Every final
+point is pulled radially back into the parameter space and scored; the
 independence parameter (loglik exactly 0) is always a fallback candidate.
 Everything is deterministic given the seed.
-
-The optimizer is bound on first use, not on import, so that validating,
-converting or sampling never loads ``scipy.optimize``: the module attribute
-``minimize`` is looked up through a PEP 562 module ``__getattr__`` that
-imports it and stores it in the module globals, and every local search
-calls whatever ``inference.minimize`` is bound to at call time (a caller
-may rebind it, e.g. to time each search). ``simulation.run_study`` binds it
-before creating its process pool, so the forked workers inherit the loaded
-optimizer instead of each importing it on its first fit.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
@@ -52,6 +44,7 @@ from .full_model import (
 )
 from .pickands import (
     PickandsPoly,
+    _density_brace,
     _kernel,
     a_from_h,
     a_from_h_matrix,
@@ -62,20 +55,14 @@ from .submodel import PiecewiseLinearPickands, SubmodelParam
 LOGLIK_NEG_INF = float("-inf")
 
 
-def __getattr__(name: str):
-    # PEP 562: ``minimize`` is bound from scipy.optimize on its first lookup.
-    if name != "minimize":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.optimize import minimize
+def minimize(fun, x0, method, **options):
+    """One local search: ``method(fun, x0, **options)``.
 
-    globals()["minimize"] = minimize
-    return minimize
-
-
-def _minimize(*args, **kwargs):
-    """One local search through whatever ``inference.minimize`` is bound to now."""
-    fn = globals().get("minimize") or __getattr__("minimize")
-    return fn(*args, **kwargs)
+    The one place every local search of both MLEs passes; the fitters look
+    it up at call time, so a caller may rebind ``inference.minimize``, e.g.
+    to time each search.
+    """
+    return method(fun, x0, **options)
 
 
 @dataclass(frozen=True)
@@ -174,7 +161,7 @@ def _loglik_terms(values, t: np.ndarray, s: np.ndarray) -> float:
     # sum of log copula densities from values = (A, A', A'') at the
     # pseudo-angles; -inf when a density is nonpositive
     val, d1, d2 = values
-    brace = (val + (1.0 - t) * d1) * (val - t * d1) - t * (1.0 - t) * d2 / s
+    brace = _density_brace(val, d1, d2, t, s)
     if np.any(brace <= 0.0):
         return LOGLIK_NEG_INF
     return float(np.sum(s * (val - 1.0)) + np.sum(np.log(brace)))
@@ -301,19 +288,19 @@ class _LogLik:
 _CAP_SLACK = 0.1
 
 
-def _sqp(fun, x0, *, constraints, maxiter=_MAXITER, ftol=_FTOL, **_):
+def _sqp(fun, x0, *, constraints, maxiter):
     """Damped-BFGS SQP over Theta_m = {theta : theta' Q_j theta <= 1, j = 0, 1}.
 
-    A scipy custom method: ``fun`` maps a (starts x p) stack to values and
-    gradients, ``x0`` is the flattened stack of starts and ``constraints``
-    the stacked forms (Q0, Q1). All starts advance together. Each iteration
-    solves the QP over the two linearised caps in closed form, trying the
-    active sets {}, {0}, {1} and {0, 1} with the inverse BFGS matrix, then
-    backtracks on the l1 merit function f + rho . max(0, q - 1). The update
-    is Powell-damped, using B s = alpha (A' lambda - g) from the QP's own
+    One local search: ``fun`` maps a (starts x p) stack to values and
+    gradients, ``x0`` is the stack of starts and ``constraints`` the stacked
+    forms (Q0, Q1). All starts advance together. Each iteration solves the
+    QP over the two linearised caps in closed form, trying the active sets
+    {}, {0}, {1} and {0, 1} with the inverse BFGS matrix, then backtracks
+    on the l1 merit function f + rho . max(0, q - 1). The update is
+    Powell-damped, using B s = alpha (A' lambda - g) from the QP's own
     optimality conditions, so only the inverse is kept. A start stops at a
-    KKT point (the QP predicts a decrease below ``ftol``), when f moves by
-    less than ``ftol`` and the step is tiny or the predicted decrease small,
+    KKT point (the QP predicts a decrease below _FTOL), when f moves by
+    less than _FTOL and the step is tiny or the predicted decrease small,
     when its line search fails from the identity matrix, or after
     ``maxiter`` iterations. Returns the final stack as ``x``, per-start
     ``converged`` flags, and ``fun`` the best final value.
@@ -327,7 +314,7 @@ def _sqp(fun, x0, *, constraints, maxiter=_MAXITER, ftol=_FTOL, **_):
         QX = (x @ Qcat).reshape(-1, 2, p)
         return QX, (QX @ x[:, :, None])[:, :, 0]
 
-    X = x0.reshape(-1, p).copy()
+    X = x0.copy()
     count = X.shape[0]
     F, G = fun(X)
     nfev = 1
@@ -372,7 +359,7 @@ def _sqp(fun, x0, *, constraints, maxiter=_MAXITER, ftol=_FTOL, **_):
             phi = f + penalty
             slope = gd - penalty
             pred = np.abs(gd) + np.abs(lam * c).sum(axis=1)
-            kkt = (pred < ftol) & (penalty == 0.0)
+            kkt = (pred < _FTOL) & (penalty == 0.0)
             # backtracking by safeguarded quadratic interpolation
             alpha = np.ones(act.size)
             trying = ~kkt
@@ -416,15 +403,13 @@ def _sqp(fun, x0, *, constraints, maxiter=_MAXITER, ftol=_FTOL, **_):
             if trying.any():
                 Hi[trying] = eye
             reset[act] = trying | (reset[act] & ~update)
-            settled = ((np.abs(fn - f) < ftol) & ~trying & (qn.max(axis=1) <= 1.0 + ftol)
+            settled = ((np.abs(fn - f) < _FTOL) & ~trying & (qn.max(axis=1) <= 1.0 + _FTOL)
                        & (((s * s).sum(axis=1) < 1e-16) | (pred < 1e-6)))
             X[act], F[act], G[act], Hinv[act] = xn, fn, gn, Hi
             nit[act] += 1
             ok[act] = kkt | settled
             active[act] = ~(ok[act] | stuck) & (nit[act] < maxiter)
-    from scipy.optimize import OptimizeResult  # loaded by the minimize call running this
-
-    return OptimizeResult(x=X, fun=float(F.min()), nfev=nfev, success=bool(ok.all()), converged=ok)
+    return SimpleNamespace(x=X, fun=float(F.min()), nfev=nfev, success=bool(ok.all()), converged=ok)
 
 
 # Interior point: barrier parameters run mu <- max(_MU_MIN, min(0.2 mu, mu^1.5))
@@ -451,22 +436,20 @@ def _interior_point(loglik: _LogLik, starts: np.ndarray, W: np.ndarray, maxiter:
     spent = np.zeros(C.shape[0], int)
     mu = 0.1
     while True:
-        res = _minimize(loglik.objective, C.ravel(), method=_barrier_stage, hess=loglik.hessian,
-                        constraints=W, options={"mu": mu, "duals": duals, "spent": spent,
-                                                "maxiter": maxiter})
+        res = minimize(loglik.objective, C, method=_barrier_stage, hess=loglik.hessian,
+                       constraints=W, mu=mu, duals=duals, spent=spent, maxiter=maxiter)
         C, duals, spent = res.x, res.duals, res.spent
         if mu == _MU_MIN or np.all(spent >= maxiter):
             return C, res.converged & (mu == _MU_MIN)
         mu = max(_MU_MIN, min(0.2 * mu, mu ** 1.5))
 
 
-def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter=_MAXITER,
-                   ftol=_FTOL, **_):
+def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter):
     """Primal-dual Newton iterations on one barrier subproblem, every start at once.
 
-    A scipy custom method: ``fun`` maps a (starts x p) stack to values and
-    gradients, ``hess`` to the exact Hessians, ``x0`` is the flattened stack
-    of strictly interior points, ``constraints`` the (2 x p) cap weights W,
+    One local search: ``fun`` maps a (starts x p) stack to values and
+    gradients, ``hess`` to the exact Hessians, ``x0`` is the stack of
+    strictly interior points, ``constraints`` the (2 x p) cap weights W,
     ``duals`` the multipliers of c >= 0 and of the caps, and ``spent`` the
     iterations each start has used. The Newton matrix
     H + diag(z/c) + W' diag(z_w/s_w) W is shifted by its least eigenvalue
@@ -475,7 +458,7 @@ def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter=_MAX
     of the distance to every bound (fraction to the boundary) and backtracks
     on the barrier function. A start leaves the stage once its barrier KKT
     error is below _KAPPA mu; in the last stage (mu = _MU_MIN) once the
-    duality gap and the change of f are below ``ftol`` and the dual residual
+    duality gap and the change of f are below _FTOL and the dual residual
     or the step is small. Returns the points, ``duals``, ``spent`` and
     per-start ``converged`` flags.
     """
@@ -486,7 +469,7 @@ def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter=_MAX
         # the step along dv that takes some entry of each (positive) row of v to 0
         return np.where(dv < 0.0, -v / dv, np.inf).min(axis=1)
 
-    C = x0.reshape(-1, p).copy()
+    C = x0.copy()
     Zc, Zw = duals[0].copy(), duals[1].copy()
     spent = spent.copy()
     F, G = fun(C)
@@ -551,16 +534,14 @@ def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter=_MAX
                 sn = 1.0 - cn @ W.T
                 gap = (cn * zc).sum(axis=1) + (sn * zw).sum(axis=1)
                 dual = np.abs(gn - zc + zw @ W).max(axis=1)
-                settled = ((gap < ftol) & (np.abs(fn - f) < ftol)
+                settled = ((gap < _FTOL) & (np.abs(fn - f) < _FTOL)
                            & ((dual < 1e-6 * np.maximum(1.0, np.abs(gn).max(axis=1)))
                               | (np.abs(cn - c).max(axis=1) < 1e-6)))
                 ok[act] = settled
                 stop |= settled
             active[act] = ~stop & (spent[act] < maxiter)
-    from scipy.optimize import OptimizeResult  # loaded by the minimize call running this
-
-    return OptimizeResult(x=C, fun=float(F.min()), nfev=nfev, success=bool(ok.all()),
-                          converged=ok, duals=(Zc, Zw), spent=spent)
+    return SimpleNamespace(x=C, fun=float(F.min()), nfev=nfev, success=bool(ok.all()),
+                           converged=ok, duals=(Zc, Zw), spent=spent)
 
 
 def _multistart(data: SampleSet, search, candidate):
@@ -615,8 +596,8 @@ def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> Fi
         Q = np.stack(form_matrices(m))
 
         def search():
-            res = _minimize(loglik.theta_objective, starts.ravel(), method=_sqp, constraints=Q,
-                            options={"maxiter": maxiter})
+            res = minimize(loglik.theta_objective, starts, method=_sqp, constraints=Q,
+                           maxiter=maxiter)
             return res.x, res.converged
 
     def candidate(theta: np.ndarray):
@@ -719,8 +700,11 @@ def fit_cfg(data: SampleSet, grid: int = 1001) -> FitResult:
     xi_i(t) = min{(-log u_i)/(1-t), (-log v_i)/t}; endpoint correction
     log A(t) -= (1-t) log A(0) + t log A(1); clamp into [V, 1]; greatest
     convex minorant on the grid. The result satisfies all Pickands
-    conditions on the grid.
+    conditions on the grid. A ``grid`` that is not an integer >= 2 raises a
+    ValueError naming it.
     """
+    if not _is_int(grid) or grid < 2:
+        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
     if data.n < 2:
         raise ValueError("CFG estimator needs n >= 2")
     if np.ptp(data.u) == 0.0 and np.ptp(data.v) == 0.0:

@@ -346,6 +346,12 @@ def _kernel(A, t: np.ndarray):
     return A.kernel(t)
 
 
+def _density_brace(a, d1, d2, t, s):
+    # {A + (1-t) A'}{A - t A'} - t(1-t) A''/s: the copula density over
+    # exp{s (A - 1)}, shared by the density, the likelihood and the sampler
+    return (a + (1.0 - t) * d1) * (a - t * d1) - t * (1.0 - t) * d2 / s
+
+
 def copula_density(A, u, v):
     """Copula density d2 C_A / du dv on the open square.
 
@@ -371,6 +377,5 @@ def copula_density(A, u, v):
     s = (np.log(ua) + np.log(va)).ravel()
     t = np.log(va).ravel() / s
     a, d1, d2 = _kernel(A, t)
-    brace = (a + (1.0 - t) * d1) * (a - t * d1) - t * (1.0 - t) * d2 / s
-    out = np.exp(s * (a - 1.0)) * brace
+    out = np.exp(s * (a - 1.0)) * _density_brace(a, d1, d2, t, s)
     return float(out[0]) if scalar else out.reshape(ua.shape)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bernstein import PowerPoly, poly_from_json, poly_to_json, power_to_bernstein
 from .inference import FitResult, OptimConfig, SampleSet, _is_int, fit_cfg, fit_full, fit_sub
-from .pickands import GenericPickands, PickandsPoly, independence
+from .pickands import GenericPickands, PickandsPoly, _density_brace, independence
 
 
 class StudyError(RuntimeError):
@@ -220,7 +220,7 @@ def _solve_conditional(kernel, u: np.ndarray, w: np.ndarray) -> np.ndarray:
             e = np.exp(s * a - logu)  # C / u
             right = a - t * d1
             f = e * right - w
-            slope = (e / x) * ((a + (1.0 - t) * d1) * right - t * (1.0 - t) * d2 / s)
+            slope = (e / x) * _density_brace(a, d1, d2, t, s)
             above = f >= 0.0
             hi = np.where(above, x, hi)
             lo = np.where(above, lo, x)
@@ -249,7 +249,8 @@ class StudyConfig:
 
     An ``n``, ``replicates``, ``m``, ``seed`` or ``grid`` that is not an
     integer, or is below 2, 1, 0, 0 or 2 respectively, raises a ValueError
-    naming the field.
+    naming the field, as do ``estimators`` that are not distinct names from
+    full/sub/cfg.
     """
 
     model: ReferenceModel
@@ -269,9 +270,10 @@ class StudyConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value!r}")
-        bad = set(self.estimators) - {"full", "sub", "cfg"}
-        if bad or not self.estimators:
-            raise ValueError(f"estimators must be a nonempty subset of full/sub/cfg, got {bad}")
+        est = self.estimators
+        if (isinstance(est, str) or not est or set(est) - {"full", "sub", "cfg"}
+                or len(set(est)) != len(est)):
+            raise ValueError(f"estimators must be distinct names from full/sub/cfg, got {est!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,8 +367,6 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
         results = [_study_replicate(t) for t in tasks]
     else:
         chunk = max(1, config.replicates // (nthreads * 8))
-        import scipy.optimize  # noqa: F401  (the forked workers inherit it; see inference)
-
         with ProcessPoolExecutor(max_workers=nthreads) as pool:
             results = list(pool.map(_study_replicate, tasks, chunksize=chunk))
 

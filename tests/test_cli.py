@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import POLFULL_H, POLFULL_POWER, run_python
-from pickpoly import SampleSet, sample_copula
+from pickpoly import BernsteinPoly, SampleSet, StudyConfig, SymmetricMixed, run_study, sample_copula
 from pickpoly import cli as cli_module
 from pickpoly.cli import main
 
@@ -243,6 +243,9 @@ def test_malformed_model_json_exits_1(tmp_path, capsys, command, extra, model, f
     ({"grid": 11.0}, "'grid'"),
     ({"ranks": "false"}, "'ranks'"),
     ({"ranks": 0}, "'ranks'"),
+    ({"estimators": "full"}, "'estimators'"),
+    ({"estimators": ["cfg", 1]}, "'estimators'"),
+    ({"estimators": ["cfg", "cfg"]}, "estimators must be distinct"),
 ])
 def test_study_rejects_malformed_fields(tmp_path, capsys, change, field):
     config = {"model": MIX_MODEL_JSON, "n": 40, "replicates": 2, "m": 0, "estimators": ["cfg"]}
@@ -281,6 +284,17 @@ def test_study_subcommand(tmp_path, capsys, monkeypatch):
     out_json2 = tmp_path / "report2.json"
     assert main(["study", "--in", path, "--out", str(out_json2)]) == 0
     assert out_json.read_text() == out_json2.read_text()
+
+
+def test_study_defaults_are_study_config_defaults(tmp_path, capsys, monkeypatch):
+    # seed, grid and ranks left out of the JSON take StudyConfig's defaults
+    monkeypatch.setenv("PICKPOLY_THREADS", "1")
+    config = {"model": MIX_MODEL_JSON, "n": 40, "replicates": 2, "m": 0, "estimators": ["cfg"]}
+    code, out, _ = run(capsys, "study", "--in", write(tmp_path / "study.json", config))
+    assert code == 0
+    expected = run_study(StudyConfig(model=SymmetricMixed(0.9), n=40, replicates=2, m=0,
+                                     estimators=("cfg",)), threads=1)
+    assert json.loads(out) == json.loads(json.dumps(expected.payload()))
 
 
 def test_domain_error_exit_code(tmp_path, capsys):
@@ -347,6 +361,42 @@ def test_fit_rejects_bad_arguments(tmp_path, capsys, model, args, field):
     assert code == 1 and out == ""
     msg = json.loads(err)
     assert msg["error"] == "ValueError" and field in msg["message"]
+
+
+@pytest.mark.parametrize("degree", ["2", True, 2.0])
+@pytest.mark.parametrize("command", ["validate", "convert", "lorentz", "measures", "simulate"])
+def test_non_integer_polynomial_degree_exits_1(tmp_path, capsys, command, degree):
+    poly = {"basis": "bernstein", "degree": degree, "coeffs": [1.0, 0.75, 1.0]}
+    if command == "simulate":
+        path = write(tmp_path / "model.json", {"model": "poly", "pickands": poly})
+        code, out, err = run(capsys, command, "--model", path, "--n", "5", "--seed", "1")
+    else:
+        code, out, err = run(capsys, command, "--in", write(tmp_path / "p.json", poly))
+    assert code == 1 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and "'degree'" in msg["message"]
+
+
+@pytest.mark.parametrize("grid", ["0", "1", "-3"])
+def test_fit_cfg_rejects_bad_grid(tmp_path, capsys, grid):
+    data = tmp_path / "data.csv"
+    data.write_text("u,v\n0.2,0.3\n0.6,0.5\n0.8,0.9\n0.4,0.1\n")
+    code, out, err = run(capsys, "fit", "--in", str(data), "--model", "cfg", "--grid", grid)
+    assert code == 1 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and "grid" in msg["message"]
+
+
+def test_convert_to_bernstein_honours_m(tmp_path, capsys):
+    path = write(tmp_path / "h.json", POLFULL_H_JSON)
+    code, out, err = run(capsys, "convert", "--in", path, "--to", "bernstein", "--m", "1")
+    assert code == 1 and out == ""
+    assert "below current degree" in json.loads(err)["message"]
+    code, out, _ = run(capsys, "convert", "--in", path, "--to", "bernstein", "--m", "5")
+    lifted = json.loads(out)
+    assert code == 0 and lifted["degree"] == 5
+    t = np.linspace(0.0, 1.0, 11)
+    assert np.allclose(BernsteinPoly(lifted["coeffs"])(t), BernsteinPoly(POLFULL_H)(t), atol=1e-14)
 
 
 def test_console_script_entry_point(tmp_path):

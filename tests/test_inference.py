@@ -442,13 +442,14 @@ def test_fit_full_m0_reaches_the_exact_constant_maximizer():
 
 
 def test_rebound_minimize_sees_every_local_search():
-    # the optimizer is bound on its first lookup; a wrapper put in its place
-    # before any fit (as a tracer does) must see each local search once
+    # every local search passes through inference.minimize, looked up at
+    # call time, so a wrapper put in its place (as a tracer does) sees each
+    # search once; fits and a pooled study load no scipy.optimize (a fresh
+    # interpreter, so modules the test suite loaded do not count)
     code = """
 import sys
 import pickpoly as pp
 from pickpoly import inference
-assert "scipy.optimize" not in sys.modules
 real = inference.minimize
 calls = []
 
@@ -462,7 +463,10 @@ config = pp.OptimConfig(starts=4, seed=1)
 for m in (1, 4):
     pp.fit_full(data, m, config)
 pp.fit_sub(data, 4, config)
+pp.run_study(pp.StudyConfig(model=pp.SymmetricMixed(0.9), n=40, replicates=2, m=2,
+                            estimators=("full", "sub"), optim=config), threads=2)
 assert inference.minimize is counting
+assert not [k for k in sys.modules if k.startswith("scipy.optimize")], "scipy.optimize loaded"
 print(calls.count("_sqp"), calls.count("_barrier_stage"), len(calls))
 """
     proc = run_python("-c", code)

@@ -289,6 +289,12 @@ def test_study_config_rejects_non_integer_sizes(field, value):
         StudyConfig(model=MIX_MODEL, estimators=("cfg",), **sizes)
 
 
+@pytest.mark.parametrize("estimators", [("full", "full"), ("sub", "cfg", "sub"), "full", ()])
+def test_study_config_rejects_bad_estimators(estimators):
+    with pytest.raises(ValueError, match="^estimators must be distinct names"):
+        StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0, estimators=estimators)
+
+
 def test_study_config_rejects_negative_seed():
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
         StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0, estimators=("cfg",), seed=-1)
