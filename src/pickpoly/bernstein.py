@@ -239,23 +239,22 @@ def elevate_degree(P: BernsteinPoly, target: int) -> BernsteinPoly:
     return BernsteinPoly(np.concatenate(list(_elevated_blocks(P.coeffs, target))))
 
 
-def bernstein_approx(f: Callable[[float], float], m: int) -> BernsteinPoly:
+def bernstein_approx(f: Callable[[np.ndarray], np.ndarray], m: int) -> BernsteinPoly:
     """Bernstein approximation of order m: coefficients are f(k/m).
+
+    f maps the array of the m + 1 grid points to an array of its shape.
 
     Raises
     ------
     ValueError
-        If f is non-finite at a grid point, or m < 1.
+        If f gives another shape, is non-finite at a grid point, or m < 1.
     """
     if m < 1:
         raise ValueError("approximation order must be >= 1")
     grid = np.arange(m + 1) / m
-    try:
-        vals = np.asarray(f(grid), dtype=float)
-        if vals.shape != grid.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(g)) for g in grid])
+    vals = np.asarray(f(grid), dtype=float)
+    if vals.shape != grid.shape:
+        raise ValueError(f"approximated function gave shape {vals.shape} for a grid of shape {grid.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("function returned a non-finite value at a grid point")
     return BernsteinPoly(vals)

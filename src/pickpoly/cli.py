@@ -92,12 +92,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_convert(args) -> int:
     poly = poly_from_json(_read_json(args.infile))
-    if args.to == "bernstein":
+    to = args.to or ("power" if isinstance(poly, BernsteinPoly) else "bernstein")
+    if to == "bernstein":
         out = _as_bernstein(poly, args.m)
-    elif args.to == "power":
-        out = bernstein_to_power(poly) if isinstance(poly, BernsteinPoly) else poly
+    elif args.m is not None:
+        raise ValueError("--m is the target Bernstein degree; it does not apply to a power target")
     else:
-        out = bernstein_to_power(poly) if isinstance(poly, BernsteinPoly) else power_to_bernstein(poly, args.m)
+        out = bernstein_to_power(poly) if isinstance(poly, BernsteinPoly) else poly
     _write_out(_dump(poly_to_json(out)), args.out)
     return 0
 

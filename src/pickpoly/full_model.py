@@ -54,24 +54,8 @@ class FullModelParam:
         th.flags.writeable = False
         object.__setattr__(self, "theta", th)
 
-    @property
-    def p_block(self) -> np.ndarray:
-        if self.m == 0:
-            raise ValueError("m = 0 has no (P, Q) blocks")
-        return self.theta[: self.m // 2 + 1]
-
-    @property
-    def q_block(self) -> np.ndarray:
-        if self.m == 0:
-            raise ValueError("m = 0 has no (P, Q) blocks")
-        return self.theta[self.m // 2 + 1 :]
-
     def to_json(self) -> dict:
         return {"m": self.m, "theta": [float(x) for x in self.theta]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "FullModelParam":
-        return FullModelParam(int(obj["m"]), obj["theta"])
 
 
 def _square_tensor(d: int) -> np.ndarray:

@@ -15,7 +15,8 @@ spectral-measure reconstruction, and copula cdf/density evaluation.
 
 Every Pickands type has ``value(t)``. PickandsPoly and GenericPickands also
 have ``kernel(t)``, (A, A', A'') at an array t in one call: all that the
-copula density, the likelihood and the sampler read.
+copula density, the likelihood and the sampler read. A GenericPickands is
+built from one callable that returns that triple.
 """
 
 from __future__ import annotations
@@ -158,31 +159,22 @@ class PickandsPoly:
         return eval_with_derivatives(self.poly.coeffs, t)
 
 
-def _call_vec(f: Callable, t: np.ndarray) -> np.ndarray:
-    out = np.asarray(f(t), dtype=float)
-    if out.shape != t.shape:
-        raise ValueError(f"Pickands callable gave shape {out.shape} for t of shape {t.shape}")
-    return out
-
-
 @dataclass(frozen=True)
 class GenericPickands:
-    """Pickands function given by callables (A, A', A'') plus a tag.
+    """Pickands function given by one callable fn(t) -> (A, A', A'') plus a tag.
 
     Used for non-polynomial models (e.g. the asymmetric logistic family).
-    Each callable maps an array of t to an array of its shape (else a
-    ValueError). Construction checks A(0) = A(1) = 1 and V <= A <= 1 on a
-    1001-point grid to 1e-12. Derivatives are only required on (0, 1).
+    fn maps an array of t to three arrays of its shape (else a ValueError).
+    Construction checks A(0) = A(1) = 1 and V <= A <= 1 on a 1001-point
+    grid to 1e-12. Derivatives are only required on (0, 1).
     """
 
-    a: Callable
-    da: Callable
-    d2a: Callable
+    fn: Callable
     tag: str = ""
 
     def __post_init__(self):
         grid = np.linspace(0.0, 1.0, 1001)
-        vals = _call_vec(self.a, grid)
+        vals = self.kernel(grid)[0]
         if abs(vals[0] - 1.0) > 1e-12 or abs(vals[-1] - 1.0) > 1e-12:
             raise ValueError("A(0) and A(1) must equal 1")
         if np.any(vals > 1.0 + 1e-12) or np.any(vals < vee(grid) - 1e-12):
@@ -191,32 +183,34 @@ class GenericPickands:
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        out = _call_vec(self.a, np.atleast_1d(t))
+        out = self.kernel(np.atleast_1d(t))[0]
         return float(out[0]) if t.ndim == 0 else out
 
     def kernel(self, t: np.ndarray):
-        """(A, A', A'') at an array t: the three callables."""
-        return _call_vec(self.a, t), _call_vec(self.da, t), _call_vec(self.d2a, t)
+        """(A, A', A'') at an array t: one call of fn."""
+        a, d1, d2 = (np.asarray(x, dtype=float) for x in self.fn(t))
+        if not a.shape == d1.shape == d2.shape == t.shape:
+            raise ValueError(f"Pickands callable gave shapes {a.shape}, {d1.shape}, {d2.shape} "
+                             f"for t of shape {t.shape}")
+        return a, d1, d2
+
+
+def _comonotone(t):
+    return vee(t), np.where(t < 0.5, -1.0, 1.0), np.zeros_like(t)
 
 
 def comonotone() -> GenericPickands:
     """The comonotone Pickands function A = V (copula min(u, v))."""
-    return GenericPickands(
-        a=vee,
-        da=lambda t: np.where(np.asarray(t, dtype=float) < 0.5, -1.0, 1.0),
-        d2a=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        tag="comonotone",
-    )
+    return GenericPickands(_comonotone, tag="comonotone")
+
+
+def _independence(t):
+    return np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
 
 
 def independence() -> GenericPickands:
     """The independence Pickands function A == 1 (copula u*v)."""
-    return GenericPickands(
-        a=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        da=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d2a=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        tag="independence",
-    )
+    return GenericPickands(_independence, tag="independence")
 
 
 @lru_cache(maxsize=None)

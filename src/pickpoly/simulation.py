@@ -68,16 +68,15 @@ def model_pickands(model: ReferenceModel) -> PickandsPoly | GenericPickands:
     """The model's Pickands function, with ``value`` and ``kernel`` (A, A', A'').
 
     A PolynomialModel gives its own PickandsPoly; the other models give a
-    GenericPickands of their closed-form A, A' and A''.
+    GenericPickands of one closed-form function returning (A, A', A'').
     """
     if isinstance(model, SymmetricMixed):
         psi = model.psi
-        return GenericPickands(
-            a=lambda t: 1.0 - psi * t + psi * t * t,
-            da=lambda t: psi * (2.0 * t - 1.0),
-            d2a=lambda t: np.full_like(t, 2.0 * psi),
-            tag="mix",
-        )
+
+        def mix(t):
+            return 1.0 - psi * t + psi * t * t, psi * (2.0 * t - 1.0), np.full_like(t, 2.0 * psi)
+
+        return GenericPickands(mix, tag="mix")
     if isinstance(model, PolynomialModel):
         return model.pickands
     if isinstance(model, AsymmetricLogistic):
@@ -87,22 +86,19 @@ def model_pickands(model: ReferenceModel) -> PickandsPoly | GenericPickands:
         r = 1.0 / alpha
         c1, c2 = psi1**r, psi2**r
 
-        def a(t):
-            g = c1 * t**r + c2 * (1.0 - t) ** r
-            return (1.0 - psi1) * t + (1.0 - psi2) * (1.0 - t) + g**alpha
+        def alog(t):
+            # for alpha > 1/2, t**(r - 2) divides by zero at t in {0, 1}:
+            # A'' is infinite there and is only read on (0, 1)
+            with np.errstate(divide="ignore"):
+                g = c1 * t**r + c2 * (1.0 - t) ** r
+                dg = r * (c1 * t ** (r - 1.0) - c2 * (1.0 - t) ** (r - 1.0))
+                d2g = r * (r - 1.0) * (c1 * t ** (r - 2.0) + c2 * (1.0 - t) ** (r - 2.0))
+                return ((1.0 - psi1) * t + (1.0 - psi2) * (1.0 - t) + g**alpha,
+                        (psi2 - psi1) + alpha * g ** (alpha - 1.0) * dg,
+                        alpha * (alpha - 1.0) * g ** (alpha - 2.0) * dg**2
+                        + alpha * g ** (alpha - 1.0) * d2g)
 
-        def da(t):
-            g = c1 * t**r + c2 * (1.0 - t) ** r
-            dg = r * (c1 * t ** (r - 1.0) - c2 * (1.0 - t) ** (r - 1.0))
-            return (psi2 - psi1) + alpha * g ** (alpha - 1.0) * dg
-
-        def d2a(t):
-            g = c1 * t**r + c2 * (1.0 - t) ** r
-            dg = r * (c1 * t ** (r - 1.0) - c2 * (1.0 - t) ** (r - 1.0))
-            d2g = r * (r - 1.0) * (c1 * t ** (r - 2.0) + c2 * (1.0 - t) ** (r - 2.0))
-            return alpha * (alpha - 1.0) * g ** (alpha - 2.0) * dg**2 + alpha * g ** (alpha - 1.0) * d2g
-
-        return GenericPickands(a=a, da=da, d2a=d2a, tag="alog")
+        return GenericPickands(alog, tag="alog")
     raise TypeError(f"unknown reference model {model!r}")
 
 

@@ -42,10 +42,6 @@ class SubmodelParam:
     def to_json(self) -> dict:
         return {"m": self.m, "c": [float(x) for x in self.c]}
 
-    @staticmethod
-    def from_json(obj: dict) -> "SubmodelParam":
-        return SubmodelParam(int(obj["m"]), obj["c"])
-
 
 @dataclass(frozen=True)
 class PiecewiseLinearPickands:

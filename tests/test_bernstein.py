@@ -212,6 +212,11 @@ def test_bernstein_approx_interpolates_endpoints(rng):
         assert evaluate(B, 1.0) == pytest.approx(f(1.0), abs=1e-15)
 
 
+def test_bernstein_approx_rejects_non_vectorized_function():
+    with pytest.raises(ValueError, match="shape"):
+        bernstein_approx(lambda t: 1.0, 4)
+
+
 def test_bernstein_approx_rejects_nonfinite():
     with pytest.raises(ValueError), np.errstate(divide="ignore"):
         bernstein_approx(lambda t: np.where(t > 0, 1.0 / np.maximum(t, 1e-300), np.inf), 4)

@@ -387,6 +387,19 @@ def test_fit_cfg_rejects_bad_grid(tmp_path, capsys, grid):
     assert msg["error"] == "ValueError" and "grid" in msg["message"]
 
 
+@pytest.mark.parametrize("poly, argv", [
+    (POLFULL_H_JSON, ["--m", "7"]),  # the default target of a Bernstein input is power
+    (POLFULL_H_JSON, ["--to", "power", "--m", "1"]),
+    ({"basis": "power", "degree": 2, "coeffs": [1.0, -0.5, 0.5]}, ["--to", "power", "--m", "1"]),
+])
+def test_convert_rejects_m_with_power_target(tmp_path, capsys, poly, argv):
+    path = write(tmp_path / "p.json", poly)
+    code, out, err = run(capsys, "convert", "--in", path, *argv)
+    assert code == 1 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and "--m" in msg["message"] and "power" in msg["message"]
+
+
 def test_convert_to_bernstein_honours_m(tmp_path, capsys):
     path = write(tmp_path / "h.json", POLFULL_H_JSON)
     code, out, err = run(capsys, "convert", "--in", path, "--to", "bernstein", "--m", "1")

@@ -208,7 +208,8 @@ def test_quartic_h_is_reachable():
 
 def test_param_json_roundtrip():
     p = FullModelParam(2, [0.5, -0.25, 1.5])
-    assert FullModelParam.from_json(p.to_json()).theta.tolist() == p.theta.tolist()
+    assert p.to_json() == {"m": 2, "theta": [0.5, -0.25, 1.5]}
+    assert FullModelParam(**p.to_json()).theta.tolist() == p.theta.tolist()
 
 
 def _scipy_square_tensor(d: int) -> np.ndarray:

@@ -101,9 +101,8 @@ def test_loglik_single_pair_matches_fd_density():
 def test_loglik_generic_equals_polynomial_route():
     data = sample_copula(MIX_MODEL, 40, 3)
     psi = MIX_PSI
-    generic = GenericPickands(a=lambda t: 1.0 - psi * t + psi * t * t,
-                              da=lambda t: psi * (2.0 * t - 1.0),
-                              d2a=lambda t: np.full_like(t, 2.0 * psi), tag="mix")
+    generic = GenericPickands(lambda t: (1.0 - psi * t + psi * t * t, psi * (2.0 * t - 1.0),
+                                         np.full_like(t, 2.0 * psi)), tag="mix")
     assert log_likelihood(generic, data) == pytest.approx(log_likelihood(MIX_A, data), abs=1e-10)
 
 

@@ -75,8 +75,7 @@ def test_tau_monotone_reversal():
 
 def test_tau_generic_quadrature_agrees_with_polynomial_route():
     poly = theta_to_pickands(FullModelParam(2, [0.9, -0.3, 0.7]))
-    generic = GenericPickands(a=poly.value, da=lambda t: poly.kernel(t)[1],
-                              d2a=lambda t: poly.kernel(t)[2], tag="wrapped")
+    generic = GenericPickands(poly.kernel, tag="wrapped")
     p_rep = tau_measures(poly)
     g_rep = tau_measures(generic)
     assert g_rep.tau1 == pytest.approx(p_rep.tau1, abs=1e-12)
@@ -111,9 +110,8 @@ def test_approx_error_bound_endpoints_zero():
 
 def test_approx_error_bound_alog():
     alpha, psi1, psi2 = ALOG_PARAMS
-    zero = lambda t: np.zeros_like(np.asarray(t, float))
-    A = GenericPickands(a=lambda t: alog_value(t, alpha, psi1, psi2),
-                        da=zero, d2a=zero, tag="alog-oracle")
+    A = GenericPickands(lambda t: (alog_value(t, alpha, psi1, psi2), np.zeros_like(t), np.zeros_like(t)),
+                        tag="alog-oracle")
     b = approx_error_bound(A, 10, 0.3)
     assert -1e-12 <= b.error <= b.bound + 1e-12
     assert b.v_bound is None

@@ -305,22 +305,21 @@ def test_pickands_poly_snapping_and_rejection():
 
 
 def test_generic_pickands_validates_boundary_conditions():
-    with pytest.raises(ValueError):
-        GenericPickands(a=lambda t: np.full_like(np.asarray(t, float), 0.9),
-                        da=lambda t: np.zeros_like(np.asarray(t, float)),
-                        d2a=lambda t: np.zeros_like(np.asarray(t, float)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must equal 1"):
+        GenericPickands(lambda t: (np.full_like(t, 0.9), np.zeros_like(t), np.zeros_like(t)))
+    with pytest.raises(ValueError, match="V <= A <= 1"):
         # below the comonotone bound
-        GenericPickands(a=lambda t: 1.0 - np.asarray(t, float) * (1 - np.asarray(t, float)) * 2.5,
-                        da=lambda t: np.zeros_like(np.asarray(t, float)),
-                        d2a=lambda t: np.zeros_like(np.asarray(t, float)))
+        GenericPickands(lambda t: (1.0 - t * (1 - t) * 2.5, np.zeros_like(t), np.zeros_like(t)))
 
 
 def test_generic_pickands_rejects_non_vectorized_callables():
-    zero = lambda t: np.zeros_like(np.asarray(t, float))
+    zero = lambda t: np.zeros_like(t)
     with pytest.raises(ValueError, match="shape"):
-        GenericPickands(a=lambda t: 1.0, da=zero, d2a=zero)
-    A = GenericPickands(a=lambda t: np.ones_like(t), da=lambda t: 0.0, d2a=zero)
+        GenericPickands(lambda t: (1.0, zero(t), zero(t)))
+    with pytest.raises(ValueError, match="shape"):
+        GenericPickands(lambda t: (np.ones_like(t), 0.0, zero(t)))
+    # right shape on the construction grid only
+    A = GenericPickands(lambda t: (np.ones(1001), np.zeros(1001), np.zeros(1001)))
     with pytest.raises(ValueError, match="shape"):
         A.kernel(np.array([0.25, 0.5]))
 

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import sympy
 from scipy import stats
 
 from helpers import (
@@ -21,6 +24,7 @@ from pickpoly import (
     StudyError,
     SymmetricMixed,
     a_from_h,
+    approx_error_bound,
     copula_cdf,
     copula_density,
     model_from_json,
@@ -68,6 +72,36 @@ def test_alog_derivatives_match_finite_differences():
     _, d1, d2 = A.kernel(ts)
     assert np.max(np.abs(d1 - fd1)) < 1e-6
     assert np.max(np.abs(d2 - fd2)) < 2e-3
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_alog_kernel_matches_sympy_derivatives(alpha):
+    psi1, psi2 = 0.9, 0.6
+    t = sympy.Symbol("t")
+    a, p1, p2 = (sympy.Rational(x) for x in (alpha, psi1, psi2))
+    expr = (1 - p1) * t + (1 - p2) * (1 - t) + ((p1 * t) ** (1 / a) + (p2 * (1 - t)) ** (1 / a)) ** a
+    ts = np.array([float(sympy.Rational(k, n))
+                   for k, n in ((1, 100), (1, 7), (1, 3), (1, 2), (3, 5), (9, 10), (99, 100))])
+    _, d1, d2 = model_pickands(AsymmetricLogistic(alpha, psi1, psi2)).kernel(ts)
+    for got, order in ((d1, 1), (d2, 2)):
+        deriv = sympy.diff(expr, t, order)
+        # evaluated at each float abscissa exactly, to 30 digits
+        want = np.array([float(deriv.evalf(30, subs={t: sympy.Rational(x)})) for x in ts])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("alpha", [0.7, 0.9])
+def test_alog_with_alpha_above_half_emits_no_warning(alpha):
+    # t**(1/alpha - 2) divides by zero at t in {0, 1}, where only A is read
+    model = AsymmetricLogistic(alpha, 0.4, 0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        A = model_pickands(model)
+        assert A.value(np.linspace(0.0, 1.0, 11))[[0, -1]].tolist() == [1.0, 1.0]
+        assert A.value(0.0) == A.value(1.0) == 1.0
+        copula_cdf(A, np.array([0.3, 1.0, 0.5, 1.0]), np.array([1.0, 0.4, 0.5, 1.0]))
+        approx_error_bound(A, 10, 0.3)
+        sample_copula(model, 200, 5)
 
 
 def test_split_seed_deterministic_and_distinct():

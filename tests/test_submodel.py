@@ -286,7 +286,6 @@ def test_submodel_param_validation():
         SubmodelParam(0, [2.5])
     with pytest.raises(ValueError):
         SubmodelParam(2, [0.1, 0.1])
-    assert SubmodelParam.from_json({"m": 1, "c": [0.5, 0.5]}).c.tolist() == [0.5, 0.5]
 
 
 def test_piecewise_linear_pickands_validation():
