@@ -137,21 +137,26 @@ def evaluate(P: BernsteinPoly, x):
 def eval_with_derivatives(coeffs: np.ndarray, x: np.ndarray):
     """Value, first and second derivative at x from one de Casteljau triangle.
 
-    Internal fast path (no domain checks): x must be an ndarray in [0,1].
-    Returns three arrays shaped like x.
+    Internal fast path (no domain checks): x must be a 1-d ndarray in [0,1].
+    ``coeffs`` is one coefficient vector, giving three arrays shaped like x,
+    or a (rows x (m+1)) stack of them, giving three (rows x x.size) arrays
+    whose row r is, bit for bit, what coefficient row r gives alone.
     """
-    m = coeffs.size - 1
+    m = coeffs.shape[-1] - 1
+    # the triangle's level axis first: (m+1, [rows,] x.size)
+    c = coeffs.T[..., None]
+    shape = c.shape[1:-1] + x.shape
     if m == 0:
-        z = np.zeros_like(x)
-        return np.full_like(x, coeffs[0]), z, z
+        z = np.zeros(shape)
+        return np.full(shape, c[0]), z, z
     if m == 1:
-        z = np.zeros_like(x)
-        return coeffs[0] + x * (coeffs[1] - coeffs[0]), np.full_like(x, coeffs[1] - coeffs[0]), z
+        z = np.zeros(shape)
+        return c[0] + x * (c[1] - c[0]), np.full(shape, c[1] - c[0]), z
     # each level of the triangle overwrites rows 0..r-1 of b through one
     # scratch block, so wide x allocates two blocks per call rather than
     # three per level; the arithmetic, and so every value, is unchanged
-    b = np.broadcast_to(coeffs[:, None], (m + 1, x.size)).copy()
-    step = np.empty((m, x.size))
+    b = np.broadcast_to(c, (m + 1,) + shape).copy()
+    step = np.empty((m,) + shape)
     for r in range(m, 1, -1):
         if r == 2:
             d2 = m * (m - 1) * (b[2] - 2.0 * b[1] + b[0])

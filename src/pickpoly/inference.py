@@ -18,10 +18,13 @@ nonconcave, so each fitter searches from many feasible random starts and
 keeps the best; all starts advance together in one batched local search: a
 damped-BFGS SQP over Theta_m whose QP over the two linearised caps is solved
 in closed form, and a primal-dual interior point with the exact Hessian over
-the polytope, each local search one call of ``minimize``. Every final
-point is pulled radially back into the parameter space and scored; the
-independence parameter (loglik exactly 0) is always a fallback candidate.
-Everything is deterministic given the seed.
+the polytope, each local search one call of ``minimize``. One search can
+carry the starts of a whole group of datasets (``_full_mles``,
+``_sub_mles``; ``fit_full`` and ``fit_sub`` are a group of one), and a
+start's every value is what it gets alone. Every final point is pulled
+radially back into the parameter space and scored; the independence
+parameter (loglik exactly 0) is always a fallback candidate. Everything is
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -157,14 +160,17 @@ def _pseudo_angles(data: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     return t, s
 
 
-def _loglik_terms(values, t: np.ndarray, s: np.ndarray) -> float:
+def _loglik_terms(values, t: np.ndarray, s: np.ndarray):
     # sum of log copula densities from values = (A, A', A'') at the
-    # pseudo-angles; -inf when a density is nonpositive
+    # pseudo-angles; -inf when a density is nonpositive. A float for one
+    # (A, A', A'') triple, one loglik per row for stacks of them.
     val, d1, d2 = values
     brace = _density_brace(val, d1, d2, t, s)
-    if np.any(brace <= 0.0):
-        return LOGLIK_NEG_INF
-    return float(np.sum(s * (val - 1.0)) + np.sum(np.log(brace)))
+    bad = np.any(brace <= 0.0, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = np.sum(s * (val - 1.0), axis=-1) + np.sum(np.log(brace), axis=-1)
+    ll = np.where(bad, LOGLIK_NEG_INF, ll)
+    return float(ll) if ll.ndim == 0 else ll
 
 
 def log_likelihood(A, data: SampleSet) -> float:
@@ -190,40 +196,75 @@ _MAXITER = 100
 
 
 class _LogLik:
-    """Log-likelihood of A_h, its gradient and Hessian in h, for fixed data and degree m.
+    """Log-likelihoods of A_h with gradients and Hessians in h, for a group of datasets at degree m.
 
     A is an affine image of the spectral coefficients h, so at fixed
     pseudo-angles the two factors of the density brace and A'' are affine in
-    h as well. One stacked (3n x (m+1)) design matrix, built once, maps h to
-    them. Every method takes a (starts x (m+1)) stack of points, so a whole
-    multistart is evaluated by a few matrix products and elementwise passes
-    over (starts x n) arrays.
+    h as well. One stacked (3n x (m+1)) design matrix per dataset, built
+    once, maps h to them; the datasets share one size n. Every method takes
+    a (rows x (m+1)) stack of points and each row's dataset tag, ascending
+    (None: every row on the first dataset), so the multistarts of a whole
+    group are evaluated by a few matrix products and elementwise passes over
+    (rows x n) arrays. Each dataset's products run on its own rows, and a
+    product a row gets alone is the product it gets in any stack, so a row's
+    result does not depend on the other rows.
     """
 
-    def __init__(self, data: SampleSet, m: int):
-        t, s = _pseudo_angles(data)
-        K = a_from_h_matrix(m) / (m + 1)
-        # column j: A - 1, A' and A'' at every t for the unit coefficient e_j
-        val, d1, d2 = (np.column_stack(cols) for cols in
-                       zip(*(eval_with_derivatives(-K[:, j], t) for j in range(m + 1))))
-        self.n = t.size
-        p = m + 1
+    def __init__(self, data: SampleSet | list[SampleSet], m: int):
+        group = [data] if isinstance(data, SampleSet) else list(data)
+        n = group[0].n
+        _check_degree(n, m)
+        self.n, self.m, p = n, m, m + 1
+        self.t, self.s = (np.array(x) for x in zip(*map(_pseudo_angles, group)))
+        # row j: the coefficients of A - 1 for the unit spectral coefficients e_j;
+        # column j of val, d1, d2: A - 1, A' and A'' at every t for e_j
+        unit = -(a_from_h_matrix(m) / (m + 1)).T
+        val, d1, d2 = (np.ascontiguousarray(x.reshape(p, len(group), n).transpose(1, 2, 0))
+                       for x in eval_with_derivatives(unit, self.t.ravel()))
+        t = self.t[:, :, None]
+        self.design = np.concatenate([val + (1.0 - t) * d1, val - t * d1, d2], axis=1)
+        self.design_t = np.ascontiguousarray(self.design.transpose(0, 2, 1))
+        self.curv = -self.t * (1.0 - self.t) / self.s
+        self.lin = np.array([s @ v for s, v in zip(self.s, val)])[:, :, None]
         # T[k] flattened into columns k*p + i, so theta @ T holds every T[k] theta
-        self.T = coefficient_tensor(m).reshape(p * p, p).T if m >= 1 else None
-        self.design = np.vstack([val + (1.0 - t)[:, None] * d1, val - t[:, None] * d1, d2])
-        self.design_t = np.ascontiguousarray(self.design.T)
-        self.curv = -t * (1.0 - t) / s
-        self.lin = s @ val
+        T = coefficient_tensor(m).reshape(p * p, p).T if m >= 1 else None
+        self.T = None if T is None else np.broadcast_to(T, (len(group),) + T.shape)
         self._outer = None
 
-    def _factors(self, h: np.ndarray):
+    @staticmethod
+    def _segments(tags):
+        # (dataset, rows) for each run of one tag
+        if tags is None:
+            return [(0, slice(None))]
+        if tags[0] == tags[-1]:  # the tags ascend, so this is one run
+            return [(int(tags[0]), slice(None))]
+        cuts = [0, *(np.flatnonzero(tags[1:] != tags[:-1]) + 1).tolist(), tags.size]
+        return [(int(tags[a]), slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
+
+    @staticmethod
+    def _per_row(arr, tags):
+        # each row's entry of a per-dataset array (one shared entry for one dataset)
+        return arr[0] if tags is None or len(arr) == 1 else arr[tags]
+
+    @staticmethod
+    def _products(x, segments, tables):
+        # x @ tables[d] on each dataset d's own rows
+        if len(segments) == 1:
+            return x @ tables[segments[0][0]]
+        out = np.empty((x.shape[0], tables.shape[-1]))
+        for d, rows in segments:
+            out[rows] = x[rows] @ tables[d]
+        return out
+
+    def _factors(self, h, tags, segments):
         n = self.n
-        z = h @ self.design_t
+        z = self._products(h, segments, self.design_t)
+        curv = self._per_row(self.curv, tags)
         f1 = 1.0 + z[:, :n]
         f2 = 1.0 + z[:, n:2 * n]
-        return f1, f2, f1 * f2 + self.curv * z[:, 2 * n:]
+        return f1, f2, f1 * f2 + curv * z[:, 2 * n:], curv
 
-    def objective(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def objective(self, h: np.ndarray, tags=None) -> tuple[np.ndarray, np.ndarray]:
         """Negative loglik of every row of h and its gradient in h.
 
         Where a density is nonpositive (a search may try points slightly
@@ -231,55 +272,69 @@ class _LogLik:
         gradient zero, so a line search backs off instead of failing on inf
         or NaN; the other rows are unaffected.
         """
-        f1, f2, brace = self._factors(h)
+        return self._objective(h, tags, self._segments(tags))
+
+    def _objective(self, h, tags, segments):
+        f1, f2, brace, curv = self._factors(h, tags, segments)
         bad = brace.min(axis=1) <= 0.0
         if bad.any():
             brace[bad] = 1.0
         inv = 1.0 / brace
-        value = -(h @ self.lin + np.log(brace).sum(axis=1))
-        weights = np.concatenate([f2 * inv, f1 * inv, self.curv * inv], axis=1)
-        grad = -(self.lin + weights @ self.design)
+        value = -(self._products(h, segments, self.lin)[:, 0] + np.log(brace).sum(axis=1))
+        weights = np.concatenate([f2 * inv, f1 * inv, curv * inv], axis=1)
+        grad = -(self._per_row(self.lin, tags)[..., 0]
+                 + self._products(weights, segments, self.design))
         if bad.any():
             value[bad] = _UNDEFINED_OBJ
             grad[bad] = 0.0
         return value, grad
 
-    def hessian(self, h: np.ndarray) -> np.ndarray:
-        """Hessian in h of the negative loglik at every row of h, (starts x p x p).
+    def hessian(self, h: np.ndarray, tags=None) -> np.ndarray:
+        """Hessian in h of the negative loglik at every row of h, (rows x p x p).
 
         With a_i, b_i, c_i the three design rows of observation i and
         g_i = f2 a_i + f1 b_i + curv c_i, it is
         sum_i g_i g_i' / brace_i^2 - (a_i b_i' + b_i a_i') / brace_i: six
         weighted sums of per-observation outer products, which a table built
-        once per (data, m) turns into one matrix product.
+        once per (dataset, m) turns into one matrix product.
         """
         n, p = self.n, h.shape[1]
         if self._outer is None:
-            a, b, c = self.design[:n], self.design[n:2 * n], self.design[2 * n:]
+            a, b, c = self.design[:, :n], self.design[:, n:2 * n], self.design[:, 2 * n:]
 
             def sym(x, y):
-                xy = (x[:, :, None] * y[:, None, :]).reshape(n, p * p)
-                return xy if x is y else xy + (y[:, :, None] * x[:, None, :]).reshape(n, p * p)
+                xy = (x[..., :, None] * y[..., None, :]).reshape(-1, n, p * p)
+                yx = (y[..., :, None] * x[..., None, :]).reshape(-1, n, p * p)
+                return xy if x is y else xy + yx
 
-            self._outer = np.vstack([sym(a, a), sym(b, b), sym(c, c),
-                                     sym(a, b), sym(a, c), sym(b, c)])
-        f1, f2, brace = self._factors(h)
+            self._outer = np.concatenate([sym(a, a), sym(b, b), sym(c, c),
+                                          sym(a, b), sym(a, c), sym(b, c)], axis=1)
+        segments = self._segments(tags)
+        f1, f2, brace, curv = self._factors(h, tags, segments)
         inv = 1.0 / brace
         inv2 = inv * inv
-        cw = self.curv * inv2
-        weights = np.concatenate([f2 * f2 * inv2, f1 * f1 * inv2, self.curv * cw,
+        cw = curv * inv2
+        weights = np.concatenate([f2 * f2 * inv2, f1 * f1 * inv2, curv * cw,
                                   f1 * f2 * inv2 - inv, f2 * cw, f1 * cw], axis=1)
-        return (weights @ self._outer).reshape(-1, p, p)
+        return self._products(weights, segments, self._outer).reshape(-1, p, p)
 
-    def theta_objective(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def theta_objective(self, theta: np.ndarray, tags=None) -> tuple[np.ndarray, np.ndarray]:
         """The objective through h_k = theta' T[k] theta (m >= 1), row by row.
 
         dh_k/dtheta = 2 T[k] theta, so the gradient is 2 (sum_k g_k T[k]) theta.
         """
         p = theta.shape[1]
-        Tth = (theta @ self.T).reshape(-1, p, p)
-        f, g = self.objective((Tth @ theta[:, :, None])[:, :, 0])
+        segments = self._segments(tags)
+        Tth = self._products(theta, segments, self.T).reshape(-1, p, p)
+        f, g = self._objective((Tth @ theta[:, :, None])[:, :, 0], tags, segments)
         return f, 2.0 * (g[:, None, :] @ Tth)[:, 0, :]
+
+
+def _by_row(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    # x @ M one row at a time: BLAS runs a one-row product as GEMV and a
+    # stack as GEMM, which round differently, so a stacked product would make
+    # a row's value depend on how many rows share the stack
+    return (x[:, None, :] @ M)[:, 0, :]
 
 
 # A search trusts the likelihood formula only this far beyond the caps of
@@ -288,13 +343,15 @@ class _LogLik:
 _CAP_SLACK = 0.1
 
 
-def _sqp(fun, x0, *, constraints, maxiter):
+def _sqp(fun, x0, *, tags, constraints, maxiter):
     """Damped-BFGS SQP over Theta_m = {theta : theta' Q_j theta <= 1, j = 0, 1}.
 
-    One local search: ``fun`` maps a (starts x p) stack to values and
-    gradients, ``x0`` is the stack of starts and ``constraints`` the stacked
-    forms (Q0, Q1). All starts advance together. Each iteration solves the
-    QP over the two linearised caps in closed form, trying the active sets
+    One local search: ``fun(x, tags)`` maps a (starts x p) stack and each
+    row's dataset tag to values and gradients, ``x0`` is the stack of
+    starts, ``tags`` their tags and ``constraints`` the stacked forms
+    (Q0, Q1). All starts advance together, each on its own. Each iteration
+    solves the QP over the two linearised caps in closed form, trying the
+    active sets
     {}, {0}, {1} and {0, 1} with the inverse BFGS matrix, then backtracks
     on the l1 merit function f + rho . max(0, q - 1). The update is
     Powell-damped, using B s = alpha (A' lambda - g) from the QP's own
@@ -311,12 +368,12 @@ def _sqp(fun, x0, *, constraints, maxiter):
 
     def caps(x):
         # (x' Q_j)_j and the forms x' Q_j x, for every row
-        QX = (x @ Qcat).reshape(-1, 2, p)
+        QX = _by_row(x, Qcat).reshape(-1, 2, p)
         return QX, (QX @ x[:, :, None])[:, :, 0]
 
     X = x0.copy()
     count = X.shape[0]
-    F, G = fun(X)
+    F, G = fun(X, tags)
     nfev = 1
     eye = np.eye(p)
     Hinv = np.tile(eye, (count, 1, 1))
@@ -328,7 +385,7 @@ def _sqp(fun, x0, *, constraints, maxiter):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while active.any():
             act = active.nonzero()[0]
-            x, f, g, Hi = X[act], F[act], G[act], Hinv[act]
+            x, f, g, Hi, rows = X[act], F[act], G[act], Hinv[act], tags[act]
             QX, q = caps(x)
             c = 1.0 - q
             # columns g, a_0, a_1 (a_j = -2 Q_j x, the gradient of c_j) through Hinv
@@ -371,7 +428,7 @@ def _sqp(fun, x0, *, constraints, maxiter):
                 a = alpha[idx]
                 xt = x[idx] + a[:, None] * d[idx]
                 qt = caps(xt)[1]
-                ft, gt = fun(xt)
+                ft, gt = fun(xt, rows[idx])
                 nfev += 1
                 excess = (rh[idx] * np.maximum(qt - 1.0, 0.0)).sum(axis=1) + ft - phi[idx]
                 good = (excess <= 0.1 * a * slope[idx]) & (qt.max(axis=1) <= 1.0 + _CAP_SLACK)
@@ -421,35 +478,39 @@ _MU_MIN = 1e-12
 _KAPPA = 10.0
 
 
-def _interior_point(loglik: _LogLik, starts: np.ndarray, W: np.ndarray, maxiter: int):
+def _interior_point(loglik: _LogLik, starts: np.ndarray, tags: np.ndarray, W: np.ndarray,
+                    maxiter: int):
     """Primal-dual interior point over the polytope {c >= 0, W c <= 1}, all starts at once.
 
     A sequence of barrier subproblems min f - mu sum log(slacks) at falling
     mu (Fiacco-McCormick; Nocedal & Wright 2006, ch. 19), each solved by one
     ``minimize`` call to ``_barrier_stage`` warm-started from the previous
-    stage's primal and dual points. ``maxiter`` caps each start's Newton
-    iterations over all stages. Returns every start's final point and
-    whether it met the last subproblem's stopping test.
+    stage's primal and dual points; ``tags`` are the starts' dataset tags.
+    ``maxiter`` caps each start's Newton iterations over all stages. Returns
+    every start's final point and whether it met the last subproblem's
+    stopping test.
     """
     C = starts
-    duals = (1.0 / C, 1.0 / (1.0 - C @ W.T))  # on the central path of mu = 1
+    duals = (1.0 / C, 1.0 / (1.0 - _by_row(C, W.T)))  # on the central path of mu = 1
     spent = np.zeros(C.shape[0], int)
     mu = 0.1
     while True:
-        res = minimize(loglik.objective, C, method=_barrier_stage, hess=loglik.hessian,
-                       constraints=W, mu=mu, duals=duals, spent=spent, maxiter=maxiter)
+        res = minimize(loglik.objective, C, method=_barrier_stage, tags=tags,
+                       hess=loglik.hessian, constraints=W, mu=mu, duals=duals, spent=spent,
+                       maxiter=maxiter)
         C, duals, spent = res.x, res.duals, res.spent
         if mu == _MU_MIN or np.all(spent >= maxiter):
             return C, res.converged & (mu == _MU_MIN)
         mu = max(_MU_MIN, min(0.2 * mu, mu ** 1.5))
 
 
-def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter):
+def _barrier_stage(fun, x0, *, tags, hess, constraints, mu, duals, spent, maxiter):
     """Primal-dual Newton iterations on one barrier subproblem, every start at once.
 
-    One local search: ``fun`` maps a (starts x p) stack to values and
-    gradients, ``hess`` to the exact Hessians, ``x0`` is the stack of
-    strictly interior points, ``constraints`` the (2 x p) cap weights W,
+    One local search: ``fun(x, tags)`` maps a (starts x p) stack and each
+    row's dataset tag to values and gradients, ``hess(x, tags)`` to the
+    exact Hessians, ``x0`` is the stack of strictly interior points,
+    ``tags`` their tags, ``constraints`` the (2 x p) cap weights W,
     ``duals`` the multipliers of c >= 0 and of the caps, and ``spent`` the
     iterations each start has used. The Newton matrix
     H + diag(z/c) + W' diag(z_w/s_w) W is shifted by its least eigenvalue
@@ -472,7 +533,7 @@ def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter):
     C = x0.copy()
     Zc, Zw = duals[0].copy(), duals[1].copy()
     spent = spent.copy()
-    F, G = fun(C)
+    F, G = fun(C, tags)
     nfev = 1
     eye = np.eye(p)
     last = mu == _MU_MIN
@@ -481,10 +542,11 @@ def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter):
     with np.errstate(divide="ignore", invalid="ignore"):
         while active.any():
             act = active.nonzero()[0]
-            c, f, g, zc, zw = C[act], F[act], G[act], Zc[act], Zw[act]
-            s = 1.0 - c @ W.T
+            c, f, g, zc, zw, rows = C[act], F[act], G[act], Zc[act], Zw[act], tags[act]
+            s = 1.0 - _by_row(c, W.T)
             if not last:
-                dual = np.abs(g - zc + zw @ W).max(axis=1) / np.maximum(1.0, np.abs(g).max(axis=1))
+                dual = (np.abs(g - zc + _by_row(zw, W)).max(axis=1)
+                        / np.maximum(1.0, np.abs(g).max(axis=1)))
                 comp = np.maximum(np.abs(c * zc - mu).max(axis=1), np.abs(s * zw - mu).max(axis=1))
                 done = np.maximum(dual, comp) <= _KAPPA * mu
                 ok[act[done]] = True
@@ -492,14 +554,14 @@ def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter):
                 if done.all():
                     break
                 keep = ~done
-                act, c, f, g, zc, zw, s = (v[keep] for v in (act, c, f, g, zc, zw, s))
-            H = hess(c)
+                act, c, f, g, zc, zw, s, rows = (v[keep] for v in (act, c, f, g, zc, zw, s, rows))
+            H = hess(c, rows)
             K = H + (zc / c)[:, :, None] * eye + (W.T * (zw / s)[:, None, :]) @ W
-            rhs = mu / c - (mu / s) @ W - g
+            rhs = mu / c - _by_row(mu / s, W) - g
             least = np.linalg.eigvalsh(K)[:, 0]
             shift = np.where(least > 0.0, 0.0, 1e-8 * np.abs(H).max(axis=(1, 2)) - least)
             dc = np.linalg.solve(K + shift[:, None, None] * eye, rhs[:, :, None])[:, :, 0]
-            ds = -dc @ W.T
+            ds = -_by_row(dc, W.T)
             dzc = mu / c - zc - zc / c * dc
             dzw = mu / s - zw - zw / s * ds
             tau = max(0.99, 1.0 - mu)
@@ -514,8 +576,8 @@ def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter):
                 if idx.size == 0:
                     break
                 ct = c[idx] + alpha[idx, None] * dc[idx]
-                st = 1.0 - ct @ W.T
-                ft, gt = fun(ct)
+                st = 1.0 - _by_row(ct, W.T)
+                ft, gt = fun(ct, rows[idx])
                 nfev += 1
                 phit = ft - mu * (np.log(ct).sum(axis=1) + np.log(st).sum(axis=1))
                 # sufficient decrease, up to the rounding noise of phi
@@ -531,9 +593,9 @@ def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter):
             spent[act] += 1
             stop = trying.copy()  # no acceptable step: the stage ends for this start
             if last:
-                sn = 1.0 - cn @ W.T
+                sn = 1.0 - _by_row(cn, W.T)
                 gap = (cn * zc).sum(axis=1) + (sn * zw).sum(axis=1)
-                dual = np.abs(gn - zc + zw @ W).max(axis=1)
+                dual = np.abs(gn - zc + _by_row(zw, W)).max(axis=1)
                 settled = ((gap < _FTOL) & (np.abs(fn - f) < _FTOL)
                            & ((dual < 1e-6 * np.maximum(1.0, np.abs(gn).max(axis=1)))
                               | (np.abs(cn - c).max(axis=1) < 1e-6)))
@@ -544,29 +606,32 @@ def _barrier_stage(fun, x0, *, hess, constraints, mu, duals, spent, maxiter):
                            converged=ok, duals=(Zc, Zw), spent=spent)
 
 
-def _multistart(data: SampleSet, search, candidate):
-    """One batched search from all starts; the best projected candidate by its loglik.
+def _multistart(loglik: _LogLik, points: np.ndarray, converged: np.ndarray, tags: np.ndarray,
+                candidate) -> list[tuple]:
+    """Each dataset's best projected candidate among its final search points, by its loglik.
 
-    ``search()`` advances every start at once and returns each start's final
-    point and whether it converged. ``candidate(x)`` pulls a final point
-    back inside the parameter space and returns (param, h). Candidates are
-    scored by the de Casteljau log-likelihood of a_from_h(h), the arithmetic
-    of ``log_likelihood``, so the reported value is exactly that of the
+    ``candidate(x)`` pulls a final point back inside the parameter space and
+    returns (param, h). A dataset's candidates are scored in one pass by the
+    de Casteljau log-likelihood of a_from_h(h), row by row the arithmetic of
+    ``log_likelihood``, so the reported value is exactly that of the
     estimate built from the winner. The independence point (loglik exactly
     0) is the baseline, so the winner never falls below it; ties keep the
-    earlier candidate. Returns (param or None, loglik, converged).
+    earlier candidate. Returns (param or None, loglik, converged) per dataset.
     """
-    t, s = _pseudo_angles(data)
-    points, converged = search()
-    best, best_ll, best_ok = None, 0.0, True
-    for x, ok in zip(points, converged):
-        if not np.all(np.isfinite(x)):
-            continue
-        param, h = candidate(x)
-        ll = _loglik_terms(eval_with_derivatives(a_from_h(h).coeffs, t), t, s)
-        if ll > best_ll:
-            best, best_ll, best_ok = param, ll, bool(ok)
-    return best, best_ll, best_ok
+    finite = np.all(np.isfinite(points), axis=1)
+    out = []
+    for d, (t, s) in enumerate(zip(loglik.t, loglik.s)):
+        mine = finite & (tags == d)
+        best, best_ll, best_ok = None, 0.0, True
+        if mine.any():
+            params, hs = zip(*map(candidate, points[mine]))
+            coeffs = np.array([a_from_h(h).coeffs for h in hs])
+            lls = _loglik_terms(eval_with_derivatives(coeffs, t), t, s)
+            for param, ll, ok in zip(params, lls, converged[mine]):
+                if ll > best_ll:
+                    best, best_ll, best_ok = param, float(ll), bool(ok)
+        out.append((best, best_ll, best_ok))
+    return out
 
 
 def _iteration_cap(config: OptimConfig) -> int:
@@ -578,27 +643,31 @@ def _check_degree(n: int, m: int):
         raise ValueError(f"m must be >= 0, got {m}")
     if n < m + 3:
         warnings.warn(f"sample size n = {n} below m + 3 = {m + 3}; fit may be unstable",
-                      UserWarning, stacklevel=3)
+                      UserWarning, stacklevel=4)
 
 
-def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
-    """Constrained MLE over Theta_m (all polynomial Pickands functions, degree m + 2)."""
-    _check_degree(data.n, m)
-    loglik = _LogLik(data, m)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)))
-    starts = sample_feasible(m, rng, config.starts)
+def _group_starts(draw, spawn: int, config: OptimConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
+    # each dataset's config.starts starts from its own seed, stacked in
+    # dataset order, and each row's dataset tag
+    rngs = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(spawn,)))
+            for seed in seeds)
+    starts = np.vstack([draw(rng, config.starts) for rng in rngs])
+    return starts, np.repeat(np.arange(len(seeds)), config.starts)
+
+
+def _full_mles(loglik: _LogLik, config: OptimConfig, seeds) -> list[FitResult]:
+    """``fit_full`` on each dataset of the group, dataset i from seed seeds[i], in one search."""
+    m = loglik.m
+    starts, tags = _group_starts(lambda rng, k: sample_feasible(m, rng, k), 0, config, seeds)
     maxiter = _iteration_cap(config)
     if m == 0:
         # theta is h itself and Theta_0 = [0, 2] is the degree-0 polytope
-        def search():
-            return _interior_point(loglik, starts, _cap_weights(0), maxiter)
+        points, converged = _interior_point(loglik, starts, tags, _cap_weights(0), maxiter)
     else:
         Q = np.stack(form_matrices(m))
-
-        def search():
-            res = minimize(loglik.theta_objective, starts, method=_sqp, constraints=Q,
-                           maxiter=maxiter)
-            return res.x, res.converged
+        res = minimize(loglik.theta_objective, starts, method=_sqp, tags=tags, constraints=Q,
+                       maxiter=maxiter)
+        points, converged = res.x, res.converged
 
     def candidate(theta: np.ndarray):
         if m == 0:
@@ -609,10 +678,17 @@ def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> Fi
         param = FullModelParam(m, theta)
         return param, theta_to_h(param)
 
-    param, ll, ok = _multistart(data, search, candidate)
-    if param is None:
-        param = FullModelParam(m, np.zeros(m + 1))
-    return FitResult(theta_to_pickands(param), ll, param, config.starts, ok)
+    fits = []
+    for param, ll, ok in _multistart(loglik, points, converged, tags, candidate):
+        if param is None:
+            param = FullModelParam(m, np.zeros(m + 1))
+        fits.append(FitResult(theta_to_pickands(param), ll, param, config.starts, ok))
+    return fits
+
+
+def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
+    """Constrained MLE over Theta_m (all polynomial Pickands functions, degree m + 2)."""
+    return _full_mles(_LogLik(data, m), config, [config.seed])[0]
 
 
 def _canonical_sign(theta: np.ndarray, m: int) -> np.ndarray:
@@ -636,27 +712,30 @@ def _cap_weights(m: int) -> np.ndarray:
     return np.stack([1.0 - y, y]) / (m + 1)
 
 
-def fit_sub(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
-    """Constrained MLE over the polytope C_m^+ (Bernstein approximation submodel)."""
-    _check_degree(data.n, m)
-    loglik = _LogLik(data, m)
+def _sub_mles(loglik: _LogLik, config: OptimConfig, seeds) -> list[FitResult]:
+    """``fit_sub`` on each dataset of the group, dataset i from seed seeds[i], in one search."""
+    m = loglik.m
     W = _cap_weights(m)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(1,)))
-    starts = _polytope_starts(m, rng, config.starts, W)
+    starts, tags = _group_starts(lambda rng, k: _polytope_starts(m, rng, k, W), 1, config, seeds)
+    points, converged = _interior_point(loglik, starts, tags, W, _iteration_cap(config))
 
     def candidate(c: np.ndarray):
         c = np.maximum(c, 0.0)
         param = SubmodelParam(m, c / max(1.0, *(W @ c)))
         return param, BernsteinPoly(param.c)
 
-    def search():
-        return _interior_point(loglik, starts, W, _iteration_cap(config))
+    fits = []
+    for param, ll, ok in _multistart(loglik, points, converged, tags, candidate):
+        if param is None:
+            param = SubmodelParam(m, np.zeros(m + 1))
+        estimate = PickandsPoly(a_from_h(BernsteinPoly(param.c)))
+        fits.append(FitResult(estimate, ll, param, config.starts, ok))
+    return fits
 
-    param, ll, ok = _multistart(data, search, candidate)
-    if param is None:
-        param = SubmodelParam(m, np.zeros(m + 1))
-    estimate = PickandsPoly(a_from_h(BernsteinPoly(param.c)))
-    return FitResult(estimate, ll, param, config.starts, ok)
+
+def fit_sub(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
+    """Constrained MLE over the polytope C_m^+ (Bernstein approximation submodel)."""
+    return _sub_mles(_LogLik(data, m), config, [config.seed])[0]
 
 
 def _polytope_starts(m: int, rng: np.random.Generator, count: int, W: np.ndarray) -> np.ndarray:
@@ -681,7 +760,8 @@ def greatest_convex_minorant(values, knots=None) -> np.ndarray:
     x = np.linspace(0.0, 1.0, v.size) if knots is None else np.asarray(knots, dtype=float)
     hx: list[float] = []
     hy: list[float] = []
-    for xi, yi in zip(x, v):
+    # Python floats: the same IEEE arithmetic as numpy scalars, at half the cost
+    for xi, yi in zip(x.tolist(), v.tolist()):
         while len(hx) >= 2 and (
             (hy[-1] - hy[-2]) * (xi - hx[-2]) >= (yi - hy[-2]) * (hx[-1] - hx[-2])
         ):

@@ -14,13 +14,22 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .bernstein import PowerPoly, poly_from_json, poly_to_json, power_to_bernstein
-from .inference import FitResult, OptimConfig, SampleSet, _is_int, fit_cfg, fit_full, fit_sub
+from .inference import (
+    FitResult,
+    OptimConfig,
+    SampleSet,
+    _full_mles,
+    _is_int,
+    _LogLik,
+    _sub_mles,
+    fit_cfg,
+)
 from .pickands import GenericPickands, PickandsPoly, _density_brace, independence
 
 
@@ -310,29 +319,50 @@ class StudyReport:
         }
 
 
-def _fit_one(est: str, sample: SampleSet, config: StudyConfig, rep: int) -> FitResult:
+# replicates are fitted in groups of this many, one batched search per group
+# and estimator; the groups depend on nothing but the replicate count
+_GROUP = 8
+
+
+def _fits(est: str, samples: list[SampleSet], config: StudyConfig,
+          reps: list[int]) -> list[FitResult]:
+    # one fit of each replicate's sample, each from the replicate's own seed
+    if est == "cfg":
+        return [fit_cfg(sample) for sample in samples]
     base = config.optim if config.optim is not None else OptimConfig()
-    if est == "full":
-        return fit_full(sample, config.m, replace(base, seed=split_seed(config.seed, rep, 1)))
-    if est == "sub":
-        return fit_sub(sample, config.m, replace(base, seed=split_seed(config.seed, rep, 2)))
-    return fit_cfg(sample)
+    mles, key = (_full_mles, 1) if est == "full" else (_sub_mles, 2)
+    seeds = [split_seed(config.seed, rep, key) for rep in reps]
+    return mles(_LogLik(samples, config.m), base, seeds)
 
 
-def _study_replicate(args: tuple[StudyConfig, int]) -> dict:
-    config, rep = args
+def _fit_records(est: str, samples: list[SampleSet], config: StudyConfig,
+                 reps: list[int]) -> list[dict]:
+    # a group whose fit raises is refitted one replicate at a time: a fit is
+    # the same in any group, so the others come out unchanged and the error
+    # is recorded against its own replicate, never silently dropped
     tgrid = np.linspace(0.0, 1.0, config.grid)
-    sample = sample_copula(config.model, config.n, split_seed(config.seed, rep, 0))
-    if config.ranks:
-        sample = SampleSet.from_arrays(sample.u, sample.v, ranks=True)
-    out: dict = {}
+    try:
+        return [{"curve": np.asarray(f.estimate.value(tgrid)), "loglik": f.loglik, "error": None}
+                for f in _fits(est, samples, config, reps)]
+    except Exception as exc:
+        if len(reps) > 1:
+            return [record for sample, rep in zip(samples, reps)
+                    for record in _fit_records(est, [sample], config, [rep])]
+        return [{"curve": None, "loglik": float("nan"), "error": f"{type(exc).__name__}: {exc}"}]
+
+
+def _study_group(args: tuple[StudyConfig, list[int]]) -> list[dict]:
+    config, reps = args
+    samples = []
+    for rep in reps:
+        sample = sample_copula(config.model, config.n, split_seed(config.seed, rep, 0))
+        if config.ranks:
+            sample = SampleSet.from_arrays(sample.u, sample.v, ranks=True)
+        samples.append(sample)
+    out: list[dict] = [{} for _ in reps]
     for est in config.estimators:
-        try:
-            fit = _fit_one(est, sample, config, rep)
-            out[est] = {"curve": np.asarray(fit.estimate.value(tgrid)),
-                        "loglik": fit.loglik, "error": None}
-        except Exception as exc:  # recorded, never silently dropped
-            out[est] = {"curve": None, "loglik": float("nan"), "error": f"{type(exc).__name__}: {exc}"}
+        for record, result in zip(out, _fit_records(est, samples, config, reps)):
+            record[est] = result
     return out
 
 
@@ -352,19 +382,22 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
     """Run the Monte Carlo study; deterministic given (config, seed).
 
     Replicates draw their sample and optimizer seeds from (seed, replicate)
-    so any execution order gives the same report. Failed replicates are
+    so any execution order gives the same report. Each MLE fits the
+    replicates in fixed groups of 8, one batched search per group; every
+    fit equals that of ``fit_full`` / ``fit_sub`` on the replicate's sample
+    and seed bit for bit. Workers take whole groups. Failed replicates are
     excluded per estimator with a count; more than 1% failures raise
     StudyError.
     """
     t0 = time.perf_counter()
     nthreads = _resolve_threads(threads)
-    tasks = [(config, r) for r in range(config.replicates)]
+    tasks = [(config, list(range(g, min(g + _GROUP, config.replicates))))
+             for g in range(0, config.replicates, _GROUP)]
     if nthreads <= 1 or config.replicates == 1:
-        results = [_study_replicate(t) for t in tasks]
+        results = [record for task in tasks for record in _study_group(task)]
     else:
-        chunk = max(1, config.replicates // (nthreads * 8))
-        with ProcessPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(_study_replicate, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=min(nthreads, len(tasks))) as pool:
+            results = [record for group in pool.map(_study_group, tasks) for record in group]
 
     tgrid = np.linspace(0.0, 1.0, config.grid)
     truth = model_pickands(config.model).value(tgrid)

@@ -170,6 +170,30 @@ def gcm_bruteforce(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def lower_hull_exact(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Greatest convex minorant at the knots, in exact rationals, O(n^2).
+
+    Gift wrapping: from each vertex of the lower hull the next one is the
+    farthest knot of least chord slope, so exact collinear runs and repeated
+    values are settled by exact comparisons. Between two vertices the hull is
+    their chord, evaluated exactly and rounded once to float.
+    """
+    xs = [Fraction(float(v)) for v in x]
+    fs = [Fraction(float(v)) for v in f]
+    n = len(xs)
+    out = [0.0] * n
+    i = 0
+    out[0] = float(fs[0])
+    while i < n - 1:
+        slopes = [(fs[j] - fs[i]) / (xs[j] - xs[i]) for j in range(i + 1, n)]
+        least = min(slopes)
+        k = i + 1 + max(j for j, sl in enumerate(slopes) if sl == least)
+        for j in range(i + 1, k + 1):
+            out[j] = float(fs[i] + least * (xs[j] - xs[i]))
+        i = k
+    return np.array(out)
+
+
 @dataclass(frozen=True)
 class HypergeoSpec:
     """Hypergeometric(n, M, N): k successes drawing n from M marked of N."""

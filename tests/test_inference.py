@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from helpers import (
     POLFULL_H,
     fd_mixed_partial,
     gcm_bruteforce,
+    lower_hull_exact,
     run_python,
     slsqp_multistart_loglik,
 )
@@ -38,7 +41,15 @@ from pickpoly import (
     vee,
 )
 from pickpoly.bernstein import eval_with_derivatives
-from pickpoly.inference import _LogLik, _loglik_terms, _midranks, _pseudo_angles
+from pickpoly import inference
+from pickpoly.inference import (
+    _full_mles,
+    _LogLik,
+    _loglik_terms,
+    _midranks,
+    _pseudo_angles,
+    _sub_mles,
+)
 
 MIX_MODEL = SymmetricMixed(MIX_PSI)
 MIX_A = PickandsPoly(BernsteinPoly([1.0, 1.0 - MIX_PSI / 2.0, 1.0]))
@@ -149,6 +160,25 @@ def test_gcm_idempotent_and_dominated(rng):
         assert np.allclose(greatest_convex_minorant(g), g, atol=1e-11)
         slopes = np.diff(g) / np.diff(np.linspace(0, 1, 101))
         assert np.all(np.diff(slopes) >= -1e-8)
+
+
+def test_gcm_matches_exact_lower_hull(rng):
+    # random values; values on a coarse lattice, so with repeats and exact
+    # collinear runs; a V and a constant on integer knots, where collinearity
+    # is exact in floats too
+    cases = []
+    for n in (2, 3, 7, 40, 101):
+        cases += [(None, rng.normal(size=n)),
+                  (None, np.round(rng.uniform(size=n), 1)),
+                  (np.arange(n, dtype=float), np.round(2.0 * rng.normal(size=n))),
+                  (np.arange(n, dtype=float), np.abs(np.arange(n) - n // 3).astype(float)),
+                  (None, np.full(n, 0.7))]
+    for knots, values in cases:
+        x = np.linspace(0.0, 1.0, values.size) if knots is None else knots
+        exact = lower_hull_exact(x, values)
+        got = greatest_convex_minorant(values, knots)
+        assert np.allclose(got, exact, rtol=0.0, atol=1e-12 * max(1.0, np.abs(values).max())), \
+            (knots, values, got, exact)
 
 
 def test_fit_full_m0_is_1d_search():
@@ -374,6 +404,41 @@ def test_engine_objective_finite_where_density_breaks_down(rng):
     # the other rows are exactly what they are on their own
     alone_value, alone_grad = engine.objective(good)
     assert np.array_equal(value[[0, 2]], alone_value) and np.array_equal(grad[[0, 2]], alone_grad)
+
+
+def _fit_bits(fit):
+    return (fit.loglik, fit.param.to_json(), fit.estimate.poly.coeffs.tolist(), fit.converged,
+            fit.starts_used)
+
+
+@pytest.mark.parametrize("m", [0, 5])
+def test_grouped_fit_does_not_depend_on_its_group(m, monkeypatch):
+    # a dataset's fit is bit for bit the same alone (fit_full / fit_sub, a
+    # group of one), in a group of 8 and at the mirrored place of the
+    # reversed group. BLAS runs a one-row product as GEMV and a stacked one
+    # as GEMM, which round differently, so the searches alone must include
+    # a call on one row, as a search ending with a single active start makes
+    rows = []
+    real = inference.minimize
+
+    def recording(fun, x0, **options):
+        def counted(x, tags):
+            rows.append(x.shape[0])
+            return fun(x, tags)
+        return real(counted, x0, **options)
+
+    monkeypatch.setattr(inference, "minimize", recording)
+    data = [sample_copula(AsymmetricLogistic(0.5, 0.9, 0.6), 80, 700 + i) for i in range(8)]
+    config = OptimConfig(starts=6, maxfev=200)
+    seeds = [3 * i + 1 for i in range(8)]
+    for fit, mles in ((fit_full, _full_mles), (fit_sub, _sub_mles)):
+        del rows[:]
+        alone = [_fit_bits(fit(d, m, replace(config, seed=seed))) for d, seed in zip(data, seeds)]
+        assert 1 in rows
+        group = [_fit_bits(f) for f in mles(_LogLik(data, m), config, seeds)]
+        reverse = [_fit_bits(f) for f in mles(_LogLik(data[::-1], m), config, seeds[::-1])][::-1]
+        assert group == alone
+        assert reverse == alone
 
 
 def test_fit_loglik_is_loglik_of_estimate():

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from pickpoly import (
     approx_error_bound,
     copula_cdf,
     copula_density,
+    fit_full,
+    fit_sub,
     model_from_json,
     model_pickands,
     model_to_json,
@@ -349,6 +352,48 @@ def test_run_study_failure_policy(monkeypatch):
                          estimators=("cfg",), seed=9, grid=11)
     with pytest.raises(StudyError):
         run_study(config, threads=1)
+
+
+@pytest.mark.parametrize("m", [0, 5])
+def test_study_logliks_equal_public_fits(m):
+    # run_study fits replicates in groups of 8 (11 leaves a partial last
+    # group); each replicate's logliks equal fit_full / fit_sub on its own
+    # sample and seeds bit for bit, on either worker count
+    config = StudyConfig(model=MIX_MODEL, n=60, replicates=11, m=m, estimators=("full", "sub"),
+                         seed=12, grid=11, optim=OptimConfig(starts=4, maxfev=150))
+    expected: dict[str, list[float]] = {"full": [], "sub": []}
+    for rep in range(config.replicates):
+        sample = sample_copula(config.model, config.n, split_seed(config.seed, rep, 0))
+        for est, fit, key in (("full", fit_full, 1), ("sub", fit_sub, 2)):
+            optim = replace(config.optim, seed=split_seed(config.seed, rep, key))
+            expected[est].append(fit(sample, m, optim).loglik)
+    for threads in (1, 2):
+        report = run_study(config, threads=threads)
+        assert {est: report.logliks[est].tolist() for est in expected} == expected
+
+
+def test_study_records_a_failed_fit_against_its_replicate_only(monkeypatch):
+    # one replicate's grouped fit raises: the study records the error against
+    # that replicate alone and every other replicate comes out unchanged
+    config = StudyConfig(model=MIX_MODEL, n=30, replicates=100, m=1, estimators=("full", "cfg"),
+                         seed=13, grid=11, optim=OptimConfig(starts=2, maxfev=40))
+    clean = run_study(config, threads=1)
+    bad_seed = split_seed(config.seed, 42, 1)
+    real = simulation_module._full_mles
+
+    def failing(loglik, optim, seeds):
+        if bad_seed in seeds:
+            raise RuntimeError("forced failure")
+        return real(loglik, optim, seeds)
+
+    monkeypatch.setattr(simulation_module, "_full_mles", failing)
+    report = run_study(config, threads=1)
+    assert report.failures == {"full": [(42, "RuntimeError: forced failure")], "cfg": []}
+    assert report.excluded == {"full": 1, "cfg": 0}
+    full, clean_full = report.logliks["full"], clean.logliks["full"]
+    assert np.isnan(full[42])
+    assert np.array_equal(np.delete(full, 42), np.delete(clean_full, 42))
+    assert report.payload()["mse"]["cfg"] == clean.payload()["mse"]["cfg"]
 
 
 def test_run_study_ranks_flag():
