@@ -26,42 +26,33 @@ from typing import Callable
 import numpy as np
 
 
-def binom_pmf(k, n: int, p):
-    """Binomial pmf P(S_n = k) at success probability p, via log-gamma.
-
-    Stable for n in the thousands. k and p may be scalars or arrays and
-    broadcast against each other; values of k outside {0,...,n} give 0.
-    p = 0 and p = 1 are exact, since xlogy and xlog1py read 0 * log 0 as 0.
-    """
-    from scipy.special import gammaln, xlog1py, xlogy
-
-    k = np.asarray(k, dtype=float)
-    p = np.asarray(p, dtype=float)
-    valid = (k >= 0) & (k <= n) & (k == np.floor(k))
-    kv = np.where(valid, k, 0.0)
-    logc = gammaln(n + 1) - gammaln(kv + 1) - gammaln(n - kv + 1)
-    out = np.where(valid, np.exp(logc + xlogy(kv, p) + xlog1py(n - kv, -p)), 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def basis_eval(k: int, m: int, x) -> float:
+def basis_eval(k: int, m: int, x):
     """Evaluate the basis polynomial b_{k,m}(x) = C(m,k) x^k (1-x)^(m-k).
+
+    x may be a scalar or an array. C(m,k) is the exact integer, taken through
+    its logarithm, so large m neither overflows nor underflows early; x = 0
+    and x = 1 are exact.
 
     Raises
     ------
     ValueError
-        If k is outside 0..m or x outside [0,1].
+        If k is not an integer in 0..m or x lies outside [0,1].
     """
-    if not 0 <= k <= m:
-        raise ValueError(f"basis index k={k} out of range 0..{m}")
-    _check_unit_interval(x)
-    return binom_pmf(k, m, x)
+    if not isinstance(k, (int, np.integer)) or not 0 <= k <= m:
+        raise ValueError(f"basis index k={k!r} must be an integer in 0..{m}")
+    xa = _check_unit_interval(x, "x")
+    with np.errstate(divide="ignore"):  # log 0 = -inf, read only under a nonzero power
+        s = (math.log(math.comb(m, k)) + (k * np.log(xa) if k else np.zeros_like(xa))
+             + ((m - k) * np.log1p(-xa) if k < m else 0.0))
+    out = np.exp(s)
+    return float(out) if out.ndim == 0 else out
 
 
-def _check_unit_interval(x) -> None:
+def _check_unit_interval(x, name: str) -> np.ndarray:
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0) or np.any(xa > 1.0) or not np.all(np.isfinite(xa)):
-        raise ValueError("abscissa outside [0,1]")
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return xa
 
 
 def _as_coeff_array(coeffs) -> np.ndarray:
@@ -128,8 +119,7 @@ def evaluate(P: BernsteinPoly, x):
     Accepts a scalar or an array of abscissae. The convex-combination scheme
     keeps evaluation stable when coefficients sit near feasibility boundaries.
     """
-    _check_unit_interval(x)
-    xa = np.asarray(x, dtype=float)
+    xa = _check_unit_interval(x, "x")
     val = eval_with_derivatives(P.coeffs, xa.ravel())[0]
     return float(val[0]) if xa.ndim == 0 else val.reshape(xa.shape)
 

@@ -30,6 +30,7 @@ import numpy as np
 from .bernstein import (
     BernsteinPoly,
     _branch_and_bound,
+    _check_unit_interval,
     eval_with_derivatives,
     evaluate,
     second_derivative_coeffs,
@@ -67,6 +68,7 @@ class NonnegReport:
 # subintervals narrower than 2**-60
 _CERTIFY_FLOOR = -1e-12
 _CERTIFY_DEPTH = 60
+_ENDPOINT_TOL = 1e-9  # endpoint coefficients this close to 1 count as 1
 
 
 def certify_nonnegative(P: BernsteinPoly) -> NonnegReport:
@@ -88,7 +90,7 @@ def certify_nonnegative(P: BernsteinPoly) -> NonnegReport:
     return NonnegReport(True, None, splits)
 
 
-def validate_pickands(P: BernsteinPoly, endpoint_tol: float = 1e-9) -> dict:
+def validate_pickands(P: BernsteinPoly) -> dict:
     """Classify a Bernstein polynomial as Pickands function or not.
 
     Checks the endpoint conditions on the first/last two coefficients and
@@ -99,15 +101,11 @@ def validate_pickands(P: BernsteinPoly, endpoint_tol: float = 1e-9) -> dict:
     c = P.coeffs
     m2 = P.degree
     violations: list[dict] = []
+    for k in sorted({0, m2}):
+        if abs(c[k] - 1.0) > _ENDPOINT_TOL:
+            violations.append({"rule": "endpoint_value", "witness": k})
     if m2 < 2:
-        for k in range(m2 + 1):
-            if abs(c[k] - 1.0) > endpoint_tol:
-                violations.append({"rule": "endpoint_value", "witness": k})
         return {"valid": not violations, "violations": violations}
-    if abs(c[0] - 1.0) > endpoint_tol:
-        violations.append({"rule": "endpoint_value", "witness": 0})
-    if abs(c[m2] - 1.0) > endpoint_tol:
-        violations.append({"rule": "endpoint_value", "witness": m2})
     floor = (m2 - 1) / m2  # (m+1)/(m+2) with representation degree m2 = m+2
     if c[1] < floor - 1e-12:
         violations.append({"rule": "endpoint_derivative", "witness": 1})
@@ -138,7 +136,7 @@ class PickandsPoly:
         if c.size < 3:
             raise ValueError("PickandsPoly needs degree >= 2; A == 1 is degree-2 [1,1,1]")
         for k in (0, c.size - 1):
-            if abs(c[k] - 1.0) > 1e-9:
+            if abs(c[k] - 1.0) > _ENDPOINT_TOL:
                 raise ValueError(f"endpoint coefficient {k} = {c[k]!r} not 1")
             c[k] = 1.0
         snapped = BernsteinPoly(c)
@@ -301,13 +299,6 @@ def spectral_measure(h: BernsteinPoly) -> SpectralDensity:
     )
 
 
-def _check_in(u, lo: float, hi: float, name: str):
-    ua = np.asarray(u, dtype=float)
-    if np.any(ua < lo) or np.any(ua > hi) or not np.all(np.isfinite(ua)):
-        raise ValueError(f"{name} must lie in [{lo}, {hi}]")
-    return ua
-
-
 def copula_cdf(A, u, v):
     """Extreme-value copula C_A(u, v) = exp{log(uv) A(log v / log uv)}.
 
@@ -315,11 +306,10 @@ def copula_cdf(A, u, v):
     [0,1]; zero arguments return 0 (continuous extension), and the removable
     singularity at u = v = 1 uses t = 1/2 (the value does not depend on it).
     """
-    ua = _check_in(u, 0.0, 1.0, "u")
-    va = _check_in(v, 0.0, 1.0, "v")
+    ua = _check_unit_interval(u, "u")
+    va = _check_unit_interval(v, "v")
     scalar = ua.ndim == 0 and va.ndim == 0
-    ua, va = np.atleast_1d(ua), np.atleast_1d(va)
-    ua, va = np.broadcast_arrays(ua, va)
+    ua, va = np.broadcast_arrays(np.atleast_1d(ua), np.atleast_1d(va))
     out = np.zeros(ua.shape)
     zero = (ua == 0.0) | (va == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -362,8 +352,8 @@ def copula_density(A, u, v):
     TypeError
         If A has no ``kernel``, as a PiecewiseLinearPickands.
     """
-    ua = _check_in(u, 0.0, 1.0, "u")
-    va = _check_in(v, 0.0, 1.0, "v")
+    ua = _check_unit_interval(u, "u")
+    va = _check_unit_interval(v, "v")
     if np.any(ua <= 0.0) or np.any(ua >= 1.0) or np.any(va <= 0.0) or np.any(va >= 1.0):
         raise ValueError("density requires u, v strictly inside (0, 1)")
     scalar = ua.ndim == 0 and va.ndim == 0

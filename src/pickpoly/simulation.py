@@ -254,8 +254,9 @@ class StudyConfig:
 
     An ``n``, ``replicates``, ``m``, ``seed`` or ``grid`` that is not an
     integer, or is below 2, 1, 0, 0 or 2 respectively, raises a ValueError
-    naming the field, as do ``estimators`` that are not distinct names from
-    full/sub/cfg.
+    naming the field, as do ``estimators`` that are not a list or tuple of
+    distinct names from full/sub/cfg, an ``optim`` that is neither None nor
+    an OptimConfig, and a ``ranks`` that is not a bool.
     """
 
     model: ReferenceModel
@@ -276,9 +277,15 @@ class StudyConfig:
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value!r}")
         est = self.estimators
+        if not isinstance(est, (str, list, tuple)) or not all(isinstance(e, str) for e in est):
+            raise ValueError(f"estimators must be a list or tuple of strings, got {est!r}")
         if (isinstance(est, str) or not est or set(est) - {"full", "sub", "cfg"}
                 or len(set(est)) != len(est)):
             raise ValueError(f"estimators must be distinct names from full/sub/cfg, got {est!r}")
+        if self.optim is not None and not isinstance(self.optim, OptimConfig):
+            raise ValueError(f"optim must be None or an OptimConfig, got {self.optim!r}")
+        if not isinstance(self.ranks, bool):
+            raise ValueError(f"ranks must be a bool, got {self.ranks!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,6 +43,9 @@ class SubmodelParam:
         return {"m": self.m, "c": [float(x) for x in self.c]}
 
 
+_GRID_TOL = 1e-10  # slack of PiecewiseLinearPickands' endpoint, slope and convexity checks
+
+
 @dataclass(frozen=True)
 class PiecewiseLinearPickands:
     """Piecewise-linear Pickands function through (knots, values).
@@ -55,7 +58,6 @@ class PiecewiseLinearPickands:
 
     knots: np.ndarray
     values: np.ndarray
-    tol: float = 1e-10
 
     def __post_init__(self):
         k = np.asarray(self.knots, dtype=float)
@@ -64,12 +66,12 @@ class PiecewiseLinearPickands:
             raise ValueError("knots and values must be equal-length 1-d arrays (>= 2 points)")
         if np.any(np.diff(k) <= 0) or k[0] != 0.0 or k[-1] != 1.0:
             raise ValueError("knots must increase strictly from 0 to 1")
-        if abs(v[0] - 1.0) > self.tol or abs(v[-1] - 1.0) > self.tol:
+        if abs(v[0] - 1.0) > _GRID_TOL or abs(v[-1] - 1.0) > _GRID_TOL:
             raise ValueError("endpoint values must equal 1")
         slopes = np.diff(v) / np.diff(k)
-        if slopes[0] < -1.0 - self.tol or slopes[-1] > 1.0 + self.tol:
+        if slopes[0] < -1.0 - _GRID_TOL or slopes[-1] > 1.0 + _GRID_TOL:
             raise ValueError("endpoint slopes must lie in [-1, 1]")
-        if np.any(np.diff(slopes) < -self.tol):
+        if np.any(np.diff(slopes) < -_GRID_TOL):
             raise ValueError("slopes must be nondecreasing (convexity)")
         kk, vv = k.copy(), v.copy()
         kk.flags.writeable = False

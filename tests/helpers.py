@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import sympy
 from hypothesis import strategies as st
@@ -49,6 +50,32 @@ def alog_value(t, alpha, psi1, psi2):
     t = np.asarray(t, dtype=float)
     inner = (psi1 * t) ** (1.0 / alpha) + (psi2 * (1.0 - t)) ** (1.0 / alpha)
     return (1.0 - psi1) * t + (1.0 - psi2) * (1.0 - t) + inner**alpha
+
+
+def exact_basis(k: int, m: int, x: float) -> Fraction:
+    """b_{k,m}(x) = C(m,k) x^k (1-x)^(m-k) in rational arithmetic, x read exactly.
+
+    An index outside 0..m gives 0, as a binomial pmf does.
+    """
+    if not 0 <= k <= m:
+        return Fraction(0)
+    x = Fraction(x)
+    return math.comb(m, k) * x**k * (1 - x) ** (m - k)
+
+
+def mpmath_alog_tau2(alpha: float, psi1: float, psi2: float) -> float:
+    """tau2 = 4{1 - int_0^1 A} of the asymmetric logistic by 30-digit tanh-sinh quadrature.
+
+    The integral is split at t = psi2 / (psi1 + psi2), where the two bracket
+    terms are equal and A bends most sharply for small alpha.
+    """
+    with mpmath.workdps(30):
+        a, p1, p2 = mpmath.mpf(alpha), mpmath.mpf(psi1), mpmath.mpf(psi2)
+
+        def A(t):
+            return (1 - p1) * t + (1 - p2) * (1 - t) + ((p1 * t) ** (1 / a) + (p2 * (1 - t)) ** (1 / a)) ** a
+
+        return float(4 * (1 - mpmath.quad(A, [0, p2 / (p1 + p2), 1])))
 
 
 def quad_a_from_h(h: BernsteinPoly, t: float) -> float:

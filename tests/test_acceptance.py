@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import ALOG_PARAMS, MIX_PSI, POLFULL_H, POLFULL_POWER
+from helpers import ALOG_PARAMS, MIX_PSI, POLFULL_H, POLFULL_POWER, exact_basis
 from pickpoly import (
     AsymmetricLogistic,
     BernsteinPoly,
@@ -28,7 +28,6 @@ from pickpoly import (
     a_from_h,
     bernstein_approx,
     bernstein_to_power,
-    binom_pmf,
     copula_cdf,
     elevate_degree,
     evaluate,
@@ -182,14 +181,14 @@ def test_criterion_6_approximation_bounds(rng):
     ok = True
     for m in (2, 8, 32):
         bound = np.array(
-            [2 * t * (1 - t) * binom_pmf(math.floor(m * t), m - 1, t) for t in ts]
+            [2 * t * (1 - t) * float(exact_basis(math.floor(m * t), m - 1, t)) for t in ts]
         )
         for A in models:
             err = evaluate(bernstein_approx(A.value, m), ts) - A.value(ts)
             ok &= bool(np.min(err) >= -1e-12 and np.max(err - bound) <= 1e-12)
         # refined comonotone bound attained at t = 1/2
         errV = evaluate(bernstein_approx(vee, m), 0.5) - 0.5
-        v_bound = (1 - vee(0.5)) * binom_pmf(m // 2, m - 1, 0.5)
+        v_bound = (1 - vee(0.5)) * float(exact_basis(m // 2, m - 1, 0.5))
         ok &= abs(errV - v_bound) <= 1e-12
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0

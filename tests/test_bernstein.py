@@ -14,6 +14,7 @@ from helpers import (
     POLFULL_POWER,
     alog_value,
     assert_correctly_rounded,
+    exact_basis,
     exact_elevation,
     exact_minimum,
     iterated_elevation,
@@ -26,7 +27,6 @@ from pickpoly import (
     basis_eval,
     bernstein_approx,
     bernstein_to_power,
-    binom_pmf,
     derivative_coeffs,
     elevate_degree,
     evaluate,
@@ -60,23 +60,35 @@ def test_basis_eval_domain_errors():
         basis_eval(-1, 2, 0.5)
     with pytest.raises(ValueError):
         basis_eval(0, 2, 1.5)
+    for k in (1.5, 1.0, "1", None):  # the index must be an integer, not merely integral
+        with pytest.raises(ValueError, match="must be an integer in 0..2"):
+            basis_eval(k, 2, 0.3)
 
 
 def test_partition_of_unity():
     xs = np.linspace(0.0, 1.0, 101)
     for m in range(0, 21):
         total = sum(basis_eval(k, m, xs) for k in range(m + 1))
+        assert total.shape == xs.shape
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
-def test_binom_pmf_against_exact():
-    for n in (0, 1, 7, 30):
-        for p in (0.0, 0.3, 0.5, 1.0):
-            for k in range(n + 1):
-                exact = math.comb(n, k) * p**k * (1 - p) ** (n - k)
-                assert binom_pmf(k, n, p) == pytest.approx(exact, abs=1e-14)
-    assert binom_pmf(5, 3, 0.4) == 0.0
-    assert binom_pmf(-1, 3, 0.4) == 0.0
+@pytest.mark.parametrize("m", [0, 1, 7, 30, 100, 1000, 4095])
+def test_basis_eval_against_exact_binomials(m):
+    # within 1e-12 relative of the exact rational wherever that is a normal
+    # float, and exact at the endpoints
+    for x in (0.0, 0.3, 1.0 / 3.0, 0.5, 0.97, 1.0):
+        for k in {0, 1, m // 3, m // 2, round(m * x), m - 1, m} & set(range(m + 1)):
+            exact, got = exact_basis(k, m, x), basis_eval(k, m, x)
+            if x in (0.0, 1.0):
+                assert got == exact
+            elif exact > 1e-290:
+                assert abs(got - float(exact)) <= 1e-12 * float(exact), (k, m, x)
+            else:
+                assert got < 1e-280
+    xs = np.array([0.0, 0.25, 0.6, 1.0])
+    k = np.int64(m // 2)
+    assert np.array_equal(basis_eval(k, m, xs), [basis_eval(k, m, float(x)) for x in xs])
 
 
 def test_evaluate_examples():
@@ -285,11 +297,11 @@ def test_basis_product_integral_identity_prop22():
         quad, _ = integrate.quad(lambda w: basis_eval(i, m, w) * basis_eval(j, n, w),
                                  0.0, t, epsabs=1e-12)
         coef = math.comb(m, i) * math.comb(n, j) / math.comb(m + n, i + j)
-        tail = sum(binom_pmf(k, m + n + 1, t) for k in range(i + j + 1, m + n + 2))
+        tail = sum(basis_eval(k, m + n + 1, t) for k in range(i + j + 1, m + n + 2))
         assert coef * tail / (m + n + 1) == pytest.approx(quad, abs=1e-10)
         quad_hi, _ = integrate.quad(lambda w: basis_eval(i, m, w) * basis_eval(j, n, w),
                                     t, 1.0, epsabs=1e-12)
-        head = sum(binom_pmf(k, m + n + 1, t) for k in range(0, i + j + 1))
+        head = sum(basis_eval(k, m + n + 1, t) for k in range(0, i + j + 1))
         assert coef * head / (m + n + 1) == pytest.approx(quad_hi, abs=1e-10)
 
 

@@ -7,7 +7,21 @@ import numpy as np
 import pytest
 
 from helpers import POLFULL_H, POLFULL_POWER, run_python
-from pickpoly import BernsteinPoly, SampleSet, StudyConfig, SymmetricMixed, run_study, sample_copula
+from pickpoly import (
+    AsymmetricLogistic,
+    BernsteinPoly,
+    SampleSet,
+    StudyConfig,
+    SymmetricMixed,
+    approx_error_bound,
+    basis_eval,
+    comonotone,
+    model_pickands,
+    run_study,
+    sample_copula,
+    submodel_tau_range,
+    tau_measures,
+)
 from pickpoly import cli as cli_module
 from pickpoly.cli import main
 
@@ -434,13 +448,79 @@ def test_console_script_entry_point(tmp_path):
     assert json.loads(proc.stdout) == {"degree": 6}
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy loads where it is first used, never on import (a fresh interpreter,
-    # so modules the test suite loaded do not count)
-    code = ("import sys, pickpoly, pickpoly.cli; "
-            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
-    proc = run_python("-c", code)
-    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+def _every_subcommand(inputs, out) -> list[list[str]]:
+    # one run of each subcommand, fit once per model; each writes out/<name>
+    data = str(out / "simulate")
+    runs = [
+        ["validate", "--in", inputs["poly"]],
+        ["convert", "--in", inputs["poly"]],
+        ["lorentz", "--in", inputs["h"]],
+        ["measures", "--in", inputs["poly"]],
+        ["simulate", "--model", inputs["alog"], "--n", "150", "--seed", "3"],
+        ["fit", "--in", data, "--model", "full", "--m", "1", "--starts", "2"],
+        ["fit", "--in", data, "--model", "sub", "--m", "2", "--starts", "2"],
+        ["fit", "--in", data, "--model", "cfg", "--grid", "11"],
+        ["study", "--in", inputs["study"]],
+        ["bound", "--model", inputs["alog"], "--m", "6", "--t", "0.3"],
+        ["bound", "--model", inputs["comonotone"], "--m", "6", "--t", "0.5"],
+    ]
+    return [argv + ["--out", str(out / f"{argv[0]}{i}")] if argv[0] != "simulate"
+            else argv + ["--out", data] for i, argv in enumerate(runs)]
+
+
+NO_SCIPY_SCRIPT = """
+import json, os, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+os.environ["PICKPOLY_THREADS"] = "1"
+import pickpoly as pp
+from pickpoly.cli import main
+
+alog = pp.model_pickands(pp.AsymmetricLogistic(0.5, 0.1, 0.5))
+tau = pp.tau_measures(alog)
+values = [tau.tau1, tau.tau2, pp.basis_eval(3, 10, 0.3), pp.submodel_tau_range(5, 1)]
+for A in (pp.comonotone(), alog):
+    b = pp.approx_error_bound(A, 10, 0.3)
+    values += [b.error, b.bound]
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(k for k, v in sys.modules.items() if k.split(".")[0] == "scipy" and v is not None)
+print(json.dumps({"values": [repr(x) for x in values], "codes": codes, "loaded": loaded}))
+"""
+
+
+def test_library_and_cli_run_without_scipy(tmp_path, monkeypatch):
+    # scipy unimportable in a fresh interpreter: the measures, the basis and
+    # every subcommand still run, load no scipy module and give the values
+    # and files they give here
+    inputs = {
+        "poly": write(tmp_path / "poly.json", POLFULL_POWER_JSON),
+        "h": write(tmp_path / "h.json", POLFULL_H_JSON),
+        "alog": write(tmp_path / "alog.json", {"model": "alog", "alpha": 0.5, "psi1": 0.1, "psi2": 0.5}),
+        "comonotone": write(tmp_path / "como.json", {"model": "comonotone"}),
+        "study": write(tmp_path / "study.json", {
+            "model": MIX_MODEL_JSON, "n": 40, "replicates": 2, "m": 1,
+            "estimators": ["full", "sub", "cfg"], "grid": 11, "optim": {"starts": 2, "maxfev": 80}}),
+    }
+    (tmp_path / "bare").mkdir()
+    (tmp_path / "here").mkdir()
+    proc = run_python("-c", NO_SCIPY_SCRIPT, json.dumps(_every_subcommand(inputs, tmp_path / "bare")))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == []
+    assert result["codes"] == [0] * 11
+
+    monkeypatch.setenv("PICKPOLY_THREADS", "1")
+    assert [main(argv) for argv in _every_subcommand(inputs, tmp_path / "here")] == [0] * 11
+    names = sorted(p.name for p in (tmp_path / "here").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "bare").iterdir()) and len(names) == 11
+    for name in names:
+        assert (tmp_path / "bare" / name).read_text() == (tmp_path / "here" / name).read_text(), name
+    alog = model_pickands(AsymmetricLogistic(0.5, 0.1, 0.5))
+    tau = tau_measures(alog)
+    values = [tau.tau1, tau.tau2, basis_eval(3, 10, 0.3), submodel_tau_range(5, 1)]
+    for A in (comonotone(), alog):
+        b = approx_error_bound(A, 10, 0.3)
+        values += [b.error, b.bound]
+    assert result["values"] == [repr(x) for x in values]
 
 
 @pytest.mark.parametrize("poly", [

@@ -243,10 +243,12 @@ def test_copula_cdf_margins_and_edges():
     assert np.allclose(copula_cdf(A, 1.0, us), us, atol=1e-14)
     assert copula_cdf(A, 0.0, 0.5) == 0.0
     assert copula_cdf(A, 1.0, 1.0) == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^u must lie in \[0, 1\]$"):
         copula_cdf(A, -0.1, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^v must lie in \[0, 1\]$"):
         copula_cdf(A, 0.5, 1.1)
+    with pytest.raises(ValueError, match=r"^v must lie in \[0, 1\]$"):
+        copula_density(A, 0.5, np.nan)
 
 
 def test_copula_density_independence_and_boundary():

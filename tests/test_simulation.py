@@ -332,6 +332,33 @@ def test_study_config_rejects_bad_estimators(estimators):
         StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0, estimators=estimators)
 
 
+@pytest.mark.parametrize("ranks", ["false", "true", 0, 1, None, np.True_])
+def test_study_config_rejects_non_bool_ranks(ranks):
+    # a truthy string used to run a rank study silently
+    with pytest.raises(ValueError, match="^ranks must be a bool, got "):
+        StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0, estimators=("cfg",), ranks=ranks)
+
+
+@pytest.mark.parametrize("optim", [{"starts": 2}, 5, "default", (2, 0, None)])
+def test_study_config_rejects_non_optimconfig_optim(optim):
+    # a dict used to fail every replicate inside the study as a StudyError
+    with pytest.raises(ValueError, match="^optim must be None or an OptimConfig, got "):
+        StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0, estimators=("cfg",), optim=optim)
+
+
+@pytest.mark.parametrize("estimators", [5, None, [["full"]], ("full", 1), {"full"}, b"cfg"])
+def test_study_config_rejects_non_string_estimators(estimators):
+    # these used to raise a TypeError, or pass as a set
+    with pytest.raises(ValueError, match="^estimators must be a list or tuple of strings, got "):
+        StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0, estimators=estimators)
+
+
+def test_study_config_accepts_a_list_of_estimators():
+    config = StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0, estimators=["cfg"],
+                         optim=OptimConfig(starts=2), ranks=True)
+    assert run_study(config, threads=1).excluded == {"cfg": 0}
+
+
 def test_study_config_rejects_negative_seed():
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
         StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0, estimators=("cfg",), seed=-1)
