@@ -523,6 +523,15 @@ def test_library_and_cli_run_without_scipy(tmp_path, monkeypatch):
     assert result["values"] == [repr(x) for x in values]
 
 
+def test_import_leaves_scipy_stats_out():
+    # importing the package and its CLI loads no scipy module (a fresh
+    # interpreter, so modules the test suite loaded do not count)
+    code = ("import sys, pickpoly, pickpoly.cli; "
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+
+
 @pytest.mark.parametrize("poly", [
     {"basis": "bernstein", "degree": 1030, "coeffs": [1.0] * 1031},  # weights past the float range
     {"basis": "power", "degree": 3, "coeffs": [1e308] * 4},  # sums past the float range

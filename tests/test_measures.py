@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_valid_pickands
-from helpers import ALOG_PARAMS, alog_value, mpmath_alog_tau2
+from helpers import ALOG_PARAMS, alog_value, mpmath_alog_tau2, run_python
 from pickpoly import (
     AsymmetricLogistic,
     BernsteinPoly,
@@ -12,6 +12,7 @@ from pickpoly import (
     GenericPickands,
     PickandsPoly,
     approx_error_bound,
+    basis_eval,
     bernstein_approx,
     comonotone,
     independence,
@@ -161,3 +162,19 @@ def test_rate_check_v_at_half():
     # monotone approach to sqrt(1/(2 pi)) ~ 0.39894
     assert all(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1))
     assert abs(ratios[-1] - np.sqrt(1.0 / (2.0 * np.pi))) < 2e-4
+
+
+def test_scipy_paths_work_in_a_fresh_interpreter():
+    # quadrature and the binomial basis, which once imported scipy, give the
+    # same values in a fresh interpreter as here
+    code = """
+import pickpoly as pp
+model = pp.model_pickands(pp.AsymmetricLogistic(0.5, 0.1, 0.5))
+r = pp.tau_measures(model)
+print(repr(r.tau1), repr(r.tau2), repr(pp.basis_eval(3, 10, 0.3)), repr(pp.submodel_tau_range(5, 1)))
+"""
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    r = tau_measures(model_pickands(AsymmetricLogistic(0.5, 0.1, 0.5)))
+    assert proc.stdout.split() == [repr(r.tau1), repr(r.tau2), repr(basis_eval(3, 10, 0.3)),
+                                   repr(submodel_tau_range(5, 1))]
