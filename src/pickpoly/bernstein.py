@@ -8,12 +8,11 @@ parametric models) stores polynomials in the Bernstein basis
 because the constraints of interest act directly on the coefficients.
 Evaluation uses the de Casteljau convex-combination scheme and degree
 elevation one direct map built from exact binomial ratio chains. The basis
-changes and the subdivision walk's split and probe are fixed linear maps of
-the coefficients, one matrix per degree (for the probe, one row per
-abscissa): each entry is an exact rational rounded once to the nearest
-float, and each matrix or row is built on first use and kept in a small
-cache. The basis changes sum in extended precision. No least-squares
-fitting anywhere.
+changes and the subdivision walk's split are fixed linear maps of the
+coefficients, one matrix per degree: each entry is an exact rational
+rounded once to the nearest float, and each matrix is built on first use
+and kept in a small cache. The basis changes sum in extended precision. No
+least-squares fitting anywhere.
 """
 
 from __future__ import annotations
@@ -376,33 +375,6 @@ def _split_matrix(d: int) -> np.ndarray:
     return _frozen(S)
 
 
-# probe rows are built and kept one at a time: a walk reads only the rows
-# of the abscissae it probes, a few per walk, and a full probe matrix would
-# cost O(d^2) operations on integers of about d log2(d) bits (4.3 s at d = 1100)
-_PROBE_ROWS = 256
-
-
-@lru_cache(maxsize=_PROBE_ROWS)
-def _probe_row(d: int, k: int) -> np.ndarray:
-    """Row k of the probe matrix V, V[k, j] = b_{j,d}(k/d): V[k] @ c is the value at k/d.
-
-    V[k, j] = C(d, j) k^j (d-k)^(d-j) / d^d. The numerators follow each
-    other exactly, N_{j+1} = N_j (d-j) k / ((j+1)(d-k)); row d-k is row k
-    reversed.
-    """
-    if 2 * k > d:
-        return _probe_row(d, d - k)[::-1]
-    q = d - k
-    den = d ** d
-    num = q ** d
-    row = np.empty(d + 1)
-    row[0] = _rounded(num, den)
-    for j in range(d):
-        num = num * ((d - j) * k) // ((j + 1) * q)
-        row[j + 1] = _rounded(num, den)
-    return _frozen(row)
-
-
 # subintervals at depth 34 are 2**-34 < 1e-10 wide: the minimum's abscissa
 # is localized to 1e-10
 _MINIMUM_DEPTH = 34
@@ -413,13 +385,12 @@ def _branch_and_bound(coeffs: np.ndarray, floor: float | None, max_depth: int):
 
     The least coefficient on a subinterval bounds the polynomial below there,
     so a subinterval is dropped once that bound reaches the floor: the fixed
-    ``floor`` when one is given, else the least value found so far. Each kept
-    subinterval is probed at the abscissa k/d of its least coefficient and at
-    its midpoint, then halved. Both steps are products with cached degree-d
-    maps: the probe is V[k] @ c (``_probe_row``), and the split [L; R] @ c
-    (``_split_matrix``) gives both halves, the midpoint value being the left
-    half's last coefficient. With a floor the walk
-    stops at the first value below it. Subintervals that reach ``max_depth``
+    ``floor`` when one is given, else the least value found so far. Every
+    other subinterval is halved, both halves from one product [L; R] @ c with
+    the cached degree-d split matrix (``_split_matrix``). The only values the
+    walk reads are the two end coefficients of ``coeffs`` and each split's
+    midpoint value, the left half's last coefficient; with a floor it stops
+    at the first of them below it. Subintervals that reach ``max_depth``
     still undropped are not split further.
 
     Returns (abscissa, value, splits, undecided): the least value found and
@@ -431,15 +402,8 @@ def _branch_and_bound(coeffs: np.ndarray, floor: float | None, max_depth: int):
     stack = [(0.0, 1.0, coeffs, 0)]
     while stack and (floor is None or best_v >= floor):
         a, b, c, depth = stack.pop()
-        bound = best_v if floor is None else floor
-        k = int(np.argmin(c))
-        if c[k] >= bound:
+        if c.min() >= (best_v if floor is None else floor):
             continue
-        v = _probe_row(deg, k) @ c
-        if v < best_v:
-            best_t, best_v = a + (b - a) * k / deg, v
-        if floor is not None and v < floor:
-            break
         if depth >= max_depth:
             undecided = True
             continue

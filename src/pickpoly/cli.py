@@ -31,6 +31,7 @@ from .measures import approx_error_bound, tau_measures
 from .pickands import PickandsPoly, comonotone, validate_pickands
 from .simulation import (
     StudyConfig,
+    _reject_unknown_keys,
     model_from_json,
     model_pickands,
     run_study,
@@ -172,10 +173,7 @@ def _cmd_fit(args) -> int:
 def _optim_config(obj: dict) -> OptimConfig:
     if not isinstance(obj, dict):
         raise ValueError(f"optim must be a JSON object, got {obj!r}")
-    known = {f.name for f in fields(OptimConfig)}
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise ValueError(f"unknown optim keys {unknown}; expected a subset of {sorted(known)}")
+    _reject_unknown_keys(obj, [f.name for f in fields(OptimConfig)], "optim")
     return OptimConfig(**obj)
 
 
@@ -183,6 +181,7 @@ def _cmd_study(args) -> int:
     raw = _read_json(args.infile)
     if not isinstance(raw, dict):
         raise ValueError(f"study config must be a JSON object, got {type(raw).__name__}")
+    _reject_unknown_keys(raw, [f.name for f in fields(StudyConfig)], "study config")
     optim = _optim_config(raw["optim"]) if "optim" in raw else None
     raw = {**{f.name: f.default for f in fields(StudyConfig) if f.default is not MISSING}, **raw}
 

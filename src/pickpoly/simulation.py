@@ -136,22 +136,34 @@ def _json_field(obj: dict, key: str, cast, where: str):
         raise ValueError(f"{where}: {key!r} must be {cast.__name__}, got {obj.get(key)!r}") from None
 
 
+def _reject_unknown_keys(obj: dict, known, where: str) -> None:
+    """Raise a ValueError that names the keys of obj outside known, and known, both sorted."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; expected a subset of {sorted(known)}")
+
+
+# the parameter keys of each model kind, besides "model"
+_MODEL_KEYS = {"alog": ("alpha", "psi1", "psi2"), "mix": ("psi",), "poly": ("pickands",)}
+
+
 def model_from_json(obj: dict) -> ReferenceModel:
     """Parse the model JSON schema: alog | mix | poly; ValueError on malformed input."""
     if not isinstance(obj, dict):
         raise ValueError(f"model JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("model")
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise ValueError(f"model JSON: unknown model kind {kind!r}")
+    _reject_unknown_keys(obj, ("model",) + _MODEL_KEYS[kind], f"{kind} model JSON")
     if kind == "alog":
         return AsymmetricLogistic(*(_json_field(obj, k, float, "model JSON")
-                                    for k in ("alpha", "psi1", "psi2")))
+                                    for k in _MODEL_KEYS[kind]))
     if kind == "mix":
         return SymmetricMixed(_json_field(obj, "psi", float, "model JSON"))
-    if kind == "poly":
-        poly = poly_from_json(obj["pickands"])
-        if isinstance(poly, PowerPoly):
-            poly = power_to_bernstein(poly)
-        return PolynomialModel(PickandsPoly(poly))
-    raise ValueError(f"model JSON: unknown model kind {kind!r}")
+    poly = poly_from_json(obj["pickands"])
+    if isinstance(poly, PowerPoly):
+        poly = power_to_bernstein(poly)
+    return PolynomialModel(PickandsPoly(poly))
 
 
 # the search bracket for v; the Newton step, relative to min(v, 1 - v) (the
@@ -335,7 +347,7 @@ def _fits(est: str, samples: list[SampleSet], config: StudyConfig,
           reps: list[int]) -> list[FitResult]:
     # one fit of each replicate's sample, each from the replicate's own seed
     if est == "cfg":
-        return [fit_cfg(sample) for sample in samples]
+        return [fit_cfg(sample, config.grid) for sample in samples]
     base = config.optim if config.optim is not None else OptimConfig()
     mles, key = (_full_mles, 1) if est == "full" else (_sub_mles, 2)
     seeds = [split_seed(config.seed, rep, key) for rep in reps]

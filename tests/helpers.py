@@ -364,11 +364,17 @@ def _loop_value(c: np.ndarray, x: float) -> float:
 
 
 def loop_branch_and_bound(coeffs, floor, max_depth: int):
-    """The subdivision walk with per-level loops for the split and the probe (oracle).
+    """The subdivision walk with per-level loops for the split, plus a probe (oracle).
 
-    Same search and floor rule as ``pickpoly.bernstein._branch_and_bound``,
-    which does each split and probe as one product with a cached matrix;
-    returns the same (abscissa, value, splits, undecided).
+    Same drop and floor rule as ``pickpoly.bernstein._branch_and_bound``,
+    which does each split as one product with a cached matrix, and the same
+    (abscissa, value, splits, undecided) return. It also probes each kept
+    subinterval at the abscissa k/d of its least coefficient, by a full de
+    Casteljau triangle, a value the library walk does not read. So it may
+    stop sooner on a negative input, with its witness at k/d rather than at
+    a split midpoint, and its minimum search may lower its incumbent sooner;
+    but on an input it certifies, no probe is below the floor and it takes
+    the same splits.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     deg = coeffs.size - 1

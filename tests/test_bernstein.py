@@ -40,7 +40,6 @@ from pickpoly.bernstein import (
     _bernstein_to_power_matrix,
     _branch_and_bound,
     _power_to_bernstein_matrix,
-    _probe_row,
     _split_matrix,
 )
 from pickpoly.pickands import _CERTIFY_DEPTH, _CERTIFY_FLOOR, certify_nonnegative
@@ -347,8 +346,6 @@ def _exact_rows(d: int) -> dict:
         # right half of the de Casteljau split: C(d-r, k-r) / 2^(d-r)
         "R": (lambda r: _split_matrix(d)[d + 1 + r],
               lambda r, k: Fraction(math.comb(d - r, k - r), 2 ** (d - r)) if k >= r else zero),
-        "V": (lambda k: _probe_row(d, k),
-              lambda k, j: math.comb(d, j) * Fraction(k, d) ** j * Fraction(d - k, d) ** (d - j)),
         "T": (lambda k: _power_to_bernstein_matrix(d)[k],
               lambda k, j: Fraction(math.comb(k, j), math.comb(d, j)) if j <= k else zero),
         "U": (lambda j: _bernstein_to_power_matrix(d)[j],
@@ -376,12 +373,10 @@ def test_cached_matrices_match_exact_rationals_past_float_exponent_range():
     d = 1100
     _assert_rows_rounded(d, (0, 1, 2, 367, 550, 551, 733, 1099, 1100))
     assert np.isinf(_bernstein_to_power_matrix(d)).any()
-    assert np.count_nonzero(_probe_row(d, 1)) < d + 1  # underflowed weights are 0
 
 
 def test_cached_matrices_are_read_only():
-    for M in (_split_matrix(3), _probe_row(3, 1), _probe_row(3, 3),
-              _power_to_bernstein_matrix(3), _bernstein_to_power_matrix(3)):
+    for M in (_split_matrix(3), _power_to_bernstein_matrix(3), _bernstein_to_power_matrix(3)):
         with pytest.raises(ValueError):
             M[0] = 2.0
 
@@ -419,10 +414,24 @@ def test_walk_matches_loop_oracle_at_touching_zeros(coeffs):
     assert report.nonneg == (v_old >= _CERTIFY_FLOOR)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_walk_coeffs, st.floats(1e-9, 0.1))
+def test_certified_walk_takes_the_loop_oracles_splits(coeffs, margin):
+    # lifted so that its least value is margin > 0: the coefficients may
+    # still dip below the floor, so the certificate has to split; on an
+    # accepted input no value is read below the floor, the oracle's probe
+    # included, and both walks drop and halve the same subintervals
+    c = np.array(coeffs)
+    c = c - loop_branch_and_bound(c, None, 34)[1] + margin
+    _, v, splits, undecided = _branch_and_bound(c, _CERTIFY_FLOOR, _CERTIFY_DEPTH)
+    assume(v >= _CERTIFY_FLOOR and not undecided)
+    assert splits == loop_branch_and_bound(c, _CERTIFY_FLOOR, _CERTIFY_DEPTH)[2]
+
+
 def test_certificate_at_degree_1100():
     # (t - 0.3)^2 + shift: the elevated coefficients dip below zero near
     # t = 0.3 either way; the positive one is certified after splits, the
-    # negative one is caught by the first probe
+    # negative one is caught at the first split midpoint below the floor
     def quadratic(shift):
         return elevate_degree(power_to_bernstein(PowerPoly([0.09 + shift, -0.6, 1.0])), 1100)
 
@@ -438,12 +447,11 @@ def test_certificate_memory_at_degree_600():
     d = 600
     P = elevate_degree(power_to_bernstein(PowerPoly([0.09 + 1e-5, -0.6, 1.0])), d)
     _split_matrix.cache_clear()
-    _probe_row.cache_clear()
     tracemalloc.start()
     try:
         assert certify_nonnegative(P).nonneg
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the split matrix, 16 (d+1)^2 bytes, plus at most 1 MiB of probe rows and walk
+    # the split matrix, 16 (d+1)^2 bytes, plus at most 1 MiB for the walk
     assert peak < 16 * (d + 1) ** 2 + 2**20

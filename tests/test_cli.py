@@ -229,6 +229,7 @@ MALFORMED_MODELS = [
     ([1, 2], "object"),
     ({"model": "alog", "alpha": None, "psi1": 0.5, "psi2": 0.5}, "'alpha'"),
     ({"model": "mix", "psi": [0.5]}, "'psi'"),
+    ({"model": "mix", "psi": 0.5, "alpha": 3}, "keys ['alpha']; expected a subset of ['model', 'psi']"),
 ]
 
 
@@ -260,6 +261,9 @@ def test_malformed_model_json_exits_1(tmp_path, capsys, command, extra, model, f
     ({"estimators": "full"}, "'estimators'"),
     ({"estimators": ["cfg", 1]}, "'estimators'"),
     ({"estimators": ["cfg", "cfg"]}, "estimators must be distinct"),
+    ({"estimator": ["cfg"], "sed": 4},
+     "keys ['estimator', 'sed']; expected a subset of ['estimators', 'grid', 'm', 'model', 'n', "
+     "'optim', 'ranks', 'replicates', 'seed']"),
 ])
 def test_study_rejects_malformed_fields(tmp_path, capsys, change, field):
     config = {"model": MIX_MODEL_JSON, "n": 40, "replicates": 2, "m": 0, "estimators": ["cfg"]}

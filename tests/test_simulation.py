@@ -28,6 +28,7 @@ from pickpoly import (
     approx_error_bound,
     copula_cdf,
     copula_density,
+    fit_cfg,
     fit_full,
     fit_sub,
     model_from_json,
@@ -397,6 +398,19 @@ def test_study_logliks_equal_public_fits(m):
     for threads in (1, 2):
         report = run_study(config, threads=threads)
         assert {est: report.logliks[est].tolist() for est in expected} == expected
+
+
+def test_study_cfg_curve_is_fit_cfg_on_the_study_grid():
+    # each replicate's CFG curve is fit_cfg on the study's own grid, read
+    # there, bit for bit
+    config = StudyConfig(model=MIX_MODEL, n=60, replicates=3, m=0, estimators=("cfg",),
+                         seed=14, grid=11)
+    reps = list(range(config.replicates))
+    tgrid = np.linspace(0.0, 1.0, config.grid)
+    for rep, record in zip(reps, simulation_module._study_group((config, reps))):
+        sample = sample_copula(config.model, config.n, split_seed(config.seed, rep, 0))
+        expected = fit_cfg(sample, config.grid).estimate.value(tgrid)
+        assert np.array_equal(record["cfg"]["curve"], expected)
 
 
 def test_study_records_a_failed_fit_against_its_replicate_only(monkeypatch):
