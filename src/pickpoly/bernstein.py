@@ -129,12 +129,14 @@ def eval_with_derivatives(coeffs: np.ndarray, x: np.ndarray):
     Internal fast path (no domain checks): x must be a 1-d ndarray in [0,1].
     ``coeffs`` is one coefficient vector, giving three arrays shaped like x,
     or a (rows x (m+1)) stack of them, giving three (rows x x.size) arrays
-    whose row r is, bit for bit, what coefficient row r gives alone.
+    whose row r is, bit for bit, what coefficient row r gives alone; with
+    a stack, x may also be (rows x k), one row of abscissae per coefficient
+    row.
     """
     m = coeffs.shape[-1] - 1
     # the triangle's level axis first: (m+1, [rows,] x.size)
     c = coeffs.T[..., None]
-    shape = c.shape[1:-1] + x.shape
+    shape = np.broadcast_shapes(c.shape[1:], x.shape)
     if m == 0:
         z = np.zeros(shape)
         return np.full(shape, c[0]), z, z
@@ -366,11 +368,21 @@ def _split_matrix(d: int) -> np.ndarray:
     L @ c and R @ c are the degree-d Bernstein coefficients of the halves on
     [0, 1/2] and [1/2, 1]. L[r, k] = C(r, k) / 2^r is the left edge of the
     de Casteljau triangle, and R its reflection, R[r, k] = L[d-r, d-k].
+    Each row is symmetric, C(r, k) = C(r, r-k), so only its first half is
+    rounded. Up to row 1000 an entry is float(C(r, k)), correctly rounded,
+    scaled by 2^-r, which is exact while the result stays normal (it is at
+    least 2^-1000); later rows, whose entries can be subnormal, use int / int.
     """
     n = d + 1
     S = np.zeros((2 * n, n))
     for r, row in enumerate(_pascal_rows(d)):
-        S[r, :r + 1] = [_rounded(x, 1 << r) for x in row]
+        half = row[:r // 2 + 1]
+        if r <= 1000:
+            half = [math.ldexp(float(x), -r) for x in half]
+        else:
+            half = [_rounded(x, 1 << r) for x in half]
+        S[r, :len(half)] = half
+        S[r, r - len(half) + 1:r + 1] = half[::-1]
     S[n:] = S[d::-1, ::-1]
     return _frozen(S)
 

@@ -231,6 +231,8 @@ def _cmd_study(args) -> int:
 def _cmd_bound(args) -> int:
     obj = _read_json(args.model)
     como = isinstance(obj, dict) and obj.get("model") == "comonotone"
+    if como:
+        _reject_unknown_keys(obj, ("model",), "comonotone model JSON")
     A = comonotone() if como else model_pickands(model_from_json(obj))
     b = approx_error_bound(A, args.m, args.t)
     _write_out(_dump({"error": b.error, "bound": b.bound, "v_bound": b.v_bound}), args.out)

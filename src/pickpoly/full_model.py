@@ -189,8 +189,8 @@ def sample_feasible(m: int, rng: np.random.Generator, count: int) -> np.ndarray:
     have = 0
     for batch in range(40):
         cand = rng.uniform(-1.0, 1.0, size=(max(8 * count, 2048), m + 1)) * box
-        q0 = np.einsum("ri,ij,rj->r", cand, Q0, cand)
-        q1 = np.einsum("ri,ij,rj->r", cand, Q1, cand)
+        q0 = ((cand @ Q0) * cand).sum(axis=1)
+        q1 = ((cand @ Q1) * cand).sum(axis=1)
         keep = cand[(q0 <= 1.0) & (q1 <= 1.0)]
         if keep.size:
             out.append(keep)

@@ -20,11 +20,15 @@ damped-BFGS SQP over Theta_m whose QP over the two linearised caps is solved
 in closed form, and a primal-dual interior point with the exact Hessian over
 the polytope, each local search one call of ``minimize``. One search can
 carry the starts of a whole group of datasets (``_full_mles``,
-``_sub_mles``; ``fit_full`` and ``fit_sub`` are a group of one), and a
-start's every value is what it gets alone. Every final point is pulled
-radially back into the parameter space and scored; the independence
-parameter (loglik exactly 0) is always a fallback candidate. Everything is
-deterministic given the seed.
+``_sub_mles``; ``fit_full`` and ``fit_sub`` are a group of one). A start's
+values are not what it gets alone, as BLAS rounds a one-row product (GEMV)
+and a stacked one (GEMM) differently, but each dataset's products run on
+its own sub-stack, which holds the same rows in every call whether the
+dataset is searched alone or in a group; so a dataset's fit does not depend
+on its group. All final points are pulled radially back into the parameter
+space and scored as one stack; the independence parameter (loglik exactly
+0) is always a fallback candidate. Everything is deterministic given the
+seed.
 """
 
 from __future__ import annotations
@@ -42,11 +46,11 @@ from .full_model import (
     coefficient_tensor,
     form_matrices,
     sample_feasible,
-    theta_to_h,
     theta_to_pickands,
 )
 from .pickands import (
     PickandsPoly,
+    _a_coeffs,
     _density_brace,
     _kernel,
     a_from_h,
@@ -205,9 +209,10 @@ class _LogLik:
     a (rows x (m+1)) stack of points and each row's dataset tag, ascending
     (None: every row on the first dataset), so the multistarts of a whole
     group are evaluated by a few matrix products and elementwise passes over
-    (rows x n) arrays. Each dataset's products run on its own rows, and a
-    product a row gets alone is the product it gets in any stack, so a row's
-    result does not depend on the other rows.
+    (rows x n) arrays. Each dataset's products run on its own rows, so a
+    dataset's results do not depend on the other datasets' rows. A row's
+    results do depend on the other rows of its dataset: BLAS runs a one-row
+    product as GEMV and a stack as GEMM, which round differently.
     """
 
     def __init__(self, data: SampleSet | list[SampleSet], m: int):
@@ -607,30 +612,33 @@ def _barrier_stage(fun, x0, *, tags, hess, constraints, mu, duals, spent, maxite
 
 
 def _multistart(loglik: _LogLik, points: np.ndarray, converged: np.ndarray, tags: np.ndarray,
-                candidate) -> list[tuple]:
-    """Each dataset's best projected candidate among its final search points, by its loglik.
+                project) -> list[tuple]:
+    """Each dataset's best projected final search point, by its loglik.
 
-    ``candidate(x)`` pulls a final point back inside the parameter space and
-    returns (param, h). A dataset's candidates are scored in one pass by the
-    de Casteljau log-likelihood of a_from_h(h), row by row the arithmetic of
-    ``log_likelihood``, so the reported value is exactly that of the
-    estimate built from the winner. The independence point (loglik exactly
-    0) is the baseline, so the winner never falls below it; ties keep the
-    earlier candidate. Returns (param or None, loglik, converged) per dataset.
+    ``project(X)`` pulls a stack of final points back inside the parameter
+    space and returns the projected stack and its spectral coefficients h,
+    one row per point. Every row is scored in one pass by the de Casteljau
+    log-likelihood of a_from_h(h) at its own dataset's pseudo-angles, row
+    by row the arithmetic of ``log_likelihood``, so the reported value is
+    exactly that of the estimate built from the winner. The independence
+    point (loglik exactly 0) is the baseline, so the winner never falls
+    below it; ties keep the earlier point. Returns (projected point or
+    None, loglik, converged) per dataset.
     """
     finite = np.all(np.isfinite(points), axis=1)
+    x, h = project(points[finite])
+    rows, ok = tags[finite], converged[finite]
+    t, s = loglik.t[rows], loglik.s[rows]
+    lls = _loglik_terms(eval_with_derivatives(_a_coeffs(h), t), t, s)
+    score = np.where(lls > 0.0, lls, -np.inf)
     out = []
-    for d, (t, s) in enumerate(zip(loglik.t, loglik.s)):
-        mine = finite & (tags == d)
-        best, best_ll, best_ok = None, 0.0, True
-        if mine.any():
-            params, hs = zip(*map(candidate, points[mine]))
-            coeffs = np.array([a_from_h(h).coeffs for h in hs])
-            lls = _loglik_terms(eval_with_derivatives(coeffs, t), t, s)
-            for param, ll, ok in zip(params, lls, converged[mine]):
-                if ll > best_ll:
-                    best, best_ll, best_ok = param, float(ll), bool(ok)
-        out.append((best, best_ll, best_ok))
+    for d in range(len(loglik.t)):
+        mine = np.flatnonzero(rows == d)
+        i = mine[np.argmax(score[mine])] if mine.size else None
+        if i is None or score[i] == -np.inf:
+            out.append((None, 0.0, True))
+        else:
+            out.append((x[i], float(lls[i]), bool(ok[i])))
     return out
 
 
@@ -669,19 +677,19 @@ def _full_mles(loglik: _LogLik, config: OptimConfig, seeds) -> list[FitResult]:
                        maxiter=maxiter)
         points, converged = res.x, res.converged
 
-    def candidate(theta: np.ndarray):
+    def project(theta: np.ndarray):
         if m == 0:
             theta = np.clip(theta, 0.0, 2.0)
-        else:
-            q0, q1 = (Q @ theta) @ theta
-            theta = _canonical_sign(theta / np.sqrt(max(1.0, q0, q1)), m)
-        param = FullModelParam(m, theta)
-        return param, theta_to_h(param)
+            return theta, theta
+        # the caps theta' Q_j theta and theta_to_h, each row's products alone
+        q = ((Q[None] @ theta[:, None, :, None])[..., 0] @ theta[:, :, None])[:, :, 0]
+        scale = np.sqrt(np.fmax(1.0, np.fmax(q[:, 0], q[:, 1])))
+        theta = _canonical_sign(theta / scale[:, None], m)
+        return theta, np.einsum("kij,ri,rj->rk", coefficient_tensor(m), theta, theta)
 
     fits = []
-    for param, ll, ok in _multistart(loglik, points, converged, tags, candidate):
-        if param is None:
-            param = FullModelParam(m, np.zeros(m + 1))
+    for theta, ll, ok in _multistart(loglik, points, converged, tags, project):
+        param = FullModelParam(m, np.zeros(m + 1) if theta is None else theta)
         fits.append(FitResult(theta_to_pickands(param), ll, param, config.starts, ok))
     return fits
 
@@ -693,16 +701,13 @@ def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> Fi
 
 def _canonical_sign(theta: np.ndarray, m: int) -> np.ndarray:
     # (P, Q) and their sign flips give the same h; report the representative
-    # whose first nonzero entry per block is positive
+    # whose first nonzero entry per block is positive, for every row (m >= 1)
     theta = theta.copy()
-    if m == 0:
-        return theta
     split = m // 2 + 1
     for block in (slice(0, split), slice(split, m + 1)):
-        seg = theta[block]
-        nz = np.nonzero(seg)[0]
-        if nz.size and seg[nz[0]] < 0:
-            theta[block] = -seg
+        seg = theta[:, block]
+        first = seg[np.arange(seg.shape[0]), np.argmax(seg != 0.0, axis=1)]
+        seg[first < 0.0] *= -1.0
     return theta
 
 
@@ -719,15 +724,16 @@ def _sub_mles(loglik: _LogLik, config: OptimConfig, seeds) -> list[FitResult]:
     starts, tags = _group_starts(lambda rng, k: _polytope_starts(m, rng, k, W), 1, config, seeds)
     points, converged = _interior_point(loglik, starts, tags, W, _iteration_cap(config))
 
-    def candidate(c: np.ndarray):
+    def project(c: np.ndarray):
         c = np.maximum(c, 0.0)
-        param = SubmodelParam(m, c / max(1.0, *(W @ c)))
-        return param, BernsteinPoly(param.c)
+        # the caps W c, each row's product alone
+        caps = (W[None] @ c[:, :, None])[:, :, 0]
+        c = c / np.fmax(1.0, np.fmax(caps[:, 0], caps[:, 1]))[:, None]
+        return c, c
 
     fits = []
-    for param, ll, ok in _multistart(loglik, points, converged, tags, candidate):
-        if param is None:
-            param = SubmodelParam(m, np.zeros(m + 1))
+    for c, ll, ok in _multistart(loglik, points, converged, tags, project):
+        param = SubmodelParam(m, np.zeros(m + 1) if c is None else c)
         estimate = PickandsPoly(a_from_h(BernsteinPoly(param.c)))
         fits.append(FitResult(estimate, ll, param, config.starts, ok))
     return fits
@@ -782,6 +788,13 @@ def fit_cfg(data: SampleSet, grid: int = 1001) -> FitResult:
     convex minorant on the grid. The result satisfies all Pickands
     conditions on the grid. A ``grid`` that is not an integer >= 2 raises a
     ValueError naming it.
+
+    The means take O((n + grid) log n): in logs, pair i takes its v branch
+    log(-log v_i) - log t exactly where log t - log(1-t) exceeds
+    d_i = log(-log v_i) - log(-log u_i), so one sort of the d_i, prefix
+    sums of both branches and one ``searchsorted`` of the grid give every
+    mean, with no n-by-grid array. The sums run in extended precision
+    (np.longdouble), so each mean is rounded about once.
     """
     if not _is_int(grid) or grid < 2:
         raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
@@ -789,23 +802,26 @@ def fit_cfg(data: SampleSet, grid: int = 1001) -> FitResult:
         raise ValueError("CFG estimator needs n >= 2")
     if np.ptp(data.u) == 0.0 and np.ptp(data.v) == 0.0:
         raise ValueError("degenerate sample: all pairs identical")
+    n = data.n
     tgrid = np.linspace(0.0, 1.0, grid)
     log_lu = np.log(-np.log(data.u))
     log_lv = np.log(-np.log(data.v))
+    d = log_lv - log_lu
+    order = np.argsort(d, kind="stable")
+    # the first k pairs in that order take the v branch: v_sum[k] sums their
+    # log(-log v), u_sum[k] the other pairs' log(-log u)
+    zero = np.zeros(1, np.longdouble)
+    v_sum = np.concatenate([zero, np.cumsum(log_lv[order], dtype=np.longdouble)])
+    u_sum = np.concatenate([np.cumsum(log_lu[order][::-1], dtype=np.longdouble)[::-1], zero])
     with np.errstate(divide="ignore"):
         log_1mt = np.log1p(-tgrid)
         log_t = np.log(tgrid)
-    # log xi_i(t): minimum taken in logs so the endpoints come out exact;
-    # chunked over the grid to keep the n-by-grid intermediate small
-    mean_logxi = np.empty(grid)
-    chunk = max(1, int(2e7) // data.n)
-    for j in range(0, grid, chunk):
-        sl = slice(j, j + chunk)
-        mean_logxi[sl] = np.minimum(
-            log_lu[:, None] - log_1mt[None, sl],
-            log_lv[:, None] - log_t[None, sl],
-        ).mean(axis=0)
-    log_a = -np.euler_gamma - mean_logxi
+    k = np.searchsorted(d[order], log_t - log_1mt)
+    # at t = 0 (t = 1) the v (u) branch has no members; masked, as 0 * inf is NaN
+    with np.errstate(invalid="ignore"):
+        v_part = np.where(k > 0, v_sum[k] - k * log_t.astype(np.longdouble), 0.0)
+        u_part = np.where(k < n, u_sum[k] - (n - k) * log_1mt.astype(np.longdouble), 0.0)
+    log_a = -np.euler_gamma - ((v_part + u_part) / n).astype(float)
     log_a = log_a - (1.0 - tgrid) * log_a[0] - tgrid * log_a[-1]
     clamped = np.minimum(1.0, np.maximum(np.exp(log_a), vee(tgrid)))
     gcm = greatest_convex_minorant(clamped, tgrid)

@@ -192,16 +192,27 @@ def sample_copula(model: ReferenceModel, n: int, seed: int) -> SampleSet:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    rng = np.random.default_rng(seed)
-    u = np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
-    w = rng.random(n)
+    return _draw_samples(model, n, [seed])[0]
+
+
+def _draw_samples(model: ReferenceModel, n: int, seeds) -> list[SampleSet]:
+    """``sample_copula(model, n, seed)`` for every seed, with one solve of all pairs.
+
+    Each sample's u and w come from its own seed's generator; one
+    ``model_pickands`` call and one ``_solve_conditional`` over the joined
+    pairs give every v, which depends only on its own (u, w).
+    """
+    uw = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        uw.append((np.clip(rng.random(n), 1e-16, 1.0 - 1e-16), rng.random(n)))
+    u, w = (np.concatenate(x) for x in zip(*uw))
     kernel = model_pickands(model).kernel
-    v = np.empty(n)
-    # blocks bound the iteration's temporaries; each v depends only on its
-    # own (u, w), so the blocking does not change any value
-    for i in range(0, n, _BLOCK):
+    v = np.empty(u.size)
+    # blocks bound the iteration's temporaries
+    for i in range(0, u.size, _BLOCK):
         v[i:i + _BLOCK] = _solve_conditional(kernel, u[i:i + _BLOCK], w[i:i + _BLOCK])
-    return SampleSet(u, v)
+    return [SampleSet(u[i:i + n], v[i:i + n]) for i in range(0, u.size, n)]
 
 
 def _solve_conditional(kernel, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -370,14 +381,17 @@ def _fit_records(est: str, samples: list[SampleSet], config: StudyConfig,
         return [{"curve": None, "loglik": float("nan"), "error": f"{type(exc).__name__}: {exc}"}]
 
 
+def _group_samples(config: StudyConfig, reps: list[int]) -> list[SampleSet]:
+    # each replicate's sample_copula draw, on midranks when config.ranks
+    samples = _draw_samples(config.model, config.n, [split_seed(config.seed, rep, 0) for rep in reps])
+    if config.ranks:
+        samples = [SampleSet.from_arrays(s.u, s.v, ranks=True) for s in samples]
+    return samples
+
+
 def _study_group(args: tuple[StudyConfig, list[int]]) -> list[dict]:
     config, reps = args
-    samples = []
-    for rep in reps:
-        sample = sample_copula(config.model, config.n, split_seed(config.seed, rep, 0))
-        if config.ranks:
-            sample = SampleSet.from_arrays(sample.u, sample.v, ranks=True)
-        samples.append(sample)
+    samples = _group_samples(config, reps)
     out: list[dict] = [{} for _ in reps]
     for est in config.estimators:
         for record, result in zip(out, _fit_records(est, samples, config, reps)):
@@ -404,7 +418,9 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
     so any execution order gives the same report. Each MLE fits the
     replicates in fixed groups of 8, one batched search per group; every
     fit equals that of ``fit_full`` / ``fit_sub`` on the replicate's sample
-    and seed bit for bit. Workers take whole groups. Failed replicates are
+    and seed bit for bit, and the group's samples come from one sampler
+    solve, each equal to its ``sample_copula`` draw. Workers take whole
+    groups. Failed replicates are
     excluded per estimator with a count; more than 1% failures raise
     StudyError.
     """

@@ -221,6 +221,28 @@ def lower_hull_exact(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
+def cfg_grid_pass(u: np.ndarray, v: np.ndarray, grid: int) -> np.ndarray:
+    """The CFG estimate's grid values by the direct n-by-grid pass.
+
+    min{log(-log u_i) - log(1-t), log(-log v_i) - log t} for every pair and
+    grid point, averaged over the pairs by an exact sum (``math.fsum``) per
+    grid point, then the endpoint correction, the clamp into [V, 1] and the
+    greatest convex minorant, as ``fit_cfg`` documents them.
+    """
+    tgrid = np.linspace(0.0, 1.0, grid)
+    log_lu = np.log(-np.log(u))
+    log_lv = np.log(-np.log(v))
+    with np.errstate(divide="ignore"):
+        log_1mt = np.log1p(-tgrid)
+        log_t = np.log(tgrid)
+    logxi = np.minimum(log_lu[:, None] - log_1mt[None, :], log_lv[:, None] - log_t[None, :])
+    mean_logxi = np.array([math.fsum(col) for col in logxi.T]) / u.size
+    log_a = -np.euler_gamma - mean_logxi
+    log_a = log_a - (1.0 - tgrid) * log_a[0] - tgrid * log_a[-1]
+    clamped = np.minimum(1.0, np.maximum(np.exp(log_a), np.maximum(1.0 - tgrid, tgrid)))
+    return pickpoly.greatest_convex_minorant(clamped, tgrid)
+
+
 @dataclass(frozen=True)
 class HypergeoSpec:
     """Hypergeometric(n, M, N): k successes drawing n from M marked of N."""

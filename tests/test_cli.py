@@ -210,6 +210,15 @@ def test_bound_subcommand_comonotone(tmp_path, capsys):
     assert res["v_bound"] == pytest.approx(3.0 / 16.0, abs=1e-12)
 
 
+def test_bound_rejects_unknown_comonotone_keys(tmp_path, capsys):
+    model = write(tmp_path / "model.json", {"model": "comonotone", "psi": 1})
+    code, out, err = run(capsys, "bound", "--model", model, "--m", "4", "--t", "0.5")
+    assert code == 1 and out == ""
+    message = json.loads(err)
+    assert message["error"] == "ValueError"
+    assert "keys ['psi']; expected a subset of ['model']" in message["message"]
+
+
 @pytest.mark.parametrize("model", [
     {"model": "alog", "alpha": 0.5, "psi1": 0.9, "psi2": 0.6},
     MIX_MODEL_JSON,

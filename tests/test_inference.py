@@ -2,10 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     MIX_PSI,
     POLFULL_H,
+    cfg_grid_pass,
     fd_mixed_partial,
     gcm_bruteforce,
     lower_hull_exact,
@@ -235,6 +238,35 @@ def test_fit_cfg_validation_and_types():
         fit_cfg(SampleSet([0.4], [0.3]))
     with pytest.raises(ValueError):
         fit_cfg(SampleSet([0.4, 0.4], [0.3, 0.3]))
+
+
+@st.composite
+def _cfg_samples(draw):
+    # n pairs whose u (v) take `ties_u` (`ties_v`) distinct values, spread
+    # uniformly or over many orders of magnitude of -log u
+    n = draw(st.integers(2, 300))
+    ties_u, ties_v = draw(st.integers(1, n)), draw(st.integers(1, n))
+    wide = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def margin(k):
+        pool = (np.exp(-np.exp(rng.uniform(-30.0, 5.0, k))) if wide
+                else rng.uniform(1e-6, 1.0 - 1e-6, k))
+        return rng.choice(np.clip(pool, 1e-300, 1.0 - 2**-53), n)
+
+    u, v = margin(ties_u), margin(ties_v)
+    assume(np.ptp(u) > 0.0 or np.ptp(v) > 0.0)
+    return u, v
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cfg_samples(), st.sampled_from([2, 11, 1001]))
+def test_fit_cfg_matches_grid_pass_oracle(sample, grid):
+    # the sorted sweep against the direct n-by-grid pass with exact sums
+    u, v = sample
+    values = fit_cfg(SampleSet(u, v), grid).estimate.values
+    assert values[0] == 1.0 and values[-1] == 1.0
+    assert np.max(np.abs(values - cfg_grid_pass(u, v, grid))) <= 1e-14
 
 
 def test_fit_sub_on_quartic_data_projects_into_polytope():

@@ -21,6 +21,7 @@ from pickpoly import (
     OptimConfig,
     PickandsPoly,
     PolynomialModel,
+    SampleSet,
     StudyConfig,
     StudyError,
     SymmetricMixed,
@@ -411,6 +412,24 @@ def test_study_cfg_curve_is_fit_cfg_on_the_study_grid():
         sample = sample_copula(config.model, config.n, split_seed(config.seed, rep, 0))
         expected = fit_cfg(sample, config.grid).estimate.value(tgrid)
         assert np.array_equal(record["cfg"]["curve"], expected)
+
+
+@pytest.mark.parametrize("ranks", [False, True])
+@pytest.mark.parametrize("name", ["alog", "mix", "poly6"])
+def test_group_samples_equal_sample_copula(name, ranks):
+    # a study group solves its replicates' pairs together (here 3 x 3000,
+    # across a solver block boundary); each sample is the replicate's own
+    # sample_copula draw, on midranks when ranks is set, bit for bit
+    config = StudyConfig(model=SOLVER_MODELS[name], n=3000, replicates=5, m=0,
+                         estimators=("cfg",), seed=23, ranks=ranks)
+    reps = [0, 2, 4]
+    samples = simulation_module._group_samples(config, reps)
+    assert len(samples) == len(reps)
+    for rep, sample in zip(reps, samples):
+        alone = sample_copula(config.model, config.n, split_seed(config.seed, rep, 0))
+        if ranks:
+            alone = SampleSet.from_arrays(alone.u, alone.v, ranks=True)
+        assert np.array_equal(sample.u, alone.u) and np.array_equal(sample.v, alone.v)
 
 
 def test_study_records_a_failed_fit_against_its_replicate_only(monkeypatch):
