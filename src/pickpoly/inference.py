@@ -18,17 +18,20 @@ nonconcave, so each fitter searches from many feasible random starts and
 keeps the best; all starts advance together in one batched local search: a
 damped-BFGS SQP over Theta_m whose QP over the two linearised caps is solved
 in closed form, and a primal-dual interior point with the exact Hessian over
-the polytope, each local search one call of ``minimize``. One search can
-carry the starts of a whole group of datasets (``_full_mles``,
-``_sub_mles``; ``fit_full`` and ``fit_sub`` are a group of one). A start's
-values are not what it gets alone, as BLAS rounds a one-row product (GEMV)
-and a stacked one (GEMM) differently, but each dataset's products run on
-its own sub-stack, which holds the same rows in every call whether the
-dataset is searched alone or in a group; so a dataset's fit does not depend
-on its group. All final points are pulled radially back into the parameter
-space and scored as one stack; the independence parameter (loglik exactly
-0) is always a fallback candidate. Everything is deterministic given the
-seed.
+the polytope, each local search one call of ``minimize``. One driver,
+``_mles``, serves both MLEs: only the starts, the search and the parameter
+type depend on the model, and at m = 0, where Theta_0 = [0, 2] is the
+degree-0 polytope, both run the interior point. One search can carry the
+starts of a whole group of datasets (``fit_full`` and ``fit_sub`` are a
+group of one, ``run_study`` fits groups of 8). A start's values are not
+what it gets alone, as BLAS rounds a one-row product (GEMV) and a stacked
+one (GEMM) differently, but each dataset's products run on its own
+sub-stack, which holds the same rows in every call whether the dataset is
+searched alone or in a group; so a dataset's fit does not depend on its
+group. All final points are pulled radially back into the parameter space
+and scored as one stack, and each estimate is built from its winner's
+scored h row; the independence parameter (loglik exactly 0) is always a
+fallback candidate. Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .full_model import (
     coefficient_tensor,
     form_matrices,
     sample_feasible,
-    theta_to_pickands,
 )
 from .pickands import (
     PickandsPoly,
@@ -126,22 +128,19 @@ class OptimConfig:
 
     ``starts`` random feasible starting points, drawn from ``seed``, all
     searched together; each start stops after at most ``maxfev`` iterations
-    of the search (None keeps the default of 100). A non-integer field,
-    ``starts`` or ``maxfev`` below 1, or a negative ``seed`` raises a
-    ValueError naming the field.
+    of the search. A non-integer field, ``starts`` or ``maxfev`` below 1,
+    or a negative ``seed`` raises a ValueError naming the field.
     """
 
     starts: int = 20
     seed: int = 0
-    maxfev: int | None = None
+    maxfev: int = 100
 
     def __post_init__(self):
-        if not _is_int(self.starts) or self.starts < 1:
-            raise ValueError(f"starts must be an integer >= 1, got {self.starts!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.maxfev is not None and (not _is_int(self.maxfev) or self.maxfev < 1):
-            raise ValueError(f"maxfev must be None or an integer >= 1, got {self.maxfev!r}")
+        for name, low in (("starts", 1), ("seed", 0), ("maxfev", 1)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _is_int(x) -> bool:
@@ -195,8 +194,6 @@ _UNDEFINED_OBJ = 1e12
 # KKT test agrees; two searches that reach the same optimum then agree to
 # ~1e-13 rather than ~1e-8
 _FTOL = 1e-10
-# iteration cap of each start when OptimConfig.maxfev is None
-_MAXITER = 100
 
 
 class _LogLik:
@@ -615,15 +612,16 @@ def _multistart(loglik: _LogLik, points: np.ndarray, converged: np.ndarray, tags
                 project) -> list[tuple]:
     """Each dataset's best projected final search point, by its loglik.
 
+    The scoring step of ``_mles``, the one driver of both MLEs.
     ``project(X)`` pulls a stack of final points back inside the parameter
     space and returns the projected stack and its spectral coefficients h,
     one row per point. Every row is scored in one pass by the de Casteljau
     log-likelihood of a_from_h(h) at its own dataset's pseudo-angles, row
     by row the arithmetic of ``log_likelihood``, so the reported value is
-    exactly that of the estimate built from the winner. The independence
-    point (loglik exactly 0) is the baseline, so the winner never falls
-    below it; ties keep the earlier point. Returns (projected point or
-    None, loglik, converged) per dataset.
+    exactly that of the estimate ``_mles`` builds from the winner's h row.
+    The independence point (zeros, loglik exactly 0) is the baseline, so
+    the winner never falls below it; ties keep the earlier point. Returns
+    (projected point, its h row, loglik, converged) per dataset.
     """
     finite = np.all(np.isfinite(points), axis=1)
     x, h = project(points[finite])
@@ -631,19 +629,16 @@ def _multistart(loglik: _LogLik, points: np.ndarray, converged: np.ndarray, tags
     t, s = loglik.t[rows], loglik.s[rows]
     lls = _loglik_terms(eval_with_derivatives(_a_coeffs(h), t), t, s)
     score = np.where(lls > 0.0, lls, -np.inf)
+    zero = np.zeros(loglik.m + 1)
     out = []
     for d in range(len(loglik.t)):
         mine = np.flatnonzero(rows == d)
         i = mine[np.argmax(score[mine])] if mine.size else None
         if i is None or score[i] == -np.inf:
-            out.append((None, 0.0, True))
+            out.append((zero, zero, 0.0, True))
         else:
-            out.append((x[i], float(lls[i]), bool(ok[i])))
+            out.append((x[i], h[i], float(lls[i]), bool(ok[i])))
     return out
-
-
-def _iteration_cap(config: OptimConfig) -> int:
-    return _MAXITER if config.maxfev is None else config.maxfev
 
 
 def _check_degree(n: int, m: int):
@@ -654,49 +649,62 @@ def _check_degree(n: int, m: int):
                       UserWarning, stacklevel=4)
 
 
-def _group_starts(draw, spawn: int, config: OptimConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
-    # each dataset's config.starts starts from its own seed, stacked in
-    # dataset order, and each row's dataset tag
+def _mles(loglik: _LogLik, config: OptimConfig, seeds, full: bool) -> list[FitResult]:
+    """``fit_full`` (``full``) or ``fit_sub`` on each dataset of the group, in one search.
+
+    Dataset i draws its ``config.starts`` starts from seeds[i]. The model
+    sets only the starts and their spawn key, the search and the parameter
+    type: Theta_0 = [0, 2] is the degree-0 polytope, so at m = 0 the full
+    model too runs the interior point, whose radial projection is then the
+    clip to [0, 2]. Both estimates are built from the h row ``_multistart``
+    scored.
+    """
+    m = loglik.m
+    W = _cap_weights(m)
+    spawn = 0 if full else 1
     rngs = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(spawn,)))
             for seed in seeds)
-    starts = np.vstack([draw(rng, config.starts) for rng in rngs])
-    return starts, np.repeat(np.arange(len(seeds)), config.starts)
-
-
-def _full_mles(loglik: _LogLik, config: OptimConfig, seeds) -> list[FitResult]:
-    """``fit_full`` on each dataset of the group, dataset i from seed seeds[i], in one search."""
-    m = loglik.m
-    starts, tags = _group_starts(lambda rng, k: sample_feasible(m, rng, k), 0, config, seeds)
-    maxiter = _iteration_cap(config)
-    if m == 0:
-        # theta is h itself and Theta_0 = [0, 2] is the degree-0 polytope
-        points, converged = _interior_point(loglik, starts, tags, _cap_weights(0), maxiter)
-    else:
+    starts = np.vstack([sample_feasible(m, rng, config.starts) if full
+                        else _polytope_starts(m, rng, config.starts, W) for rng in rngs])
+    tags = np.repeat(np.arange(len(seeds)), config.starts)
+    if full and m > 0:
         Q = np.stack(form_matrices(m))
         res = minimize(loglik.theta_objective, starts, method=_sqp, tags=tags, constraints=Q,
-                       maxiter=maxiter)
+                       maxiter=config.maxfev)
         points, converged = res.x, res.converged
 
-    def project(theta: np.ndarray):
-        if m == 0:
-            theta = np.clip(theta, 0.0, 2.0)
-            return theta, theta
-        # the caps theta' Q_j theta and theta_to_h, each row's products alone
-        q = ((Q[None] @ theta[:, None, :, None])[..., 0] @ theta[:, :, None])[:, :, 0]
-        scale = np.sqrt(np.fmax(1.0, np.fmax(q[:, 0], q[:, 1])))
-        theta = _canonical_sign(theta / scale[:, None], m)
-        return theta, np.einsum("kij,ri,rj->rk", coefficient_tensor(m), theta, theta)
+        def project(theta: np.ndarray):
+            # the caps theta' Q_j theta and theta_to_h, each row's products alone
+            q = ((Q[None] @ theta[:, None, :, None])[..., 0] @ theta[:, :, None])[:, :, 0]
+            scale = np.sqrt(np.fmax(1.0, np.fmax(q[:, 0], q[:, 1])))
+            theta = _canonical_sign(theta / scale[:, None], m)
+            return theta, np.einsum("kij,ri,rj->rk", coefficient_tensor(m), theta, theta)
+    else:
+        points, converged = _interior_point(loglik, starts, tags, W, config.maxfev)
+
+        def project(c: np.ndarray):
+            c = np.maximum(c, 0.0)
+            # the caps W c, each row's product alone
+            caps = (W[None] @ c[:, :, None])[:, :, 0]
+            c = c / np.fmax(1.0, np.fmax(caps[:, 0], caps[:, 1]))[:, None]
+            return c, c
 
     fits = []
-    for theta, ll, ok in _multistart(loglik, points, converged, tags, project):
-        param = FullModelParam(m, np.zeros(m + 1) if theta is None else theta)
-        fits.append(FitResult(theta_to_pickands(param), ll, param, config.starts, ok))
+    for x, h, ll, ok in _multistart(loglik, points, converged, tags, project):
+        param = FullModelParam(m, x) if full else SubmodelParam(m, x)
+        estimate = PickandsPoly(a_from_h(BernsteinPoly(h)))
+        fits.append(FitResult(estimate, ll, param, config.starts, ok))
     return fits
 
 
 def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
     """Constrained MLE over Theta_m (all polynomial Pickands functions, degree m + 2)."""
-    return _full_mles(_LogLik(data, m), config, [config.seed])[0]
+    return _mles(_LogLik(data, m), config, [config.seed], True)[0]
+
+
+def fit_sub(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
+    """Constrained MLE over the polytope C_m^+ (Bernstein approximation submodel)."""
+    return _mles(_LogLik(data, m), config, [config.seed], False)[0]
 
 
 def _canonical_sign(theta: np.ndarray, m: int) -> np.ndarray:
@@ -715,33 +723,6 @@ def _cap_weights(m: int) -> np.ndarray:
     # rows w0, w1 with int (1-w) h = w0 . c and int w h = w1 . c
     y = (np.arange(m + 1) + 1.0) / (m + 2)
     return np.stack([1.0 - y, y]) / (m + 1)
-
-
-def _sub_mles(loglik: _LogLik, config: OptimConfig, seeds) -> list[FitResult]:
-    """``fit_sub`` on each dataset of the group, dataset i from seed seeds[i], in one search."""
-    m = loglik.m
-    W = _cap_weights(m)
-    starts, tags = _group_starts(lambda rng, k: _polytope_starts(m, rng, k, W), 1, config, seeds)
-    points, converged = _interior_point(loglik, starts, tags, W, _iteration_cap(config))
-
-    def project(c: np.ndarray):
-        c = np.maximum(c, 0.0)
-        # the caps W c, each row's product alone
-        caps = (W[None] @ c[:, :, None])[:, :, 0]
-        c = c / np.fmax(1.0, np.fmax(caps[:, 0], caps[:, 1]))[:, None]
-        return c, c
-
-    fits = []
-    for c, ll, ok in _multistart(loglik, points, converged, tags, project):
-        param = SubmodelParam(m, np.zeros(m + 1) if c is None else c)
-        estimate = PickandsPoly(a_from_h(BernsteinPoly(param.c)))
-        fits.append(FitResult(estimate, ll, param, config.starts, ok))
-    return fits
-
-
-def fit_sub(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
-    """Constrained MLE over the polytope C_m^+ (Bernstein approximation submodel)."""
-    return _sub_mles(_LogLik(data, m), config, [config.seed])[0]
 
 
 def _polytope_starts(m: int, rng: np.random.Generator, count: int, W: np.ndarray) -> np.ndarray:

@@ -24,10 +24,9 @@ from .inference import (
     FitResult,
     OptimConfig,
     SampleSet,
-    _full_mles,
     _is_int,
     _LogLik,
-    _sub_mles,
+    _mles,
     fit_cfg,
 )
 from .pickands import GenericPickands, PickandsPoly, _density_brace, independence
@@ -360,9 +359,9 @@ def _fits(est: str, samples: list[SampleSet], config: StudyConfig,
     if est == "cfg":
         return [fit_cfg(sample, config.grid) for sample in samples]
     base = config.optim if config.optim is not None else OptimConfig()
-    mles, key = (_full_mles, 1) if est == "full" else (_sub_mles, 2)
-    seeds = [split_seed(config.seed, rep, key) for rep in reps]
-    return mles(_LogLik(samples, config.m), base, seeds)
+    full = est == "full"
+    seeds = [split_seed(config.seed, rep, 1 if full else 2) for rep in reps]
+    return _mles(_LogLik(samples, config.m), base, seeds, full)
 
 
 def _fit_records(est: str, samples: list[SampleSet], config: StudyConfig,

@@ -34,7 +34,13 @@ from pickpoly import (
     theta_to_pickands,
 )
 from pickpoly.full_model import _sampling_box, form_matrices
-from pickpoly.inference import _FTOL, _MAXITER, _cap_weights, _LogLik, _polytope_starts
+from pickpoly.inference import (
+    _FTOL,
+    _cap_weights,
+    _LogLik,
+    _polytope_starts,
+    greatest_convex_minorant,
+)
 
 # The quartic model: A = 1 - (83/180)t + t^2 - (7/9)t^3 + (43/180)t^4,
 # whose second derivative has Bernstein coefficients [2, -1/3, 1/5].
@@ -240,7 +246,7 @@ def cfg_grid_pass(u: np.ndarray, v: np.ndarray, grid: int) -> np.ndarray:
     log_a = -np.euler_gamma - mean_logxi
     log_a = log_a - (1.0 - tgrid) * log_a[0] - tgrid * log_a[-1]
     clamped = np.minimum(1.0, np.maximum(np.exp(log_a), np.maximum(1.0 - tgrid, tgrid)))
-    return pickpoly.greatest_convex_minorant(clamped, tgrid)
+    return greatest_convex_minorant(clamped, tgrid)
 
 
 @dataclass(frozen=True)
@@ -521,7 +527,7 @@ def slsqp_multistart_loglik(data, m: int, config, model: str) -> float:
     not its optimizer or stopping rules.
     """
     engine = _LogLik(data, m)
-    options = {"ftol": _FTOL, "maxiter": _MAXITER if config.maxfev is None else config.maxfev}
+    options = {"ftol": _FTOL, "maxiter": config.maxfev}
     spawn = 0 if model == "full" else 1
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(spawn,)))
     if model == "full" and m > 0:

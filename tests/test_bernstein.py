@@ -27,7 +27,6 @@ from pickpoly import (
     basis_eval,
     bernstein_approx,
     bernstein_to_power,
-    derivative_coeffs,
     elevate_degree,
     evaluate,
     global_minimum,
@@ -41,6 +40,7 @@ from pickpoly.bernstein import (
     _branch_and_bound,
     _power_to_bernstein_matrix,
     _split_matrix,
+    derivative_coeffs,
 )
 from pickpoly.pickands import _CERTIFY_DEPTH, _CERTIFY_FLOOR, certify_nonnegative
 

@@ -33,25 +33,25 @@ from pickpoly import (
     fit_cfg,
     fit_full,
     fit_sub,
-    greatest_convex_minorant,
     in_submodel_h,
     log_likelihood,
     model_pickands,
     sample_copula,
     sample_feasible,
     theta_to_h,
+    theta_to_pickands,
     validate_pickands,
     vee,
 )
 from pickpoly.bernstein import eval_with_derivatives
 from pickpoly import inference
 from pickpoly.inference import (
-    _full_mles,
     _LogLik,
     _loglik_terms,
     _midranks,
+    _mles,
     _pseudo_angles,
-    _sub_mles,
+    greatest_convex_minorant,
 )
 
 MIX_MODEL = SymmetricMixed(MIX_PSI)
@@ -311,7 +311,7 @@ def test_fit_warns_when_sample_too_small():
 @pytest.mark.parametrize("field, value", [
     ("starts", 0), ("starts", -1), ("starts", "3"), ("starts", 2.0), ("starts", True),
     ("seed", 1.5), ("seed", -1), ("seed", "0"),
-    ("maxfev", 0), ("maxfev", 10.0),
+    ("maxfev", 0), ("maxfev", 10.0), ("maxfev", None),
 ])
 def test_optim_config_rejects_bad_fields(field, value):
     with pytest.raises(ValueError, match=field):
@@ -319,8 +319,8 @@ def test_optim_config_rejects_bad_fields(field, value):
 
 
 def test_optim_config_accepts_integers():
-    config = OptimConfig(starts=np.int64(3), seed=2**63, maxfev=None)
-    assert config.starts == 3 and OptimConfig(maxfev=1).maxfev == 1
+    config = OptimConfig(starts=np.int64(3), seed=2**63, maxfev=np.int64(7))
+    assert config.starts == 3 and config.maxfev == 7 and OptimConfig(maxfev=1).maxfev == 1
 
 
 @pytest.mark.parametrize("fit", [fit_full, fit_sub])
@@ -463,12 +463,13 @@ def test_grouped_fit_does_not_depend_on_its_group(m, monkeypatch):
     data = [sample_copula(AsymmetricLogistic(0.5, 0.9, 0.6), 80, 700 + i) for i in range(8)]
     config = OptimConfig(starts=6, maxfev=200)
     seeds = [3 * i + 1 for i in range(8)]
-    for fit, mles in ((fit_full, _full_mles), (fit_sub, _sub_mles)):
+    for fit, full in ((fit_full, True), (fit_sub, False)):
         del rows[:]
         alone = [_fit_bits(fit(d, m, replace(config, seed=seed))) for d, seed in zip(data, seeds)]
         assert 1 in rows
-        group = [_fit_bits(f) for f in mles(_LogLik(data, m), config, seeds)]
-        reverse = [_fit_bits(f) for f in mles(_LogLik(data[::-1], m), config, seeds[::-1])][::-1]
+        group = [_fit_bits(f) for f in _mles(_LogLik(data, m), config, seeds, full)]
+        reverse = _mles(_LogLik(data[::-1], m), config, seeds[::-1], full)[::-1]
+        reverse = [_fit_bits(f) for f in reverse]
         assert group == alone
         assert reverse == alone
 
@@ -480,8 +481,13 @@ def test_fit_loglik_is_loglik_of_estimate():
             res = fit(data, m, OptimConfig(starts=5, seed=1, maxfev=200))
             assert res.loglik == log_likelihood(res.estimate, data)
             assert validate_pickands(res.estimate.poly)["valid"]
-            if fit is fit_full and m > 0:
+            # the estimate, built from the scored h row, is that of its param
+            if fit is fit_full:
                 assert feasibility(res.param).feasible
+                expected = theta_to_pickands(res.param)
+            else:
+                expected = PickandsPoly(a_from_h(BernsteinPoly(res.param.c)))
+            assert np.array_equal(res.estimate.poly.coeffs, expected.poly.coeffs)
 
 
 def _check_against_oracle(data, m, config):
@@ -527,11 +533,13 @@ def test_fits_reach_slsqp_oracle_at_degree_zero():
                               OptimConfig(starts=5, seed=seed, maxfev=200))
 
 
-def test_fit_full_m0_reaches_the_exact_constant_maximizer():
-    # at m = 0 the loglik is a function of the one number h on [0, 2]; a fine
-    # grid brackets its maximum, which the fit must reach
+@pytest.mark.parametrize("fit", [fit_full, fit_sub])
+def test_fit_m0_reaches_the_exact_constant_maximizer(fit):
+    # at m = 0 the loglik is a function of the one number h on [0, 2]
+    # (Theta_0 and the degree-0 polytope); a fine grid brackets its maximum,
+    # which both fits must reach
     data = sample_copula(MIX_MODEL, 200, 9)
-    res = fit_full(data, 0, OptimConfig(starts=3, seed=4))
+    res = fit(data, 0, OptimConfig(starts=3, seed=4))
     grid = np.linspace(0.0, 2.0, 2001)
     best = max(log_likelihood(PickandsPoly(a_from_h(BernsteinPoly([h]))), data) for h in grid)
     assert res.loglik >= best - 1e-9

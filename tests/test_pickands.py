@@ -28,7 +28,6 @@ from pickpoly import (
     comonotone,
     copula_cdf,
     copula_density,
-    derivative_coeffs,
     endpoint_functionals,
     evaluate,
     h_from_a,
@@ -42,6 +41,7 @@ from pickpoly import (
     vee,
 )
 from pickpoly import pickands as pickands_module
+from pickpoly.bernstein import derivative_coeffs
 
 COUNTEREXAMPLE = PowerPoly([1.0, 0.0, 0.0, -1.0, 1.0])  # 1 - t^3 + t^4
 

@@ -439,14 +439,14 @@ def test_study_records_a_failed_fit_against_its_replicate_only(monkeypatch):
                          seed=13, grid=11, optim=OptimConfig(starts=2, maxfev=40))
     clean = run_study(config, threads=1)
     bad_seed = split_seed(config.seed, 42, 1)
-    real = simulation_module._full_mles
+    real = simulation_module._mles
 
-    def failing(loglik, optim, seeds):
-        if bad_seed in seeds:
+    def failing(loglik, optim, seeds, full):
+        if full and bad_seed in seeds:
             raise RuntimeError("forced failure")
-        return real(loglik, optim, seeds)
+        return real(loglik, optim, seeds, full)
 
-    monkeypatch.setattr(simulation_module, "_full_mles", failing)
+    monkeypatch.setattr(simulation_module, "_mles", failing)
     report = run_study(config, threads=1)
     assert report.failures == {"full": [(42, "RuntimeError: forced failure")], "cfg": []}
     assert report.excluded == {"full": 1, "cfg": 0}
