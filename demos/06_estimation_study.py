@@ -53,7 +53,7 @@ study = run_study(
         estimators=("full", "sub", "cfg"),
         seed=7,
         grid=21,
-        optim=OptimConfig(starts=6, seed=0, maxfev=250),
+        optim=OptimConfig(starts=6, maxfev=250),  # optimizer seeds come from seed
     ),
     threads=1,
 )

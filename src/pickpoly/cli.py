@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import sys
 from dataclasses import MISSING, fields
@@ -26,12 +25,12 @@ from .bernstein import (
     poly_to_json,
     power_to_bernstein,
 )
-from .inference import OptimConfig, SampleSet, _is_int, fit_cfg, fit_full, fit_sub
+from .inference import OptimConfig, SampleSet, fit_cfg, fit_full, fit_sub
 from .measures import approx_error_bound, tau_measures
 from .pickands import PickandsPoly, comonotone, validate_pickands
 from .simulation import (
     StudyConfig,
-    _reject_unknown_keys,
+    _check_keys,
     model_from_json,
     model_pickands,
     run_study,
@@ -170,60 +169,32 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _optim_config(obj: dict) -> OptimConfig:
-    if not isinstance(obj, dict):
-        raise ValueError(f"optim must be a JSON object, got {obj!r}")
-    _reject_unknown_keys(obj, [f.name for f in fields(OptimConfig)], "optim")
+def _optim_config(obj) -> OptimConfig:
+    if isinstance(obj, dict) and "seed" in obj:
+        raise ValueError("optim: 'seed' is not a study setting; each replicate's optimizer "
+                         "seeds are split from the study's 'seed'")
+    _check_keys(obj, ("starts", "maxfev"), "optim")
     return OptimConfig(**obj)
 
 
 def _cmd_study(args) -> int:
+    # the JSON reader checks keys only; StudyConfig and the model check the values
     raw = _read_json(args.infile)
-    if not isinstance(raw, dict):
-        raise ValueError(f"study config must be a JSON object, got {type(raw).__name__}")
-    _reject_unknown_keys(raw, [f.name for f in fields(StudyConfig)], "study config")
+    _check_keys(raw, [f.name for f in fields(StudyConfig)], "study config",
+                required=[f.name for f in fields(StudyConfig) if f.default is MISSING])
     optim = _optim_config(raw["optim"]) if "optim" in raw else None
-    raw = {**{f.name: f.default for f in fields(StudyConfig) if f.default is not MISSING}, **raw}
-
-    def field(key, ok, kind):
-        # exact JSON types: 40.9 is not an integer and "false" not a boolean
-        if key not in raw or not ok(raw[key]):
-            raise ValueError(f"study config: {key!r} must be {kind}, got {raw.get(key)!r}")
-        return raw[key]
-
-    def integer(key):
-        return field(key, _is_int, "an integer")
-
-    config = StudyConfig(
-        model=model_from_json(raw["model"]),
-        n=integer("n"),
-        replicates=integer("replicates"),
-        m=integer("m"),
-        estimators=tuple(field("estimators", lambda x: isinstance(x, (list, tuple))
-                               and all(isinstance(e, str) for e in x), "a list of strings")),
-        seed=integer("seed"),
-        grid=integer("grid"),
-        optim=optim,
-        ranks=field("ranks", lambda x: isinstance(x, bool), "a boolean"),
-    )
+    config = StudyConfig(**{**raw, "model": model_from_json(raw["model"]), "optim": optim})
     report = run_study(config)
     _write_out(_dump(report.payload()), args.out)
     if args.csv is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = ["t", "truth"]
-        for est in config.estimators:
-            header += [f"mse_{est}", f"variance_{est}", f"bias_sq_{est}"]
-        writer.writerow(header)
-        for j, t in enumerate(report.abscissae):
-            row = [repr(float(t)), repr(float(report.truth[j]))]
-            for est in config.estimators:
-                row += [repr(float(report.mse[est][j])),
-                        repr(float(report.variance[est][j])),
-                        repr(float(report.bias_sq[est][j]))]
-            writer.writerow(row)
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+        curves = {"mse": report.mse, "variance": report.variance, "bias_sq": report.bias_sq}
+        columns = [(k, est) for est in config.estimators for k in curves]
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["t", "truth", *(f"{k}_{est}" for k, est in columns)])
+            for j, t in enumerate(report.abscissae):
+                row = [t, report.truth[j], *(curves[k][est][j] for k, est in columns)]
+                writer.writerow([repr(float(x)) for x in row])
     print(f"study finished in {report.runtime_seconds:.2f}s", file=sys.stderr)
     return 0
 
@@ -232,7 +203,7 @@ def _cmd_bound(args) -> int:
     obj = _read_json(args.model)
     como = isinstance(obj, dict) and obj.get("model") == "comonotone"
     if como:
-        _reject_unknown_keys(obj, ("model",), "comonotone model JSON")
+        _check_keys(obj, ("model",), "comonotone model JSON")
     A = comonotone() if como else model_pickands(model_from_json(obj))
     b = approx_error_bound(A, args.m, args.t)
     _write_out(_dump({"error": b.error, "bound": b.bound, "v_bound": b.v_bound}), args.out)
@@ -279,8 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help='CSV with header "u,v"')
     p.add_argument("--model", choices=["full", "sub", "cfg"], required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--starts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--starts", type=int, default=OptimConfig.starts)
+    p.add_argument("--seed", type=int, default=OptimConfig.seed)
     p.add_argument("--grid", type=int, default=1001)
     p.add_argument("--ranks", action="store_true", help="use midrank pseudo-observations")
 

@@ -103,10 +103,13 @@ def approx_error_bound(A: PickandsPoly | GenericPickands, m: int, t: float) -> A
     nonnegative (Jensen) and bounded by 2t(1-t) P_t(S_{m-1} = min(floor(mt), m - 1)).
     For the comonotone V (a GenericPickands tagged "comonotone") the finer
     bound {1 - V(t)} P_t(S_{m-1} = floor(m/2)) is also reported; both bounds
-    are attained at t = 1/2.
+    are attained at t = 1/2. A t outside [0, 1], or NaN, raises a ValueError
+    naming t.
     """
     if m < 1:
         raise ValueError("approximation order must be >= 1")
+    if not 0.0 <= t <= 1.0:  # NaN fails too
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
     B = bernstein_approx(A.value, m)
     error = float(evaluate(B, t) - A.value(t))
     bound = 2.0 * t * (1.0 - t) * basis_eval(min(math.floor(m * t), m - 1), m - 1, t)

@@ -124,9 +124,10 @@ def validate_pickands(P: BernsteinPoly) -> dict:
 class PickandsPoly:
     """Validated polynomial Pickands function of degree m + 2.
 
-    Construction snaps the endpoint coefficients to exactly 1 when they are
-    within 1e-9 (downstream formulas assume exact endpoint values) and
-    rejects anything that fails the endpoint or convexity conditions.
+    Construction snaps the endpoint coefficients within 1e-9 of 1 to exactly
+    1 (downstream formulas assume exact endpoint values) and rejects
+    anything ``validate_pickands`` does not pass, an endpoint further off
+    as an ``endpoint_value`` violation.
     """
 
     poly: BernsteinPoly
@@ -136,9 +137,8 @@ class PickandsPoly:
         if c.size < 3:
             raise ValueError("PickandsPoly needs degree >= 2; A == 1 is degree-2 [1,1,1]")
         for k in (0, c.size - 1):
-            if abs(c[k] - 1.0) > _ENDPOINT_TOL:
-                raise ValueError(f"endpoint coefficient {k} = {c[k]!r} not 1")
-            c[k] = 1.0
+            if abs(c[k] - 1.0) <= _ENDPOINT_TOL:
+                c[k] = 1.0
         snapped = BernsteinPoly(c)
         report = validate_pickands(snapped)
         if not report["valid"]:

@@ -11,10 +11,11 @@ processes execute them.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -36,15 +37,34 @@ class StudyError(RuntimeError):
     """Raised when more than 1% of a study's replicates fail."""
 
 
+def _store_floats(model) -> None:
+    # each field of model as a float; a ValueError names any that is a bool, a
+    # string or another non-real, or an int past the float range
+    for f in fields(model):
+        value = getattr(model, f.name)
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        try:
+            number = float(value) if real else None
+        except OverflowError:
+            number = None
+        if number is None:
+            raise ValueError(f"{f.name!r} must be a number, got {value!r}")
+        object.__setattr__(model, f.name, number)
+
+
 @dataclass(frozen=True)
 class AsymmetricLogistic:
-    """A(t) = (1-psi1) t + (1-psi2)(1-t) + [(psi1 t)^(1/a) + {psi2 (1-t)}^(1/a)]^a."""
+    """A(t) = (1-psi1) t + (1-psi2)(1-t) + [(psi1 t)^(1/a) + {psi2 (1-t)}^(1/a)]^a.
+
+    alpha in (0, 1] and psi1, psi2 in [0, 1] are real numbers, stored as floats.
+    """
 
     alpha: float
     psi1: float
     psi2: float
 
     def __post_init__(self):
+        _store_floats(self)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         if not (0.0 <= self.psi1 <= 1.0 and 0.0 <= self.psi2 <= 1.0):
@@ -53,11 +73,12 @@ class AsymmetricLogistic:
 
 @dataclass(frozen=True)
 class SymmetricMixed:
-    """A(t) = 1 - psi t + psi t^2."""
+    """A(t) = 1 - psi t + psi t^2 for a real psi in [0, 1], stored as a float."""
 
     psi: float
 
     def __post_init__(self):
+        _store_floats(self)
         if not 0.0 <= self.psi <= 1.0:
             raise ValueError("psi must lie in [0, 1]")
 
@@ -116,53 +137,48 @@ def split_seed(master: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# the model JSON kinds and the classes that check and hold their parameters
+_MODEL_KINDS = {"alog": AsymmetricLogistic, "mix": SymmetricMixed, "poly": PolynomialModel}
+
+
 def model_to_json(model: ReferenceModel) -> dict:
     """Serialize a reference model to the CLI's model JSON schema."""
-    if isinstance(model, AsymmetricLogistic):
-        return {"model": "alog", "alpha": model.alpha, "psi1": model.psi1, "psi2": model.psi2}
-    if isinstance(model, SymmetricMixed):
-        return {"model": "mix", "psi": model.psi}
-    if isinstance(model, PolynomialModel):
-        return {"model": "poly", "pickands": poly_to_json(model.pickands.poly)}
-    raise TypeError(f"unknown reference model {model!r}")
+    kind = next((k for k, cls in _MODEL_KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise TypeError(f"unknown reference model {model!r}")
+    if kind == "poly":
+        return {"model": kind, "pickands": poly_to_json(model.pickands.poly)}
+    return {"model": kind, **asdict(model)}
 
 
-def _json_field(obj: dict, key: str, cast, where: str):
-    """cast(obj[key]); a ValueError naming the field if it is missing or cast fails."""
-    try:
-        return cast(obj[key])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"{where}: {key!r} must be {cast.__name__}, got {obj.get(key)!r}") from None
-
-
-def _reject_unknown_keys(obj: dict, known, where: str) -> None:
-    """Raise a ValueError that names the keys of obj outside known, and known, both sorted."""
+def _check_keys(obj, known, where: str, required=()) -> None:
+    """A ValueError naming the keys unless obj is a dict with all required keys, none unknown."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise ValueError(f"unknown {where} keys {unknown}; expected a subset of {sorted(known)}")
-
-
-# the parameter keys of each model kind, besides "model"
-_MODEL_KEYS = {"alog": ("alpha", "psi1", "psi2"), "mix": ("psi",), "poly": ("pickands",)}
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValueError(f"{where} is missing the required keys {missing}")
 
 
 def model_from_json(obj: dict) -> ReferenceModel:
-    """Parse the model JSON schema: alog | mix | poly; ValueError on malformed input."""
+    """Parse the model JSON schema (alog | mix | poly): keys checked here, values by the model."""
     if not isinstance(obj, dict):
-        raise ValueError(f"model JSON must be an object, got {type(obj).__name__}")
+        raise ValueError(f"model JSON must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("model")
-    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+    cls = _MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ValueError(f"model JSON: unknown model kind {kind!r}")
-    _reject_unknown_keys(obj, ("model",) + _MODEL_KEYS[kind], f"{kind} model JSON")
-    if kind == "alog":
-        return AsymmetricLogistic(*(_json_field(obj, k, float, "model JSON")
-                                    for k in _MODEL_KEYS[kind]))
-    if kind == "mix":
-        return SymmetricMixed(_json_field(obj, "psi", float, "model JSON"))
-    poly = poly_from_json(obj["pickands"])
-    if isinstance(poly, PowerPoly):
-        poly = power_to_bernstein(poly)
-    return PolynomialModel(PickandsPoly(poly))
+    names = [f.name for f in fields(cls)]
+    _check_keys(obj, ["model", *names], f"{kind} model JSON", required=names)
+    if cls is PolynomialModel:
+        poly = poly_from_json(obj["pickands"])
+        if isinstance(poly, PowerPoly):
+            poly = power_to_bernstein(poly)
+        return PolynomialModel(PickandsPoly(poly))
+    return cls(**{name: obj[name] for name in names})
 
 
 # the search bracket for v; the Newton step, relative to min(v, 1 - v) (the
@@ -274,11 +290,14 @@ def _solve_conditional(kernel, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 class StudyConfig:
     """One Monte Carlo experiment: model, sizes, estimators, seed, grid.
 
-    An ``n``, ``replicates``, ``m``, ``seed`` or ``grid`` that is not an
-    integer, or is below 2, 1, 0, 0 or 2 respectively, raises a ValueError
-    naming the field, as do ``estimators`` that are not a list or tuple of
-    distinct names from full/sub/cfg, an ``optim`` that is neither None nor
-    an OptimConfig, and a ``ranks`` that is not a bool.
+    A ``model`` that is not a reference model, an ``n``, ``replicates``,
+    ``m``, ``seed`` or ``grid`` that is not an integer, or is below 2, 1, 0,
+    0 or 2 respectively, raises a ValueError naming the field, as do
+    ``estimators`` that are not a list or tuple of distinct names from
+    full/sub/cfg (stored as a tuple), an ``optim`` that is neither None nor
+    an OptimConfig, and a ``ranks`` that is not a bool. ``optim`` gives the
+    multistart's ``starts`` and ``maxfev``; its ``seed`` is not read, as each
+    replicate's optimizer seeds are split from the study's ``seed``.
     """
 
     model: ReferenceModel
@@ -292,6 +311,8 @@ class StudyConfig:
     ranks: bool = False  # fit on midrank pseudo-observations instead of true margins
 
     def __post_init__(self):
+        if not isinstance(self.model, ReferenceModel):
+            raise ValueError(f"model must be a reference model, got {self.model!r}")
         for name, low in (("n", 2), ("replicates", 1), ("m", 0), ("seed", 0), ("grid", 2)):
             value = getattr(self, name)
             if not _is_int(value):
@@ -304,6 +325,7 @@ class StudyConfig:
         if (isinstance(est, str) or not est or set(est) - {"full", "sub", "cfg"}
                 or len(set(est)) != len(est)):
             raise ValueError(f"estimators must be distinct names from full/sub/cfg, got {est!r}")
+        object.__setattr__(self, "estimators", tuple(est))
         if self.optim is not None and not isinstance(self.optim, OptimConfig):
             raise ValueError(f"optim must be None or an OptimConfig, got {self.optim!r}")
         if not isinstance(self.ranks, bool):

@@ -1,15 +1,21 @@
+import contextlib
 import csv
 import io
 import json
+import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import POLFULL_H, POLFULL_POWER, run_python
 from pickpoly import (
     AsymmetricLogistic,
     BernsteinPoly,
+    OptimConfig,
     SampleSet,
     StudyConfig,
     SymmetricMixed,
@@ -234,11 +240,25 @@ def test_bound_subcommand_models(tmp_path, capsys, model, t):
     assert res["v_bound"] is None
 
 
+@pytest.mark.parametrize("t", ["nan", "1.5", "-0.25"])
+def test_bound_rejects_t_outside_unit_interval(tmp_path, capsys, t):
+    path = write(tmp_path / "model.json", MIX_MODEL_JSON)
+    code, out, err = run(capsys, "bound", "--model", path, "--m", "4", "--t", t)
+    assert code == 1 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and msg["message"].startswith("t must lie in [0, 1]")
+
+
 MALFORMED_MODELS = [
     ([1, 2], "object"),
     ({"model": "alog", "alpha": None, "psi1": 0.5, "psi2": 0.5}, "'alpha'"),
     ({"model": "mix", "psi": [0.5]}, "'psi'"),
     ({"model": "mix", "psi": 0.5, "alpha": 3}, "keys ['alpha']; expected a subset of ['model', 'psi']"),
+    ({"model": "mix", "psi": "0.5"}, "'psi' must be a number, got '0.5'"),
+    ({"model": "alog", "alpha": True, "psi1": 0.5, "psi2": 0.5},
+     "'alpha' must be a number, got True"),
+    ({"model": "alog", "alpha": 0.5, "psi1": 0.5}, "missing the required keys ['psi2']"),
+    ({"model": "mix", "psi": 10**400}, "'psi' must be a number, got 1000"),  # past the float range
 ]
 
 
@@ -258,17 +278,25 @@ def test_malformed_model_json_exits_1(tmp_path, capsys, command, extra, model, f
 @pytest.mark.parametrize("change, field", [
     ({"model": [1]}, "object"),
     ({"model": {"model": "alog", "alpha": None, "psi1": 0.5, "psi2": 0.5}}, "'alpha'"),
-    ({"n": None}, "'n'"),
-    ({"replicates": "many"}, "'replicates'"),
-    ({"estimators": 5}, "'estimators'"),
-    ({"seed": None}, "'seed'"),
-    ({"n": 40.9}, "'n'"),
-    ({"m": True}, "'m'"),
-    ({"grid": 11.0}, "'grid'"),
-    ({"ranks": "false"}, "'ranks'"),
-    ({"ranks": 0}, "'ranks'"),
-    ({"estimators": "full"}, "'estimators'"),
-    ({"estimators": ["cfg", 1]}, "'estimators'"),
+    # StudyConfig checks the values and its messages start with the bare field
+    # name; the ids are those of the quoted names the CLI's own checks wrote
+    pytest.param({"n": None}, "n must be an integer, got None", id="change2-'n'"),
+    pytest.param({"replicates": "many"}, "replicates must be an integer, got 'many'",
+                 id="change3-'replicates'"),
+    pytest.param({"estimators": 5}, "estimators must be a list or tuple of strings, got 5",
+                 id="change4-'estimators'"),
+    pytest.param({"seed": None}, "seed must be an integer, got None", id="change5-'seed'"),
+    pytest.param({"n": 40.9}, "n must be an integer, got 40.9", id="change6-'n'"),
+    pytest.param({"m": True}, "m must be an integer, got True", id="change7-'m'"),
+    pytest.param({"grid": 11.0}, "grid must be an integer, got 11.0", id="change8-'grid'"),
+    pytest.param({"ranks": "false"}, "ranks must be a bool, got 'false'", id="change9-'ranks'"),
+    pytest.param({"ranks": 0}, "ranks must be a bool, got 0", id="change10-'ranks'"),
+    pytest.param({"estimators": "full"},
+                 "estimators must be distinct names from full/sub/cfg, got 'full'",
+                 id="change11-'estimators'"),
+    pytest.param({"estimators": ["cfg", 1]},
+                 "estimators must be a list or tuple of strings, got ['cfg', 1]",
+                 id="change12-'estimators'"),
     ({"estimators": ["cfg", "cfg"]}, "estimators must be distinct"),
     ({"estimator": ["cfg"], "sed": 4},
      "keys ['estimator', 'sed']; expected a subset of ['estimators', 'grid', 'm', 'model', 'n', "
@@ -281,6 +309,28 @@ def test_study_rejects_malformed_fields(tmp_path, capsys, change, field):
     assert code == 1
     msg = json.loads(err)
     assert msg["error"] == "ValueError" and field in msg["message"]
+
+
+def test_study_names_every_missing_required_key(tmp_path, capsys):
+    code, _, err = run(capsys, "study", "--in", write(tmp_path / "study.json", {"seed": 3}))
+    assert code == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError"
+    assert msg["message"] == ("study config is missing the required keys "
+                              "['model', 'n', 'replicates', 'm']")
+
+
+def test_study_rejects_optim_seed(tmp_path, capsys, monkeypatch):
+    # a study's optimizer seeds are split from its own seed: an optim seed
+    # would be read by nothing, so it is an error rather than a no-op
+    monkeypatch.setenv("PICKPOLY_THREADS", "1")
+    config = {"model": MIX_MODEL_JSON, "n": 40, "replicates": 2, "m": 0,
+              "estimators": ["sub"], "optim": {"starts": 2, "seed": 7}}
+    code, out, err = run(capsys, "study", "--in", write(tmp_path / "study.json", config))
+    assert code == 1 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError"
+    assert "'seed'" in msg["message"] and "the study's 'seed'" in msg["message"]
 
 
 def test_study_subcommand(tmp_path, capsys, monkeypatch):
@@ -374,6 +424,42 @@ def test_study_rejects_non_object_config(tmp_path, capsys):
     assert msg["error"] == "ValueError" and "JSON object" in msg["message"]
 
 
+# any JSON value; integers stay small, as a large count is valid and only
+# makes the study slow
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 50)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["full", "sub", "cfg", "mix", "alog", "poly", "seed"]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+STUDY_JSON = {"model": MIX_MODEL_JSON, "n": 40, "replicates": 1, "m": 0, "estimators": ["cfg"],
+              "seed": 0, "grid": 11, "optim": {"starts": 2, "maxfev": 50}, "ranks": False}
+STUDY_KEYS = [(key,) for key in STUDY_JSON] + [
+    ("optim", "starts"), ("optim", "maxfev"), ("model", "model"), ("model", "psi")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.sampled_from(STUDY_KEYS), value=JSON_VALUES)
+def test_study_with_any_value_in_one_field_runs_or_names_it(tmp_path_factory, keys, value):
+    # the CLI either runs the study or exits 1 with a JSON ValueError that
+    # names the replaced field; never a traceback
+    config = json.loads(json.dumps(STUDY_JSON))
+    *outer, key = keys
+    (config[outer[0]] if outer else config)[key] = value
+    folder = tmp_path_factory.mktemp("study")
+    path = write(folder / "study.json", config)
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, {"PICKPOLY_THREADS": "1"}), \
+            contextlib.redirect_stderr(err):
+        code = main(["study", "--in", path, "--out", str(folder / "report.json")])
+    if code == 0:
+        assert set(json.loads((folder / "report.json").read_text())["mse"]) <= {"full", "sub", "cfg"}
+    else:
+        assert code == 1
+        msg = json.loads(err.getvalue())
+        assert msg["error"] == "ValueError" and key in msg["message"]
+
+
 @pytest.mark.parametrize("args, field", [
     (["--m", "2", "--starts", "-1"], "starts"),
     (["--m", "2", "--starts", "0"], "starts"),
@@ -388,6 +474,11 @@ def test_fit_rejects_bad_arguments(tmp_path, capsys, model, args, field):
     assert code == 1 and out == ""
     msg = json.loads(err)
     assert msg["error"] == "ValueError" and field in msg["message"]
+
+
+def test_fit_option_defaults_are_optim_config_defaults():
+    args = cli_module._build_parser().parse_args(["fit", "--in", "d.csv", "--model", "full"])
+    assert (args.starts, args.seed) == (OptimConfig().starts, OptimConfig().seed)
 
 
 @pytest.mark.parametrize("degree", ["2", True, 2.0])

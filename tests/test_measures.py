@@ -134,6 +134,13 @@ def test_approx_error_bound_endpoints_zero():
         assert b.bound == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("t", [float("nan"), -0.1, 1.5, float("inf")])
+def test_approx_error_bound_rejects_t_outside_unit_interval(t):
+    # the check names t, not the x of the evaluation underneath
+    with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\], got "):
+        approx_error_bound(comonotone(), 4, t)
+
+
 def test_approx_error_bound_alog():
     alpha, psi1, psi2 = ALOG_PARAMS
     A = GenericPickands(lambda t: (alog_value(t, alpha, psi1, psi2), np.zeros_like(t), np.zeros_like(t)),

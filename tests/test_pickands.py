@@ -298,8 +298,11 @@ def test_jensen_lower_bound(rng):
 def test_pickands_poly_snapping_and_rejection():
     snapped = PickandsPoly(BernsteinPoly([1.0 + 1e-10, 0.8, 1.0 - 1e-10]))
     assert snapped.poly.coeffs[0] == 1.0 and snapped.poly.coeffs[-1] == 1.0
-    with pytest.raises(ValueError):
+    # an endpoint further than 1e-9 from 1 stays as given and fails validate_pickands
+    with pytest.raises(ValueError, match="'endpoint_value', 'witness': 0}]$"):
         PickandsPoly(BernsteinPoly([1.0 + 1e-8, 0.8, 1.0]))
+    with pytest.raises(ValueError, match="'endpoint_value', 'witness': 2}"):
+        PickandsPoly(BernsteinPoly([1.0, 0.8, 0.5]))
     with pytest.raises(ValueError):
         PickandsPoly(BernsteinPoly([1.0, 0.4, 1.0]))
     with pytest.raises(ValueError):

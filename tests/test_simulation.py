@@ -66,6 +66,31 @@ def test_model_parameter_validation():
         AsymmetricLogistic(0.5, -0.1, 0.5)
     with pytest.raises(ValueError):
         SymmetricMixed(1.5)
+    with pytest.raises(ValueError, match="^psi must lie in"):
+        SymmetricMixed(float("nan"))
+    with pytest.raises(ValueError, match="^alpha must lie in"):
+        AsymmetricLogistic(float("inf"), 0.5, 0.5)
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (SymmetricMixed, "psi", "0.5"),
+    (SymmetricMixed, "psi", True),
+    (SymmetricMixed, "psi", None),
+    (lambda v: AsymmetricLogistic(v, 0.5, 0.5), "alpha", np.True_),
+    (lambda v: AsymmetricLogistic(0.5, v, 0.5), "psi1", [0.5]),
+    (lambda v: AsymmetricLogistic(0.5, 0.5, v), "psi2", 10**400),
+])
+def test_model_parameters_must_be_numbers(make, field, value):
+    # a string used to raise a TypeError, and a bool to pass as 0 or 1
+    with pytest.raises(ValueError, match=f"^'{field}' must be a number, got "):
+        make(value)
+
+
+def test_model_parameters_are_stored_as_floats():
+    alog = AsymmetricLogistic(1, np.float32(0.5), np.int64(1))
+    assert [type(x) for x in (alog.alpha, alog.psi1, alog.psi2)] == [float] * 3
+    assert (alog.alpha, alog.psi1, alog.psi2) == (1.0, 0.5, 1.0)
+    assert type(SymmetricMixed(0).psi) is float
 
 
 def test_alog_derivatives_match_finite_differences():
@@ -358,7 +383,14 @@ def test_study_config_rejects_non_string_estimators(estimators):
 def test_study_config_accepts_a_list_of_estimators():
     config = StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0, estimators=["cfg"],
                          optim=OptimConfig(starts=2), ranks=True)
+    assert config.estimators == ("cfg",)
     assert run_study(config, threads=1).excluded == {"cfg": 0}
+
+
+@pytest.mark.parametrize("model", [None, {"model": "mix", "psi": 0.9}, model_pickands(MIX_MODEL)])
+def test_study_config_rejects_a_model_that_is_not_a_reference_model(model):
+    with pytest.raises(ValueError, match="^model must be a reference model, got "):
+        StudyConfig(model=model, n=30, replicates=2, m=0, estimators=("cfg",))
 
 
 def test_study_config_rejects_negative_seed():
@@ -470,6 +502,31 @@ def test_model_json_roundtrip():
     assert model_from_json(model_to_json(MIX_MODEL)).psi == MIX_PSI
     with pytest.raises(ValueError):
         model_from_json({"model": "gaussian"})
+
+
+def test_model_to_json_schema():
+    assert model_to_json(AsymmetricLogistic(0.5, 0.9, 0.6)) == {
+        "model": "alog", "alpha": 0.5, "psi1": 0.9, "psi2": 0.6}
+    assert list(model_to_json(ALOG_MODEL)) == ["model", "alpha", "psi1", "psi2"]
+    assert model_to_json(SymmetricMixed(0.9)) == {"model": "mix", "psi": 0.9}
+    assert model_to_json(POLY_MODEL) == {
+        "model": "poly", "pickands": {"basis": "bernstein", "degree": 4,
+                                      "coeffs": POLY_MODEL.pickands.poly.coeffs.tolist()}}
+    with pytest.raises(TypeError, match="unknown reference model"):
+        model_to_json(MIX_MODEL.psi)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"model": "alog", "alpha": 0.5, "psi1": 0.9},
+     "alog model JSON is missing the required keys ['psi2']"),
+    ({"model": "poly"}, "poly model JSON is missing the required keys ['pickands']"),
+    ({"model": "mix", "psi": "0.5"}, "'psi' must be a number, got '0.5'"),
+    ({"model": ["mix"], "psi": 0.5}, "model JSON: unknown model kind ['mix']"),
+])
+def test_model_from_json_names_the_key(obj, message):
+    with pytest.raises(ValueError) as exc:
+        model_from_json(obj)
+    assert str(exc.value) == message
 
 
 @pytest.mark.slow
