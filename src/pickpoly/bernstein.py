@@ -18,6 +18,7 @@ least-squares fitting anywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -55,6 +56,11 @@ def _check_unit_interval(x, name: str) -> np.ndarray:
 
 
 def _as_coeff_array(coeffs) -> np.ndarray:
+    if isinstance(coeffs, np.ndarray) and coeffs.dtype.kind not in "iuf":
+        coeffs = coeffs.tolist()
+    if isinstance(coeffs, (list, tuple)):
+        # np.array(..., dtype=float) would take bools and numeric strings
+        coeffs = [_real_float(f"coeffs[{i}]", x) for i, x in enumerate(coeffs)]
     c = np.array(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must be a nonempty 1-d sequence")
@@ -62,6 +68,17 @@ def _as_coeff_array(coeffs) -> np.ndarray:
         raise ValueError("coefficients must be finite")
     c.flags.writeable = False
     return c
+
+
+def _real_float(name: str, x) -> float:
+    # x as a float; a ValueError names it if it is a bool, a string or
+    # another non-real, or an int past the float range
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number, got {x!r}")
 
 
 @dataclass(frozen=True)

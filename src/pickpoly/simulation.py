@@ -11,16 +11,22 @@ processes execute them.
 
 from __future__ import annotations
 
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 from typing import Union
 
 import numpy as np
 
-from .bernstein import PowerPoly, poly_from_json, poly_to_json, power_to_bernstein
+from .bernstein import (
+    PowerPoly,
+    _real_float,
+    poly_from_json,
+    poly_to_json,
+    power_to_bernstein,
+)
 from .inference import (
     FitResult,
     OptimConfig,
@@ -38,18 +44,9 @@ class StudyError(RuntimeError):
 
 
 def _store_floats(model) -> None:
-    # each field of model as a float; a ValueError names any that is a bool, a
-    # string or another non-real, or an int past the float range
+    # each field of model as a float, by the rule of _real_float
     for f in fields(model):
-        value = getattr(model, f.name)
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        try:
-            number = float(value) if real else None
-        except OverflowError:
-            number = None
-        if number is None:
-            raise ValueError(f"{f.name!r} must be a number, got {value!r}")
-        object.__setattr__(model, f.name, number)
+        object.__setattr__(model, f.name, _real_float(repr(f.name), getattr(model, f.name)))
 
 
 @dataclass(frozen=True)
@@ -422,14 +419,50 @@ def _study_group(args: tuple[StudyConfig, list[int]]) -> list[dict]:
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is not None:
-        return max(1, threads)
+        if not _is_int(threads) or threads < 1:
+            raise ValueError(f"threads must be None or an integer >= 1, got {threads!r}")
+        return int(threads)
     env = os.environ.get("PICKPOLY_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"PICKPOLY_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"PICKPOLY_THREADS must be an integer >= 1, got {env!r}")
+    return int(env)
+
+
+# the worker pool kept across run_study calls, and its worker count; a
+# forked child starts without it, as the workers are its parent's
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _drop_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
+
+
+def _kept_pool(threads: int, groups: int) -> ProcessPoolExecutor:
+    # the kept pool if it has workers for every group but no more than
+    # threads, else a new one with min(threads, groups): forked pools start
+    # all their workers at once, so a pool sized by threads alone would fork
+    # one per core for a one-group study
+    global _pool, _pool_workers
+    workers = min(threads, groups)
+    if not workers <= _pool_workers <= threads:
+        _drop_pool()
+    if _pool is None:
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+    return _pool
 
 
 def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
@@ -440,10 +473,19 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
     replicates in fixed groups of 8, one batched search per group; every
     fit equals that of ``fit_full`` / ``fit_sub`` on the replicate's sample
     and seed bit for bit, and the group's samples come from one sampler
-    solve, each equal to its ``sample_copula`` draw. Workers take whole
-    groups. Failed replicates are
+    solve, each equal to its ``sample_copula`` draw. Failed replicates are
     excluded per estimator with a count; more than 1% failures raise
     StudyError.
+
+    ``threads`` (None or an integer >= 1) is the worker count; None reads
+    the ``PICKPOLY_THREADS`` environment variable, else the CPU count. With
+    one worker, or one replicate, the study runs in this process. Otherwise
+    worker processes take whole groups: the first such call starts one per
+    group, up to the worker count, and later calls in this process reuse
+    them until it exits or a call needs more workers than they are or
+    allows fewer. A pool whose worker died is replaced. Only a process that
+    runs several studies gains from the reuse; a single ``pickpoly study``
+    starts as many workers as before.
     """
     t0 = time.perf_counter()
     nthreads = _resolve_threads(threads)
@@ -452,8 +494,12 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
     if nthreads <= 1 or config.replicates == 1:
         results = [record for task in tasks for record in _study_group(task)]
     else:
-        with ProcessPoolExecutor(max_workers=min(nthreads, len(tasks))) as pool:
-            results = [record for group in pool.map(_study_group, tasks) for record in group]
+        try:
+            groups = list(_kept_pool(nthreads, len(tasks)).map(_study_group, tasks))
+        except BrokenProcessPool:  # a worker died: once more, on a new pool
+            _drop_pool()
+            groups = list(_kept_pool(nthreads, len(tasks)).map(_study_group, tasks))
+        results = [record for group in groups for record in group]
 
     tgrid = np.linspace(0.0, 1.0, config.grid)
     truth = model_pickands(config.model).value(tgrid)

@@ -495,6 +495,26 @@ def test_non_integer_polynomial_degree_exits_1(tmp_path, capsys, command, degree
     assert msg["error"] == "ValueError" and "'degree'" in msg["message"]
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ([True, "0.75", 1], "coeffs[0] must be a number, got True"),
+    ([1.0, "0.75", 1.0], "coeffs[1] must be a number, got '0.75'"),
+    ([1.0, 0.75, None], "coeffs[2] must be a number, got None"),
+    ([1.0, [0.75], 1.0], "coeffs[1] must be a number, got [0.75]"),
+    ([1.0, 0.75, 10**400], "coeffs[2] must be a number, got 1000"),  # past the float range
+])
+@pytest.mark.parametrize("command", ["validate", "convert", "lorentz", "measures", "simulate"])
+def test_non_number_polynomial_coefficient_exits_1(tmp_path, capsys, command, coeffs, message):
+    poly = {"basis": "bernstein", "degree": 2, "coeffs": coeffs}
+    if command == "simulate":
+        path = write(tmp_path / "model.json", {"model": "poly", "pickands": poly})
+        code, out, err = run(capsys, command, "--model", path, "--n", "5", "--seed", "1")
+    else:
+        code, out, err = run(capsys, command, "--in", write(tmp_path / "p.json", poly))
+    assert code == 1 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and msg["message"].startswith(message)
+
+
 @pytest.mark.parametrize("grid", ["0", "1", "-3"])
 def test_fit_cfg_rejects_bad_grid(tmp_path, capsys, grid):
     data = tmp_path / "data.csv"

@@ -1,3 +1,7 @@
+import json
+import os
+import signal
+import time
 import warnings
 from dataclasses import replace
 
@@ -13,6 +17,7 @@ from helpers import (
     alog_value,
     bisection_conditional,
     conditional_cdf,
+    run_python,
 )
 from pickpoly import (
     AsymmetricLogistic,
@@ -331,11 +336,130 @@ def test_run_study_respects_env_thread_cap(monkeypatch):
 
 
 def test_run_study_rejects_non_integer_thread_env(monkeypatch):
-    monkeypatch.setenv("PICKPOLY_THREADS", "two")
+    # the variable, like the threads argument, must be an integer >= 1
     config = StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0,
                          estimators=("cfg",), seed=8, grid=11)
-    with pytest.raises(ValueError, match="PICKPOLY_THREADS.*'two'"):
-        run_study(config)
+    for env in ("two", "2.5", "0", "-3"):
+        monkeypatch.setenv("PICKPOLY_THREADS", env)
+        with pytest.raises(ValueError, match=f"PICKPOLY_THREADS must be an integer >= 1, got '{env}'"):
+            run_study(config)
+
+
+@pytest.mark.parametrize("threads", [2.5, "2", True, -3, 0])
+def test_run_study_rejects_bad_threads(threads):
+    config = StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0,
+                         estimators=("cfg",), seed=8, grid=11)
+    with pytest.raises(ValueError, match="threads must be None or an integer >= 1"):
+        run_study(config, threads=threads)
+
+
+POOL_CONFIG = StudyConfig(model=MIX_MODEL, n=40, replicates=16, m=2,
+                          estimators=("sub", "cfg"), seed=15, grid=11, optim=TINY_OPTIM)
+
+
+def _worker_pids() -> list[int]:
+    return sorted(simulation_module._pool._processes)
+
+
+def test_run_study_reuses_its_workers():
+    first = run_study(POOL_CONFIG, threads=2)
+    pids = _worker_pids()
+    second = run_study(POOL_CONFIG, threads=2)
+    assert _worker_pids() == pids and len(pids) == 2
+    serial = run_study(POOL_CONFIG, threads=1)
+    dumps = [json.dumps(r.payload()) for r in (first, second, serial)]
+    assert dumps[0] == dumps[1] == dumps[2]
+
+
+def test_run_study_replaces_a_killed_worker():
+    before = run_study(POOL_CONFIG, threads=2)
+    pids = _worker_pids()
+    os.kill(pids[0], signal.SIGKILL)
+    after = run_study(POOL_CONFIG, threads=2)
+    assert after.payload() == before.payload()
+    assert not set(_worker_pids()) & set(pids)
+
+
+def test_run_study_sizes_its_pool_by_groups_and_threads():
+    # a pool starts one worker per group, up to threads; a later call keeps
+    # it if it has a worker for each of its groups and no more than threads
+    one_group = replace(POOL_CONFIG, replicates=8)
+    three_groups = replace(POOL_CONFIG, replicates=24)
+    simulation_module._drop_pool()
+    run_study(one_group, threads=4)
+    pids = _worker_pids()
+    assert len(pids) == 1
+    run_study(POOL_CONFIG, threads=3)
+    assert len(_worker_pids()) == 2 and _gone(pids)
+    pids = _worker_pids()
+    run_study(POOL_CONFIG, threads=4)
+    run_study(one_group, threads=2)
+    assert _worker_pids() == pids
+    run_study(three_groups, threads=3)
+    assert len(_worker_pids()) == 3 and _gone(pids)
+    pids = _worker_pids()
+    run_study(POOL_CONFIG, threads=2)
+    assert len(_worker_pids()) == 2 and _gone(pids)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _gone(pids: list[int]) -> bool:
+    # True once none of these processes exists, polled for up to 10 s
+    for _ in range(100):
+        if not any(map(_alive, pids)):
+            return True
+        time.sleep(0.1)
+    return False
+
+
+POOL_SCRIPT = """
+import json, os, sys
+from pickpoly import OptimConfig, StudyConfig, SymmetricMixed, run_study, simulation
+
+config = StudyConfig(model=SymmetricMixed(0.9), n=40, replicates=16, m=2,
+                     estimators=("sub", "cfg"), seed=15, grid=11,
+                     optim=OptimConfig(starts=3, maxfev=120))
+out = {"payload": run_study(config, threads=2).payload(),
+       "pids": sorted(simulation._pool._processes)}
+if sys.argv[1:] == ["fork"]:
+    child = os.fork()
+    if child == 0:
+        print(json.dumps({"payload": run_study(config, threads=2).payload(),
+                          "pids": sorted(simulation._pool._processes)}))
+        sys.exit(0)
+    _, status = os.waitpid(child, 0)
+    out["child_status"] = status
+    out["again"] = run_study(config, threads=2).payload()
+    out["pids_after"] = sorted(simulation._pool._processes)
+print(json.dumps(out))
+"""
+
+
+def test_pool_workers_end_with_their_process():
+    proc = run_python("-c", POOL_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert len(out["pids"]) == 2 and _gone(out["pids"])
+    assert out["payload"] == json.loads(json.dumps(run_study(POOL_CONFIG, threads=1).payload()))
+
+
+def test_forked_process_runs_its_own_pooled_study():
+    # the child forgets its parent's pool and starts its own; the parent's
+    # pool goes on serving the parent
+    proc = run_python("-c", POOL_SCRIPT, "fork")
+    assert proc.returncode == 0, proc.stderr
+    child, out = map(json.loads, proc.stdout.strip().splitlines())
+    assert out["child_status"] == 0
+    assert child["payload"] == out["payload"] == out["again"]
+    assert out["pids_after"] == out["pids"] and not set(child["pids"]) & set(out["pids"])
+    assert _gone(out["pids"] + child["pids"])
 
 
 def test_study_config_rejects_negative_m():
