@@ -38,7 +38,7 @@ def basis_eval(k: int, m: int, x):
     ValueError
         If k is not an integer in 0..m or x lies outside [0,1].
     """
-    if not isinstance(k, (int, np.integer)) or not 0 <= k <= m:
+    if not _is_int(k) or not 0 <= k <= m:
         raise ValueError(f"basis index k={k!r} must be an integer in 0..{m}")
     xa = _check_unit_interval(x, "x")
     with np.errstate(divide="ignore"):  # log 0 = -inf, read only under a nonzero power
@@ -66,8 +66,26 @@ def _as_coeff_array(coeffs) -> np.ndarray:
         raise ValueError("coefficients must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients must be finite")
-    c.flags.writeable = False
-    return c
+    return _frozen(c)
+
+
+# The checks of outside input shared by every module: JSON objects, integers
+# and real numbers, each rejected with a ValueError that names it.
+
+def _check_keys(obj, known, where: str, required=()) -> None:
+    """A ValueError naming the keys unless obj is a dict with all required keys, none unknown."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; expected a subset of {sorted(known)}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValueError(f"{where} is missing the required keys {missing}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _real_float(name: str, x) -> float:
@@ -79,6 +97,12 @@ def _real_float(name: str, x) -> float:
         except OverflowError:
             pass
     raise ValueError(f"{name} must be a number, got {x!r}")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    # a, made read-only: the one way an array is frozen, for caches and fields
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -187,14 +211,6 @@ def derivative_coeffs(P: BernsteinPoly) -> BernsteinPoly:
     return BernsteinPoly(m * np.diff(P.coeffs))
 
 
-def second_derivative_coeffs(P: BernsteinPoly) -> BernsteinPoly:
-    """Coefficients of P'': c(k, m-2; P'') = m(m-1) * second difference."""
-    m = P.degree
-    if m < 2:
-        return BernsteinPoly(np.zeros(1))
-    return BernsteinPoly(m * (m - 1) * np.diff(P.coeffs, n=2))
-
-
 # the degree-elevation map is built and applied in blocks of rows holding
 # at most this many entries, so memory does not grow with the target degree
 _ELEVATION_BLOCK = 2**16
@@ -273,10 +289,10 @@ def bernstein_approx(f: Callable[[np.ndarray], np.ndarray], m: int) -> Bernstein
     return BernsteinPoly(vals)
 
 
-# the per-degree matrices of the basis changes and of the subdivision walk's
-# split are kept for this many recent degrees each; a degree-d basis change
-# takes (d+1)^2 long doubles (16 bytes each on x86-64) and a split matrix
-# 16(d+1)^2 bytes
+# every per-degree table (the basis changes, the walk's split, and those of
+# pickands and full_model) is kept for this many recent degrees each; a
+# degree-d basis change takes (d+1)^2 long doubles (16 bytes each on x86-64),
+# a split matrix 16(d+1)^2 bytes and a coefficient tensor 8(d+1)^3 bytes
 _MATRIX_CACHE = 8
 
 
@@ -290,11 +306,6 @@ def _rounded(num: int, den: int = 1) -> float:
         return num / den
     except OverflowError:
         return math.inf if num > 0 else -math.inf
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _extended(M: np.ndarray) -> np.ndarray:
@@ -464,15 +475,14 @@ def poly_to_json(P: BernsteinPoly | PowerPoly) -> dict:
     return {"basis": basis, "degree": P.degree, "coeffs": [float(c) for c in P.coeffs]}
 
 
+_POLY_KEYS = ("basis", "degree", "coeffs")
+
+
 def poly_from_json(obj: dict) -> BernsteinPoly | PowerPoly:
-    """Parse the repo-wide polynomial schema; validates degree consistency."""
-    try:
-        basis = obj["basis"]
-        degree = obj["degree"]
-        coeffs = obj["coeffs"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"polynomial JSON missing field: {exc}") from exc
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
+    """Parse the repo-wide polynomial schema: exactly its three keys, degree consistent."""
+    _check_keys(obj, _POLY_KEYS, "polynomial JSON", required=_POLY_KEYS)
+    basis, degree, coeffs = (obj[k] for k in _POLY_KEYS)
+    if not _is_int(degree) or degree < 0:
         raise ValueError(f"polynomial JSON: 'degree' must be an integer >= 0, got {degree!r}")
     if not isinstance(coeffs, (list, tuple)) or len(coeffs) != degree + 1:
         raise ValueError("polynomial JSON: coeffs length must equal degree + 1")

@@ -19,6 +19,7 @@ import numpy as np
 from .bernstein import (
     BernsteinPoly,
     PowerPoly,
+    _check_keys,
     bernstein_to_power,
     elevate_degree,
     poly_from_json,
@@ -30,7 +31,6 @@ from .measures import approx_error_bound, tau_measures
 from .pickands import PickandsPoly, comonotone, validate_pickands
 from .simulation import (
     StudyConfig,
-    _check_keys,
     model_from_json,
     model_pickands,
     run_study,
@@ -169,20 +169,15 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _optim_config(obj) -> OptimConfig:
-    if isinstance(obj, dict) and "seed" in obj:
-        raise ValueError("optim: 'seed' is not a study setting; each replicate's optimizer "
-                         "seeds are split from the study's 'seed'")
-    _check_keys(obj, ("starts", "maxfev"), "optim")
-    return OptimConfig(**obj)
-
-
 def _cmd_study(args) -> int:
     # the JSON reader checks keys only; StudyConfig and the model check the values
     raw = _read_json(args.infile)
     _check_keys(raw, [f.name for f in fields(StudyConfig)], "study config",
                 required=[f.name for f in fields(StudyConfig) if f.default is MISSING])
-    optim = _optim_config(raw["optim"]) if "optim" in raw else None
+    optim = None
+    if "optim" in raw:
+        _check_keys(raw["optim"], [f.name for f in fields(OptimConfig)], "optim")
+        optim = OptimConfig(**raw["optim"])
     config = StudyConfig(**{**raw, "model": model_from_json(raw["model"]), "optim": optim})
     report = run_study(config)
     _write_out(_dump(report.payload()), args.out)

@@ -18,10 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bernstein import BernsteinPoly
-from .pickands import PickandsPoly, a_from_h, endpoint_functionals
-
-FEAS_TOL = 1e-12
+from .bernstein import _MATRIX_CACHE, BernsteinPoly, _frozen
+from .pickands import _SLACK, PickandsPoly, a_from_h, endpoint_functionals
 
 
 class InfeasibleThetaError(ValueError):
@@ -51,8 +49,7 @@ class FullModelParam:
             raise ValueError(f"theta must have length m + 1 = {self.m + 1}")
         if not np.all(np.isfinite(th)):
             raise ValueError("theta must be finite")
-        th.flags.writeable = False
-        object.__setattr__(self, "theta", th)
+        object.__setattr__(self, "theta", _frozen(th))
 
     def to_json(self) -> dict:
         return {"m": self.m, "theta": [float(x) for x in self.theta]}
@@ -71,7 +68,7 @@ def _square_tensor(d: int) -> np.ndarray:
     return S
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MATRIX_CACHE)
 def coefficient_tensor(m: int) -> np.ndarray:
     """Symmetric tensor T with c(k, m; h_theta) = theta^T T[k] theta.
 
@@ -96,20 +93,16 @@ def coefficient_tensor(m: int) -> np.ndarray:
         S = _square_tensor((m - 1) // 2)
         T[1:, p, p] = (k / m)[1:] * S
         T[:m, q, q] = ((m - k) / m)[:m] * S
-    T.flags.writeable = False
-    return T
+    return _frozen(T)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MATRIX_CACHE)
 def form_matrices(m: int) -> tuple[np.ndarray, np.ndarray]:
     """(Q0, Q1) with int (1-w) h_theta = theta^T Q0 theta, int w h_theta = theta^T Q1 theta."""
     T = coefficient_tensor(m)
     y = (np.arange(m + 1) + 1.0) / (m + 2)
-    Q0 = np.tensordot(1.0 - y, T, axes=(0, 0)) / (m + 1)
-    Q1 = np.tensordot(y, T, axes=(0, 0)) / (m + 1)
-    Q0.flags.writeable = False
-    Q1.flags.writeable = False
-    return Q0, Q1
+    return (_frozen(np.tensordot(1.0 - y, T, axes=(0, 0)) / (m + 1)),
+            _frozen(np.tensordot(y, T, axes=(0, 0)) / (m + 1)))
 
 
 def theta_to_h(param: FullModelParam) -> BernsteinPoly:
@@ -137,9 +130,9 @@ def feasibility(param: FullModelParam) -> Feasibility:
     """
     h = theta_to_h(param)
     q0, q1 = endpoint_functionals(h)
-    ok = q0 <= 1.0 + FEAS_TOL and q1 <= 1.0 + FEAS_TOL
+    ok = q0 <= 1.0 + _SLACK and q1 <= 1.0 + _SLACK
     if param.m == 0:
-        ok = ok and param.theta[0] >= -FEAS_TOL
+        ok = ok and param.theta[0] >= -_SLACK
     return Feasibility(bool(ok), q0, q1)
 
 
@@ -157,7 +150,7 @@ def theta_to_pickands(param: FullModelParam) -> PickandsPoly:
     return PickandsPoly(a_from_h(theta_to_h(param)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MATRIX_CACHE)
 def _sampling_box(m: int) -> np.ndarray:
     # Tightest axis-aligned box containing E0 cap E1: along axis i each
     # ellipsoid alone reaches sqrt((Q^-1)_ii), and the intersection at most
@@ -165,7 +158,7 @@ def _sampling_box(m: int) -> np.ndarray:
     Q0, Q1 = form_matrices(m)
     ext0 = np.sqrt(np.diag(np.linalg.inv(Q0)))
     ext1 = np.sqrt(np.diag(np.linalg.inv(Q1)))
-    return np.minimum(ext0, ext1)
+    return _frozen(np.minimum(ext0, ext1))
 
 
 def sample_feasible(m: int, rng: np.random.Generator, count: int) -> np.ndarray:

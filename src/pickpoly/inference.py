@@ -43,7 +43,7 @@ from typing import Union
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, eval_with_derivatives
+from .bernstein import BernsteinPoly, _frozen, _is_int, eval_with_derivatives
 from .full_model import (
     FullModelParam,
     coefficient_tensor,
@@ -89,11 +89,8 @@ class SampleSet:
         for name, x in (("u", u), ("v", v)):
             if np.any(x <= 0.0) or np.any(x >= 1.0) or not np.all(np.isfinite(x)):
                 raise ValueError(f"{name} must lie strictly inside (0, 1)")
-        u, v = u.copy(), v.copy()
-        u.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u", _frozen(u.copy()))
+        object.__setattr__(self, "v", _frozen(v.copy()))
 
     @property
     def n(self) -> int:
@@ -141,10 +138,6 @@ class OptimConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -203,8 +196,8 @@ class _LogLik:
     pseudo-angles the two factors of the density brace and A'' are affine in
     h as well. One stacked (3n x (m+1)) design matrix per dataset, built
     once, maps h to them; the datasets share one size n. Every method takes
-    a (rows x (m+1)) stack of points and each row's dataset tag, ascending
-    (None: every row on the first dataset), so the multistarts of a whole
+    a (rows x (m+1)) stack of points and each row's dataset tag (an index
+    into the group), ascending, so the multistarts of a whole
     group are evaluated by a few matrix products and elementwise passes over
     (rows x n) arrays. Each dataset's products run on its own rows, so a
     dataset's results do not depend on the other datasets' rows. A row's
@@ -212,8 +205,7 @@ class _LogLik:
     product as GEMV and a stack as GEMM, which round differently.
     """
 
-    def __init__(self, data: SampleSet | list[SampleSet], m: int):
-        group = [data] if isinstance(data, SampleSet) else list(data)
+    def __init__(self, group: list[SampleSet], m: int):
         n = group[0].n
         _check_degree(n, m)
         self.n, self.m, p = n, m, m + 1
@@ -236,8 +228,6 @@ class _LogLik:
     @staticmethod
     def _segments(tags):
         # (dataset, rows) for each run of one tag
-        if tags is None:
-            return [(0, slice(None))]
         if tags[0] == tags[-1]:  # the tags ascend, so this is one run
             return [(int(tags[0]), slice(None))]
         cuts = [0, *(np.flatnonzero(tags[1:] != tags[:-1]) + 1).tolist(), tags.size]
@@ -246,7 +236,7 @@ class _LogLik:
     @staticmethod
     def _per_row(arr, tags):
         # each row's entry of a per-dataset array (one shared entry for one dataset)
-        return arr[0] if tags is None or len(arr) == 1 else arr[tags]
+        return arr[0] if len(arr) == 1 else arr[tags]
 
     @staticmethod
     def _products(x, segments, tables):
@@ -266,7 +256,7 @@ class _LogLik:
         f2 = 1.0 + z[:, n:2 * n]
         return f1, f2, f1 * f2 + curv * z[:, 2 * n:], curv
 
-    def objective(self, h: np.ndarray, tags=None) -> tuple[np.ndarray, np.ndarray]:
+    def objective(self, h: np.ndarray, tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Negative loglik of every row of h and its gradient in h.
 
         Where a density is nonpositive (a search may try points slightly
@@ -291,7 +281,7 @@ class _LogLik:
             grad[bad] = 0.0
         return value, grad
 
-    def hessian(self, h: np.ndarray, tags=None) -> np.ndarray:
+    def hessian(self, h: np.ndarray, tags: np.ndarray) -> np.ndarray:
         """Hessian in h of the negative loglik at every row of h, (rows x p x p).
 
         With a_i, b_i, c_i the three design rows of observation i and
@@ -320,7 +310,7 @@ class _LogLik:
                                   f1 * f2 * inv2 - inv, f2 * cw, f1 * cw], axis=1)
         return self._products(weights, segments, self._outer).reshape(-1, p, p)
 
-    def theta_objective(self, theta: np.ndarray, tags=None) -> tuple[np.ndarray, np.ndarray]:
+    def theta_objective(self, theta: np.ndarray, tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The objective through h_k = theta' T[k] theta (m >= 1), row by row.
 
         dh_k/dtheta = 2 T[k] theta, so the gradient is 2 (sum_k g_k T[k]) theta.
@@ -699,12 +689,12 @@ def _mles(loglik: _LogLik, config: OptimConfig, seeds, full: bool) -> list[FitRe
 
 def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
     """Constrained MLE over Theta_m (all polynomial Pickands functions, degree m + 2)."""
-    return _mles(_LogLik(data, m), config, [config.seed], True)[0]
+    return _mles(_LogLik([data], m), config, [config.seed], True)[0]
 
 
 def fit_sub(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
     """Constrained MLE over the polytope C_m^+ (Bernstein approximation submodel)."""
-    return _mles(_LogLik(data, m), config, [config.seed], False)[0]
+    return _mles(_LogLik([data], m), config, [config.seed], False)[0]
 
 
 def _canonical_sign(theta: np.ndarray, m: int) -> np.ndarray:

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bernstein import basis_eval, bernstein_approx, evaluate
-from .pickands import GenericPickands, PickandsPoly, vee
+from .bernstein import _frozen, basis_eval, bernstein_approx, evaluate
+from .pickands import GenericPickands, PickandsPoly, _comonotone, vee
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,11 @@ class DependenceReport:
         return {"tau1": self.tau1, "tau2": self.tau2}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     # the 10-point rule on [0, 1], built on first use: numpy.polynomial loads lazily
     x, w = np.polynomial.legendre.leggauss(10)
-    return (x + 1.0) / 2.0, w / 2.0
+    return _frozen((x + 1.0) / 2.0), _frozen(w / 2.0)
 
 
 def _integral(A: GenericPickands) -> float:
@@ -101,8 +101,9 @@ def approx_error_bound(A: PickandsPoly | GenericPickands, m: int, t: float) -> A
 
     A is any Pickands type; only its ``value`` is read. The error is
     nonnegative (Jensen) and bounded by 2t(1-t) P_t(S_{m-1} = min(floor(mt), m - 1)).
-    For the comonotone V (a GenericPickands tagged "comonotone") the finer
-    bound {1 - V(t)} P_t(S_{m-1} = floor(m/2)) is also reported; both bounds
+    For the comonotone V, the GenericPickands of ``comonotone()`` (known by
+    its callable), the finer bound {1 - V(t)} P_t(S_{m-1} = floor(m/2)) is
+    also reported, and ``v_bound`` is None for every other A; both bounds
     are attained at t = 1/2. A t outside [0, 1], or NaN, raises a ValueError
     naming t.
     """
@@ -114,6 +115,6 @@ def approx_error_bound(A: PickandsPoly | GenericPickands, m: int, t: float) -> A
     error = float(evaluate(B, t) - A.value(t))
     bound = 2.0 * t * (1.0 - t) * basis_eval(min(math.floor(m * t), m - 1), m - 1, t)
     v_bound = None
-    if isinstance(A, GenericPickands) and A.tag == "comonotone":
+    if isinstance(A, GenericPickands) and A.fn is _comonotone:
         v_bound = (1.0 - vee(t)) * basis_eval(m // 2, m - 1, t)
     return ApproxBound(error, bound, v_bound)

@@ -28,13 +28,20 @@ from typing import Callable
 import numpy as np
 
 from .bernstein import (
+    _MATRIX_CACHE,
     BernsteinPoly,
     _branch_and_bound,
     _check_unit_interval,
+    _frozen,
     eval_with_derivatives,
     evaluate,
-    second_derivative_coeffs,
 )
+
+# The slack of every constraint check: a coefficient or value of h = A'' may
+# dip to -_SLACK, an endpoint-derivative functional may reach 1 + _SLACK, and
+# A may leave [V, 1] or A'(0), A'(1) their bounds by _SLACK. It bounds both
+# parameter spaces, Theta_m and the Bernstein polytope.
+_SLACK = 1e-12
 
 
 class CertificateInconclusiveError(RuntimeError):
@@ -64,9 +71,7 @@ class NonnegReport:
     subdivisions: int
 
 
-# the certificate accepts coefficients down to -1e-12 and gives up on
-# subintervals narrower than 2**-60
-_CERTIFY_FLOOR = -1e-12
+# the certificate gives up on subintervals narrower than 2**-60
 _CERTIFY_DEPTH = 60
 _ENDPOINT_TOL = 1e-9  # endpoint coefficients this close to 1 count as 1
 
@@ -81,8 +86,8 @@ def certify_nonnegative(P: BernsteinPoly) -> NonnegReport:
     abscissa turns up, it raises CertificateInconclusiveError rather than
     guessing.
     """
-    t, v, splits, undecided = _branch_and_bound(P.coeffs, _CERTIFY_FLOOR, _CERTIFY_DEPTH)
-    if v < _CERTIFY_FLOOR:
+    t, v, splits, undecided = _branch_and_bound(P.coeffs, -_SLACK, _CERTIFY_DEPTH)
+    if v < -_SLACK:
         return NonnegReport(False, t, splits)
     if undecided:
         raise CertificateInconclusiveError(
@@ -107,12 +112,12 @@ def validate_pickands(P: BernsteinPoly) -> dict:
     if m2 < 2:
         return {"valid": not violations, "violations": violations}
     floor = (m2 - 1) / m2  # (m+1)/(m+2) with representation degree m2 = m+2
-    if c[1] < floor - 1e-12:
+    if c[1] < floor - _SLACK:
         violations.append({"rule": "endpoint_derivative", "witness": 1})
-    if m2 - 1 != 1 and c[m2 - 1] < floor - 1e-12:
+    if m2 - 1 != 1 and c[m2 - 1] < floor - _SLACK:
         violations.append({"rule": "endpoint_derivative", "witness": m2 - 1})
     try:
-        report = certify_nonnegative(second_derivative_coeffs(P))
+        report = certify_nonnegative(h_from_a(P))
         if not report.nonneg:
             violations.append({"rule": "convexity", "witness": report.witness})
     except CertificateInconclusiveError:
@@ -159,23 +164,24 @@ class PickandsPoly:
 
 @dataclass(frozen=True)
 class GenericPickands:
-    """Pickands function given by one callable fn(t) -> (A, A', A'') plus a tag.
+    """Pickands function given by one callable fn(t) -> (A, A', A''), its one field.
 
     Used for non-polynomial models (e.g. the asymmetric logistic family).
     fn maps an array of t to three arrays of its shape (else a ValueError).
     Construction checks A(0) = A(1) = 1 and V <= A <= 1 on a 1001-point
-    grid to 1e-12. Derivatives are only required on (0, 1).
+    grid to 1e-12. Derivatives are only required on (0, 1). The function
+    is known by its callable alone: ``comonotone()`` is V because its fn
+    is the module's V callable, whatever values another fn gives.
     """
 
     fn: Callable
-    tag: str = ""
 
     def __post_init__(self):
         grid = np.linspace(0.0, 1.0, 1001)
         vals = self.kernel(grid)[0]
-        if abs(vals[0] - 1.0) > 1e-12 or abs(vals[-1] - 1.0) > 1e-12:
+        if abs(vals[0] - 1.0) > _SLACK or abs(vals[-1] - 1.0) > _SLACK:
             raise ValueError("A(0) and A(1) must equal 1")
-        if np.any(vals > 1.0 + 1e-12) or np.any(vals < vee(grid) - 1e-12):
+        if np.any(vals > 1.0 + _SLACK) or np.any(vals < vee(grid) - _SLACK):
             bad = grid[int(np.argmax(np.maximum(vals - 1.0, vee(grid) - vals)))]
             raise ValueError(f"boundary conditions V <= A <= 1 violated near t = {bad}")
 
@@ -199,7 +205,7 @@ def _comonotone(t):
 
 def comonotone() -> GenericPickands:
     """The comonotone Pickands function A = V (copula min(u, v))."""
-    return GenericPickands(_comonotone, tag="comonotone")
+    return GenericPickands(_comonotone)
 
 
 def _independence(t):
@@ -208,10 +214,10 @@ def _independence(t):
 
 def independence() -> GenericPickands:
     """The independence Pickands function A == 1 (copula u*v)."""
-    return GenericPickands(_independence, tag="independence")
+    return GenericPickands(_independence)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MATRIX_CACHE)
 def a_from_h_matrix(m: int) -> np.ndarray:
     """Kernel matrix K with A-coeffs = 1 - (K @ h-coeffs) / (m + 1).
 
@@ -220,9 +226,7 @@ def a_from_h_matrix(m: int) -> np.ndarray:
     """
     k = np.arange(m + 3)[:, None] / (m + 2)
     y = (np.arange(m + 1)[None, :] + 1.0) / (m + 2)
-    K = np.minimum((1.0 - k) * y, k * (1.0 - y))
-    K.flags.writeable = False
-    return K
+    return _frozen(np.minimum((1.0 - k) * y, k * (1.0 - y)))
 
 
 def a_from_h(h: BernsteinPoly) -> BernsteinPoly:
@@ -247,12 +251,14 @@ def _a_coeffs(h: np.ndarray) -> np.ndarray:
 def h_from_a(A: BernsteinPoly) -> BernsteinPoly:
     """Inverse map: h = A'' in Bernstein form, degree m = deg(A) - 2.
 
-    Round trip a_from_h(h_from_a(A)) reproduces A exactly whenever
-    A(0) = A(1) = 1.
+    c(k, m; A'') = (m+2)(m+1) times the second difference of A's
+    coefficients. Round trip a_from_h(h_from_a(A)) reproduces A exactly
+    whenever A(0) = A(1) = 1.
     """
-    if A.degree < 2:
+    d = A.degree
+    if d < 2:
         raise ValueError("h_from_a needs degree >= 2")
-    return second_derivative_coeffs(A)
+    return BernsteinPoly(d * (d - 1) * np.diff(A.coeffs, n=2))
 
 
 def endpoint_functionals(h: BernsteinPoly) -> tuple[float, float]:
@@ -292,9 +298,9 @@ def spectral_measure(h: BernsteinPoly) -> SpectralDensity:
     if not report.nonneg:
         raise ValueError(f"h is negative near t = {report.witness}")
     q0, q1 = endpoint_functionals(h)
-    if q0 > 1.0 + 1e-12:
+    if q0 > 1.0 + _SLACK:
         raise NotSpectralDensityError("int (1-w) h", q0)
-    if q1 > 1.0 + 1e-12:
+    if q1 > 1.0 + _SLACK:
         raise NotSpectralDensityError("int w h", q1)
     return SpectralDensity(
         h=h,

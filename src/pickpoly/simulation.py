@@ -22,6 +22,8 @@ import numpy as np
 
 from .bernstein import (
     PowerPoly,
+    _check_keys,
+    _is_int,
     _real_float,
     poly_from_json,
     poly_to_json,
@@ -31,7 +33,6 @@ from .inference import (
     FitResult,
     OptimConfig,
     SampleSet,
-    _is_int,
     _LogLik,
     _mles,
     fit_cfg,
@@ -102,7 +103,7 @@ def model_pickands(model: ReferenceModel) -> PickandsPoly | GenericPickands:
         def mix(t):
             return 1.0 - psi * t + psi * t * t, psi * (2.0 * t - 1.0), np.full_like(t, 2.0 * psi)
 
-        return GenericPickands(mix, tag="mix")
+        return GenericPickands(mix)
     if isinstance(model, PolynomialModel):
         return model.pickands
     if isinstance(model, AsymmetricLogistic):
@@ -124,7 +125,7 @@ def model_pickands(model: ReferenceModel) -> PickandsPoly | GenericPickands:
                         alpha * (alpha - 1.0) * g ** (alpha - 2.0) * dg**2
                         + alpha * g ** (alpha - 1.0) * d2g)
 
-        return GenericPickands(alog, tag="alog")
+        return GenericPickands(alog)
     raise TypeError(f"unknown reference model {model!r}")
 
 
@@ -146,18 +147,6 @@ def model_to_json(model: ReferenceModel) -> dict:
     if kind == "poly":
         return {"model": kind, "pickands": poly_to_json(model.pickands.poly)}
     return {"model": kind, **asdict(model)}
-
-
-def _check_keys(obj, known, where: str, required=()) -> None:
-    """A ValueError naming the keys unless obj is a dict with all required keys, none unknown."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {where} keys {unknown}; expected a subset of {sorted(known)}")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise ValueError(f"{where} is missing the required keys {missing}")
 
 
 def model_from_json(obj: dict) -> ReferenceModel:
@@ -293,8 +282,9 @@ class StudyConfig:
     ``estimators`` that are not a list or tuple of distinct names from
     full/sub/cfg (stored as a tuple), an ``optim`` that is neither None nor
     an OptimConfig, and a ``ranks`` that is not a bool. ``optim`` gives the
-    multistart's ``starts`` and ``maxfev``; its ``seed`` is not read, as each
-    replicate's optimizer seeds are split from the study's ``seed``.
+    multistart's ``starts`` and ``maxfev``. Each replicate's optimizer seeds
+    are split from the study's ``seed``, so an ``optim`` whose ``seed`` is
+    not the default 0 raises a ValueError naming ``optim.seed``.
     """
 
     model: ReferenceModel
@@ -325,6 +315,9 @@ class StudyConfig:
         object.__setattr__(self, "estimators", tuple(est))
         if self.optim is not None and not isinstance(self.optim, OptimConfig):
             raise ValueError(f"optim must be None or an OptimConfig, got {self.optim!r}")
+        if self.optim is not None and self.optim.seed != OptimConfig.seed:
+            raise ValueError(f"optim.seed must be {OptimConfig.seed}, got {self.optim.seed!r}: each "
+                             "replicate's optimizer seeds are split from the study's 'seed'")
         if not isinstance(self.ranks, bool):
             raise ValueError(f"ranks must be a bool, got {self.ranks!r}")
 

@@ -16,10 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, _branch_and_bound, _elevated_blocks
-from .pickands import _CERTIFY_DEPTH, certify_nonnegative, endpoint_functionals
-
-COEF_TOL = 1e-12
+from .bernstein import BernsteinPoly, _branch_and_bound, _elevated_blocks, _frozen
+from .pickands import _CERTIFY_DEPTH, _SLACK, certify_nonnegative, endpoint_functionals
 
 
 @dataclass(frozen=True)
@@ -36,8 +34,7 @@ class SubmodelParam:
         report = in_submodel_h(c)
         if not report["member"]:
             raise ValueError(f"coefficients outside the polytope: {report['violations']}")
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _frozen(c))
 
     def to_json(self) -> dict:
         return {"m": self.m, "c": [float(x) for x in self.c]}
@@ -73,11 +70,8 @@ class PiecewiseLinearPickands:
             raise ValueError("endpoint slopes must lie in [-1, 1]")
         if np.any(np.diff(slopes) < -_GRID_TOL):
             raise ValueError("slopes must be nondecreasing (convexity)")
-        kk, vv = k.copy(), v.copy()
-        kk.flags.writeable = False
-        vv.flags.writeable = False
-        object.__setattr__(self, "knots", kk)
-        object.__setattr__(self, "values", vv)
+        object.__setattr__(self, "knots", _frozen(k.copy()))
+        object.__setattr__(self, "values", _frozen(v.copy()))
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -93,12 +87,12 @@ def in_submodel_h(c) -> dict:
     """
     c = np.asarray(c, dtype=float)
     violations: list[dict] = []
-    for k in np.nonzero(c < -COEF_TOL)[0]:
+    for k in np.nonzero(c < -_SLACK)[0]:
         violations.append({"rule": "negative_coefficient", "witness": int(k)})
     q0, q1 = endpoint_functionals(BernsteinPoly(c))
-    if q0 > 1.0 + COEF_TOL:
+    if q0 > 1.0 + _SLACK:
         violations.append({"rule": "boundary_sum_left", "witness": q0})
-    if q1 > 1.0 + COEF_TOL:
+    if q1 > 1.0 + _SLACK:
         violations.append({"rule": "boundary_sum_right", "witness": q1})
     return {"member": not violations, "violations": violations}
 
@@ -221,7 +215,7 @@ def _has_interior_zero(h: BernsteinPoly) -> bool:
     if c.size == 1:
         return False
     gscale = max(1.0, float(np.max(np.abs(c))))
-    floor = 1e-12 * gscale
+    floor = _SLACK * gscale
     _, vmin, _, undecided = _branch_and_bound(c, floor, _CERTIFY_DEPTH)
     if vmin >= floor and not undecided:
         return False
@@ -230,7 +224,7 @@ def _has_interior_zero(h: BernsteinPoly) -> bool:
 
 def _elevation_clears(c: np.ndarray, M: int) -> bool:
     # every degree-M coefficient >= -1e-12; stops at the first block that fails
-    return all(np.min(block) >= -COEF_TOL for block in _elevated_blocks(c, M))
+    return all(np.min(block) >= -_SLACK for block in _elevated_blocks(c, M))
 
 
 def lorentz_degree(h: BernsteinPoly, cap: int = 512) -> int | str:
@@ -254,7 +248,7 @@ def lorentz_degree(h: BernsteinPoly, cap: int = 512) -> int | str:
     if not report.nonneg:
         raise ValueError(f"h is negative near t = {report.witness}")
     c = h.coeffs
-    if np.min(c) >= -COEF_TOL:
+    if np.min(c) >= -_SLACK:
         return h.degree
     if _has_interior_zero(h):
         return "infinite"

@@ -526,7 +526,7 @@ def slsqp_multistart_loglik(data, m: int, config, model: str) -> float:
     shares the likelihood engine's value and gradient with the library, but
     not its optimizer or stopping rules.
     """
-    engine = _LogLik(data, m)
+    engine = _LogLik([data], m)
     options = {"ftol": _FTOL, "maxiter": config.maxfev}
     spawn = 0 if model == "full" else 1
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(spawn,)))
@@ -562,7 +562,7 @@ def slsqp_multistart_loglik(data, m: int, config, model: str) -> float:
 def _row_objective(batched):
     # the engine evaluates stacks of points; SLSQP asks for one at a time
     def fun(x):
-        f, g = batched(x[None, :])
+        f, g = batched(x[None, :], np.zeros(1, int))
         return float(f[0]), g[0]
     return fun
 

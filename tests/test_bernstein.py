@@ -33,7 +33,6 @@ from pickpoly import (
     poly_from_json,
     poly_to_json,
     power_to_bernstein,
-    second_derivative_coeffs,
 )
 from pickpoly.bernstein import (
     _bernstein_to_power_matrix,
@@ -42,7 +41,9 @@ from pickpoly.bernstein import (
     _split_matrix,
     derivative_coeffs,
 )
-from pickpoly.pickands import _CERTIFY_DEPTH, _CERTIFY_FLOOR, certify_nonnegative
+from pickpoly.full_model import _sampling_box, coefficient_tensor, form_matrices
+from pickpoly.measures import _gauss_legendre
+from pickpoly.pickands import _CERTIFY_DEPTH, _SLACK, a_from_h_matrix, certify_nonnegative, h_from_a
 
 
 def test_basis_eval_examples():
@@ -55,6 +56,9 @@ def test_basis_eval_examples():
 def test_basis_eval_domain_errors():
     with pytest.raises(ValueError):
         basis_eval(3, 2, 0.5)
+    # a bool is no basis index, though True == 1
+    with pytest.raises(ValueError, match="basis index k=True"):
+        basis_eval(True, 2, 0.5)
     with pytest.raises(ValueError):
         basis_eval(-1, 2, 0.5)
     with pytest.raises(ValueError):
@@ -120,12 +124,10 @@ def test_derivative_examples():
 
 
 def test_second_derivative_examples():
-    h = second_derivative_coeffs(BernsteinPoly([1.0, 0.75, 1.0, 0.75, 1.0]))
+    h = h_from_a(BernsteinPoly([1.0, 0.75, 1.0, 0.75, 1.0]))
     assert np.allclose(h.coeffs, [6.0, -6.0, 6.0], atol=1e-12)
-    affine = second_derivative_coeffs(BernsteinPoly([0.3, 0.7]))
-    assert np.all(affine.coeffs == 0.0)
     A = power_to_bernstein(PowerPoly(POLFULL_POWER))
-    assert np.allclose(second_derivative_coeffs(A).coeffs, POLFULL_H, atol=1e-12)
+    assert np.allclose(h_from_a(A).coeffs, POLFULL_H, atol=1e-12)
 
 
 def test_second_application_after_elevation_matches_h():
@@ -236,7 +238,7 @@ def test_bernstein_approx_rejects_nonfinite():
 def test_approx_operator_preserves_convexity():
     for f in (np.exp, lambda t: (t - 0.3) ** 2, lambda t: np.abs(t - 0.3)):
         for m in (2, 5, 12, 19):
-            d2 = second_derivative_coeffs(bernstein_approx(f, m))
+            d2 = h_from_a(bernstein_approx(f, m))
             assert np.min(d2.coeffs) >= -1e-12
 
 
@@ -396,11 +398,11 @@ def test_walk_matches_loop_oracle(coeffs):
     assert evaluate(P, t) <= v_old + 1e-12
     # certificate: the same verdict wherever rounding cannot decide it, with a
     # witness where the polynomial is negative
-    assume(abs(v_old - _CERTIFY_FLOOR) > 1e-9)
-    _, cv_old, _, _ = loop_branch_and_bound(c, _CERTIFY_FLOOR, _CERTIFY_DEPTH)
-    w, cv, _, _ = _branch_and_bound(c, _CERTIFY_FLOOR, _CERTIFY_DEPTH)
-    assert (cv < _CERTIFY_FLOOR) == (cv_old < _CERTIFY_FLOOR)
-    if cv < _CERTIFY_FLOOR:
+    assume(abs(v_old + _SLACK) > 1e-9)
+    _, cv_old, _, _ = loop_branch_and_bound(c, -_SLACK, _CERTIFY_DEPTH)
+    w, cv, _, _ = _branch_and_bound(c, -_SLACK, _CERTIFY_DEPTH)
+    assert (cv < -_SLACK) == (cv_old < -_SLACK)
+    if cv < -_SLACK:
         assert evaluate(P, w) < 0.0
 
 
@@ -409,9 +411,9 @@ def test_walk_matches_loop_oracle(coeffs):
 def test_walk_matches_loop_oracle_at_touching_zeros(coeffs):
     c = np.array([float(x) for x in coeffs])
     report = certify_nonnegative(BernsteinPoly(c))
-    _, v_old, _, undecided = loop_branch_and_bound(c, _CERTIFY_FLOOR, _CERTIFY_DEPTH)
+    _, v_old, _, undecided = loop_branch_and_bound(c, -_SLACK, _CERTIFY_DEPTH)
     assume(not undecided)
-    assert report.nonneg == (v_old >= _CERTIFY_FLOOR)
+    assert report.nonneg == (v_old >= -_SLACK)
 
 
 @settings(max_examples=200, deadline=None)
@@ -423,9 +425,9 @@ def test_certified_walk_takes_the_loop_oracles_splits(coeffs, margin):
     # included, and both walks drop and halve the same subintervals
     c = np.array(coeffs)
     c = c - loop_branch_and_bound(c, None, 34)[1] + margin
-    _, v, splits, undecided = _branch_and_bound(c, _CERTIFY_FLOOR, _CERTIFY_DEPTH)
-    assume(v >= _CERTIFY_FLOOR and not undecided)
-    assert splits == loop_branch_and_bound(c, _CERTIFY_FLOOR, _CERTIFY_DEPTH)[2]
+    _, v, splits, undecided = _branch_and_bound(c, -_SLACK, _CERTIFY_DEPTH)
+    assume(v >= -_SLACK and not undecided)
+    assert splits == loop_branch_and_bound(c, -_SLACK, _CERTIFY_DEPTH)[2]
 
 
 def test_certificate_at_degree_1100():
@@ -455,3 +457,22 @@ def test_certificate_memory_at_degree_600():
         tracemalloc.stop()
     # the split matrix, 16 (d+1)^2 bytes, plus at most 1 MiB for the walk
     assert peak < 16 * (d + 1) ** 2 + 2**20
+
+
+@pytest.mark.parametrize("cache", [
+    _power_to_bernstein_matrix, _bernstein_to_power_matrix, _split_matrix, a_from_h_matrix,
+    coefficient_tensor, form_matrices, _sampling_box,
+], ids=lambda f: f.__name__)
+def test_degree_caches_are_bounded_and_read_only(cache):
+    # each per-degree cache keeps at most 8 degrees, and what it hands out
+    # cannot be changed by a caller
+    for degree in range(1, 10):
+        value = cache(degree)
+        for arr in value if isinstance(value, tuple) else (value,):
+            assert not arr.flags.writeable
+    assert cache.cache_info().maxsize == 8
+    assert cache.cache_info().currsize <= 8
+
+
+def test_gauss_legendre_rule_is_read_only():
+    assert not any(arr.flags.writeable for arr in _gauss_legendre())

@@ -330,7 +330,8 @@ def test_study_rejects_optim_seed(tmp_path, capsys, monkeypatch):
     assert code == 1 and out == ""
     msg = json.loads(err)
     assert msg["error"] == "ValueError"
-    assert "'seed'" in msg["message"] and "the study's 'seed'" in msg["message"]
+    assert msg["message"].startswith("optim.seed must be 0, got 7")
+    assert "the study's 'seed'" in msg["message"]
 
 
 def test_study_subcommand(tmp_path, capsys, monkeypatch):
@@ -481,15 +482,24 @@ def test_fit_option_defaults_are_optim_config_defaults():
     assert (args.starts, args.seed) == (OptimConfig().starts, OptimConfig().seed)
 
 
-@pytest.mark.parametrize("degree", ["2", True, 2.0])
-@pytest.mark.parametrize("command", ["validate", "convert", "lorentz", "measures", "simulate"])
-def test_non_integer_polynomial_degree_exits_1(tmp_path, capsys, command, degree):
-    poly = {"basis": "bernstein", "degree": degree, "coeffs": [1.0, 0.75, 1.0]}
+# the commands that read polynomial JSON; simulate reads it inside a poly model
+POLY_COMMANDS = ["validate", "convert", "lorentz", "measures", "simulate"]
+POLY_JSON = {"basis": "bernstein", "degree": 2, "coeffs": [1.0, 0.75, 1.0]}
+
+
+def poly_argv(folder, command, poly):
+    # the arguments that run command on the polynomial JSON poly
     if command == "simulate":
-        path = write(tmp_path / "model.json", {"model": "poly", "pickands": poly})
-        code, out, err = run(capsys, command, "--model", path, "--n", "5", "--seed", "1")
-    else:
-        code, out, err = run(capsys, command, "--in", write(tmp_path / "p.json", poly))
+        path = write(folder / "model.json", {"model": "poly", "pickands": poly})
+        return [command, "--model", path, "--n", "5", "--seed", "1"]
+    return [command, "--in", write(folder / "p.json", poly)]
+
+
+@pytest.mark.parametrize("degree", ["2", True, 2.0])
+@pytest.mark.parametrize("command", POLY_COMMANDS)
+def test_non_integer_polynomial_degree_exits_1(tmp_path, capsys, command, degree):
+    poly = {**POLY_JSON, "degree": degree}
+    code, out, err = run(capsys, *poly_argv(tmp_path, command, poly))
     assert code == 1 and out == ""
     msg = json.loads(err)
     assert msg["error"] == "ValueError" and "'degree'" in msg["message"]
@@ -502,17 +512,52 @@ def test_non_integer_polynomial_degree_exits_1(tmp_path, capsys, command, degree
     ([1.0, [0.75], 1.0], "coeffs[1] must be a number, got [0.75]"),
     ([1.0, 0.75, 10**400], "coeffs[2] must be a number, got 1000"),  # past the float range
 ])
-@pytest.mark.parametrize("command", ["validate", "convert", "lorentz", "measures", "simulate"])
+@pytest.mark.parametrize("command", POLY_COMMANDS)
 def test_non_number_polynomial_coefficient_exits_1(tmp_path, capsys, command, coeffs, message):
-    poly = {"basis": "bernstein", "degree": 2, "coeffs": coeffs}
-    if command == "simulate":
-        path = write(tmp_path / "model.json", {"model": "poly", "pickands": poly})
-        code, out, err = run(capsys, command, "--model", path, "--n", "5", "--seed", "1")
-    else:
-        code, out, err = run(capsys, command, "--in", write(tmp_path / "p.json", poly))
+    poly = {**POLY_JSON, "coeffs": coeffs}
+    code, out, err = run(capsys, *poly_argv(tmp_path, command, poly))
     assert code == 1 and out == ""
     msg = json.loads(err)
     assert msg["error"] == "ValueError" and msg["message"].startswith(message)
+
+
+@pytest.mark.parametrize("poly, message", [
+    pytest.param({**POLY_JSON, "scale": 2.0},
+                 "unknown polynomial JSON keys ['scale']; expected a subset of "
+                 "['basis', 'coeffs', 'degree']", id="unknown-key"),
+    pytest.param([1, 2], "polynomial JSON must be a JSON object, got list", id="list"),
+    pytest.param("bernstein", "polynomial JSON must be a JSON object, got str", id="string"),
+    pytest.param({"basis": "bernstein", "coeffs": [1.0, 0.75, 1.0]},
+                 "polynomial JSON is missing the required keys ['degree']", id="missing-key"),
+])
+@pytest.mark.parametrize("command", POLY_COMMANDS)
+def test_polynomial_json_keys_are_checked(tmp_path, capsys, command, poly, message):
+    # polynomial JSON is an object with exactly its three keys; anything
+    # else exits 1 with a message that names what is wrong
+    code, out, err = run(capsys, *poly_argv(tmp_path, command, poly))
+    assert code == 1 and out == ""
+    msg = json.loads(err)
+    assert msg == {"error": "ValueError", "message": message}
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(POLY_COMMANDS), key=st.sampled_from(list(POLY_JSON)) | st.text(max_size=4),
+       value=JSON_VALUES)
+def test_polynomial_json_with_any_value_in_one_field_exits_0_or_1(tmp_path_factory, command, key,
+                                                                  value):
+    # one field replaced, or one key added: the command runs, or exits 1 with
+    # a JSON message that names an added key; never a traceback
+    folder = tmp_path_factory.mktemp("poly")
+    argv = poly_argv(folder, command, {**POLY_JSON, key: value})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", str(folder / "out")])
+    assert code in (0, 1) and (code == 1 or key in POLY_JSON)
+    if code == 1:
+        msg = json.loads(err.getvalue())
+        assert set(msg) == {"error", "message"}
+        if key not in POLY_JSON:
+            assert msg["message"].startswith(f"unknown polynomial JSON keys [{key!r}]")
 
 
 @pytest.mark.parametrize("grid", ["0", "1", "-3"])

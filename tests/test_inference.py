@@ -116,7 +116,7 @@ def test_loglik_generic_equals_polynomial_route():
     data = sample_copula(MIX_MODEL, 40, 3)
     psi = MIX_PSI
     generic = GenericPickands(lambda t: (1.0 - psi * t + psi * t * t, psi * (2.0 * t - 1.0),
-                                         np.full_like(t, 2.0 * psi)), tag="mix")
+                                         np.full_like(t, 2.0 * psi)))
     assert log_likelihood(generic, data) == pytest.approx(log_likelihood(MIX_A, data), abs=1e-10)
 
 
@@ -372,12 +372,17 @@ def _central_diff(f, x, step=1e-6):
     return out
 
 
+def _on_first(x):
+    # the dataset tags of a stack whose rows all belong to the group's first dataset
+    return np.zeros(len(x), int)
+
+
 @pytest.mark.parametrize("m", ENGINE_DEGREES)
 def test_engine_value_matches_decasteljau_loglik(m, rng):
     data = sample_copula(SymmetricMixed(0.7), 150, 30 + m)
-    engine = _LogLik(data, m)
+    engine = _LogLik([data], m)
     _, hs = _engine_points(m, rng)
-    values = -engine.objective(np.array(hs))[0]
+    values = -engine.objective(np.array(hs), _on_first(hs))[0]
     for h, value in zip(hs, values):
         expected = log_likelihood(PickandsPoly(a_from_h(BernsteinPoly(h))), data)
         assert np.isfinite(expected)
@@ -397,44 +402,45 @@ def _central_diff(f, x, step=1e-6):
 @pytest.mark.parametrize("m", ENGINE_DEGREES)
 def test_engine_gradients_match_central_differences(m, rng):
     data = sample_copula(AsymmetricLogistic(0.5, 0.9, 0.6), 120, 40 + m)
-    engine = _LogLik(data, m)
+    engine = _LogLik([data], m)
     thetas, hs = _engine_points(m, rng)
     hs = np.array(hs)
-    fd = _central_diff(lambda x: engine.objective(x)[0], hs)
-    assert np.allclose(engine.objective(hs)[1], fd, rtol=1e-5, atol=1e-5 * data.n)
+    fd = _central_diff(lambda x: engine.objective(x, _on_first(x))[0], hs)
+    assert np.allclose(engine.objective(hs, _on_first(hs))[1], fd, rtol=1e-5, atol=1e-5 * data.n)
     if m == 0:
         return
     thetas = 0.9 * thetas
-    fd = _central_diff(lambda x: engine.theta_objective(x)[0], thetas)
-    assert np.allclose(engine.theta_objective(thetas)[1], fd, rtol=1e-5, atol=1e-5 * data.n)
+    fd = _central_diff(lambda x: engine.theta_objective(x, _on_first(x))[0], thetas)
+    assert np.allclose(engine.theta_objective(thetas, _on_first(thetas))[1], fd,
+                       rtol=1e-5, atol=1e-5 * data.n)
 
 
 @pytest.mark.parametrize("m", ENGINE_DEGREES)
 def test_engine_hessian_matches_central_differences(m, rng):
     data = sample_copula(AsymmetricLogistic(0.5, 0.9, 0.6), 120, 50 + m)
-    engine = _LogLik(data, m)
+    engine = _LogLik([data], m)
     hs = np.array(_engine_points(m, rng)[1])
-    hess = engine.hessian(hs)
+    hess = engine.hessian(hs, _on_first(hs))
     assert hess.shape == (hs.shape[0], m + 1, m + 1)
     assert np.allclose(hess, hess.transpose(0, 2, 1), rtol=0.0, atol=1e-12 * np.abs(hess).max())
-    fd = _central_diff(lambda x: engine.objective(x)[1], hs)
+    fd = _central_diff(lambda x: engine.objective(x, _on_first(x))[1], hs)
     assert np.allclose(hess, fd, rtol=1e-5, atol=1e-5 * data.n)
 
 
 def test_engine_objective_finite_where_density_breaks_down(rng):
     data = sample_copula(MIX_MODEL, 60, 14)
-    engine = _LogLik(data, 2)
+    engine = _LogLik([data], 2)
     # far outside the caps the Pickands function dips below max(t, 1-t)
     bad = np.full(3, 40.0)
     t, s = _pseudo_angles(data)
     bad_kernel = eval_with_derivatives(a_from_h(BernsteinPoly(bad)).coeffs, t)
     assert _loglik_terms(bad_kernel, t, s) == float("-inf")
     good = np.array(_polytope_points(2, rng, 2))
-    value, grad = engine.objective(np.vstack([good[0], bad, good[1]]))
+    value, grad = engine.objective(np.vstack([good[0], bad, good[1]]), _on_first(range(3)))
     assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
     assert value[1] > 1e6 and np.all(grad[1] == 0.0)
     # the other rows are exactly what they are on their own
-    alone_value, alone_grad = engine.objective(good)
+    alone_value, alone_grad = engine.objective(good, _on_first(good))
     assert np.array_equal(value[[0, 2]], alone_value) and np.array_equal(grad[[0, 2]], alone_grad)
 
 
@@ -568,7 +574,8 @@ for m in (1, 4):
     pp.fit_full(data, m, config)
 pp.fit_sub(data, 4, config)
 pp.run_study(pp.StudyConfig(model=pp.SymmetricMixed(0.9), n=40, replicates=2, m=2,
-                            estimators=("full", "sub"), optim=config), threads=2)
+                            estimators=("full", "sub"), optim=pp.OptimConfig(starts=4)),
+             threads=2)
 assert inference.minimize is counting
 assert not [k for k in sys.modules if k.startswith("scipy.optimize")], "scipy.optimize loaded"
 print(calls.count("_sqp"), calls.count("_barrier_stage"), len(calls))

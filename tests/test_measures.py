@@ -11,6 +11,7 @@ from pickpoly import (
     FullModelParam,
     GenericPickands,
     PickandsPoly,
+    SymmetricMixed,
     approx_error_bound,
     basis_eval,
     bernstein_approx,
@@ -101,7 +102,7 @@ def test_tau_monotone_reversal():
 
 def test_tau_generic_quadrature_agrees_with_polynomial_route():
     poly = theta_to_pickands(FullModelParam(2, [0.9, -0.3, 0.7]))
-    generic = GenericPickands(poly.kernel, tag="wrapped")
+    generic = GenericPickands(poly.kernel)
     p_rep = tau_measures(poly)
     g_rep = tau_measures(generic)
     assert g_rep.tau1 == pytest.approx(p_rep.tau1, abs=1e-12)
@@ -141,10 +142,19 @@ def test_approx_error_bound_rejects_t_outside_unit_interval(t):
         approx_error_bound(comonotone(), 4, t)
 
 
+def test_v_bound_only_for_the_comonotone_callable():
+    # V is known by comonotone()'s own callable: another callable with V's
+    # values, or any other model, gets no v_bound
+    assert approx_error_bound(comonotone(), 8, 0.5).v_bound is not None
+    lookalike = GenericPickands(lambda t: comonotone().fn(t))
+    mix = model_pickands(SymmetricMixed(0.5))
+    for A in (lookalike, mix, independence()):
+        assert approx_error_bound(A, 8, 0.5).v_bound is None
+
+
 def test_approx_error_bound_alog():
     alpha, psi1, psi2 = ALOG_PARAMS
-    A = GenericPickands(lambda t: (alog_value(t, alpha, psi1, psi2), np.zeros_like(t), np.zeros_like(t)),
-                        tag="alog-oracle")
+    A = GenericPickands(lambda t: (alog_value(t, alpha, psi1, psi2), np.zeros_like(t), np.zeros_like(t)))
     b = approx_error_bound(A, 10, 0.3)
     assert -1e-12 <= b.error <= b.bound + 1e-12
     assert b.v_bound is None

@@ -34,7 +34,6 @@ from pickpoly import (
     independence,
     power_to_bernstein,
     sample_feasible,
-    second_derivative_coeffs,
     spectral_measure,
     theta_to_pickands,
     validate_pickands,
@@ -341,7 +340,7 @@ def test_poly_kernel_matches_derivative_polynomials(rng):
             n, c = A.poly.degree, np.abs(A.poly.coeffs).max()
             a, d1, d2 = A.kernel(t)
             ref1 = evaluate(derivative_coeffs(A.poly), t)
-            ref2 = evaluate(second_derivative_coeffs(A.poly), t)
+            ref2 = evaluate(h_from_a(A.poly), t)
             assert np.array_equal(a, evaluate(A.poly, t))
             assert np.max(np.abs(d1 - ref1)) <= 16 * eps * n * c
             assert np.max(np.abs(d2 - ref2)) <= 16 * eps * n * (n - 1) * c

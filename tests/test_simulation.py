@@ -477,6 +477,16 @@ def test_study_config_rejects_non_integer_sizes(field, value):
         StudyConfig(model=MIX_MODEL, estimators=("cfg",), **sizes)
 
 
+@pytest.mark.parametrize("seed", [5, 1])
+def test_study_config_rejects_optim_seed(seed):
+    # each replicate's optimizer seeds are split from the study's seed, so an
+    # optim seed would be read by nothing
+    with pytest.raises(ValueError, match=rf"^optim\.seed must be 0, got {seed}: "):
+        StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0, optim=OptimConfig(seed=seed))
+    assert StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0,
+                       optim=OptimConfig(starts=3, seed=0)).optim.starts == 3
+
+
 @pytest.mark.parametrize("estimators", [("full", "full"), ("sub", "cfg", "sub"), "full", ()])
 def test_study_config_rejects_bad_estimators(estimators):
     with pytest.raises(ValueError, match="^estimators must be distinct names"):
