@@ -36,10 +36,11 @@ def basis_eval(k: int, m: int, x):
     Raises
     ------
     ValueError
-        If k is not an integer in 0..m or x lies outside [0,1].
+        If m is not an integer >= 0, k not an integer in 0..m, or x not
+        real numbers in [0,1].
     """
-    if not _is_int(k) or not 0 <= k <= m:
-        raise ValueError(f"basis index k={k!r} must be an integer in 0..{m}")
+    m = _check_int("m", m)
+    k = _check_int("k", k, 0, m)
     xa = _check_unit_interval(x, "x")
     with np.errstate(divide="ignore"):  # log 0 = -inf, read only under a nonzero power
         s = (math.log(math.comb(m, k)) + (k * np.log(xa) if k else np.zeros_like(xa))
@@ -49,7 +50,10 @@ def basis_eval(k: int, m: int, x):
 
 
 def _check_unit_interval(x, name: str) -> np.ndarray:
-    xa = np.asarray(x, dtype=float)
+    xa = np.asarray(x)
+    if xa.dtype.kind not in "iuf":  # as dtype=float would take bools and numeric strings
+        raise ValueError(f"{name} must be a real number or an array of them, got {x!r}")
+    xa = np.asarray(xa, dtype=float)
     if np.any(xa < 0.0) or np.any(xa > 1.0) or not np.all(np.isfinite(xa)):
         raise ValueError(f"{name} must lie in [0, 1]")
     return xa
@@ -70,7 +74,8 @@ def _as_coeff_array(coeffs) -> np.ndarray:
 
 
 # The checks of outside input shared by every module: JSON objects, integers
-# and real numbers, each rejected with a ValueError that names it.
+# and real numbers, each rejected with a ValueError that names it. Integers
+# are checked outside any lru_cache, whose hit would take True for 1.
 
 def _check_keys(obj, known, where: str, required=()) -> None:
     """A ValueError naming the keys unless obj is a dict with all required keys, none unknown."""
@@ -86,6 +91,17 @@ def _check_keys(obj, known, where: str, required=()) -> None:
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_int(name: str, value, low: int = 0, high: int | None = None) -> int:
+    # value as an int; a ValueError names it unless it is an int or a numpy
+    # integer (no bool, integral float or string) >= low, and <= high if given
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return int(value)
 
 
 def _real_float(name: str, x) -> float:
@@ -261,10 +277,9 @@ def elevate_degree(P: BernsteinPoly, target: int) -> BernsteinPoly:
     Raises
     ------
     ValueError
-        If target < P.degree.
+        If target is not an integer >= P.degree.
     """
-    if target < P.degree:
-        raise ValueError(f"target degree {target} below current degree {P.degree}")
+    target = _check_int("target", target, P.degree)
     return BernsteinPoly(np.concatenate(list(_elevated_blocks(P.coeffs, target))))
 
 
@@ -276,10 +291,10 @@ def bernstein_approx(f: Callable[[np.ndarray], np.ndarray], m: int) -> Bernstein
     Raises
     ------
     ValueError
-        If f gives another shape, is non-finite at a grid point, or m < 1.
+        If m is not an integer >= 1, or f gives another shape or is
+        non-finite at a grid point.
     """
-    if m < 1:
-        raise ValueError("approximation order must be >= 1")
+    m = _check_int("m", m, 1)
     grid = np.arange(m + 1) / m
     vals = np.asarray(f(grid), dtype=float)
     if vals.shape != grid.shape:
@@ -362,13 +377,10 @@ def power_to_bernstein(P: PowerPoly, m: int | None = None) -> BernsteinPoly:
     Raises
     ------
     ValueError
-        If m is below the natural degree of P.
+        If m is neither None nor an integer >= the natural degree of P.
     """
     nat = P.natural_degree()
-    if m is None:
-        m = nat
-    if m < nat:
-        raise ValueError(f"requested degree {m} below natural degree {nat}")
+    m = nat if m is None else _check_int("m", m, nat)
     a = P.coeffs[:m + 1]  # entries past m are zero, as m >= the natural degree
     with np.errstate(over="ignore", invalid="ignore"):  # BernsteinPoly rejects non-finite
         c = (_power_to_bernstein_matrix(m)[:, :a.size] @ a).astype(float)
@@ -482,8 +494,7 @@ def poly_from_json(obj: dict) -> BernsteinPoly | PowerPoly:
     """Parse the repo-wide polynomial schema: exactly its three keys, degree consistent."""
     _check_keys(obj, _POLY_KEYS, "polynomial JSON", required=_POLY_KEYS)
     basis, degree, coeffs = (obj[k] for k in _POLY_KEYS)
-    if not _is_int(degree) or degree < 0:
-        raise ValueError(f"polynomial JSON: 'degree' must be an integer >= 0, got {degree!r}")
+    degree = _check_int("polynomial JSON: 'degree'", degree)
     if not isinstance(coeffs, (list, tuple)) or len(coeffs) != degree + 1:
         raise ValueError("polynomial JSON: coeffs length must equal degree + 1")
     if basis == "bernstein":

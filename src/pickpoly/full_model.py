@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bernstein import _MATRIX_CACHE, BernsteinPoly, _frozen
+from .bernstein import _MATRIX_CACHE, BernsteinPoly, _check_int, _frozen
 from .pickands import _SLACK, PickandsPoly, a_from_h, endpoint_functionals
 
 
@@ -37,13 +37,15 @@ class FullModelParam:
 
     For m >= 1 the first floor(m/2) + 1 entries are the Bernstein
     coefficients of P, the rest those of Q. For m = 0 the single entry is the
-    constant value of h itself, admissible on [0, 2].
+    constant value of h itself, admissible on [0, 2]. An m that is not an
+    integer >= 0 raises a ValueError naming it.
     """
 
     m: int
     theta: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _check_int("m", self.m))
         th = np.array(self.theta, dtype=float)
         if th.ndim != 1 or th.size != self.m + 1:
             raise ValueError(f"theta must have length m + 1 = {self.m + 1}")
@@ -76,10 +78,9 @@ def coefficient_tensor(m: int) -> np.ndarray:
     weights of multiplying a degree-n polynomial by t, 1-t or t(1-t):
     coefficient k of the product is k/(n+1), (n+1-k)/(n+1) or
     k(n+2-k)/((n+1)(n+2)) times coefficient k-1, k or k-1 of the factor.
-    Entries pairing a P with a Q coefficient are zero.
+    Entries pairing a P with a Q coefficient are zero. Needs m >= 1, which
+    every caller has checked (Theta_0 holds h itself).
     """
-    if m < 1:
-        raise ValueError("coefficient tensor needs m >= 1")
     T = np.zeros((m + 1, m + 1, m + 1))
     k = np.arange(m + 1)[:, None, None]
     p = slice(0, m // 2 + 1)
@@ -172,8 +173,10 @@ def sample_feasible(m: int, rng: np.random.Generator, count: int) -> np.ndarray:
     boundary radius 1/sqrt(max(q0(xi), q1(xi))) and pulled inside by
     U^(1/(m+1)). The fallback covers the whole body including the boundary
     region, though not with exactly uniform measure. Deterministic given
-    the generator state.
+    the generator state. An m or count that is not an integer >= 0 raises a
+    ValueError naming it.
     """
+    m, count = _check_int("m", m), _check_int("count", count)
     if m == 0:
         return rng.uniform(0.0, 2.0, size=(count, 1))
     Q0, Q1 = form_matrices(m)
@@ -185,9 +188,8 @@ def sample_feasible(m: int, rng: np.random.Generator, count: int) -> np.ndarray:
         q0 = ((cand @ Q0) * cand).sum(axis=1)
         q1 = ((cand @ Q1) * cand).sum(axis=1)
         keep = cand[(q0 <= 1.0) & (q1 <= 1.0)]
-        if keep.size:
-            out.append(keep)
-            have += keep.shape[0]
+        out.append(keep)
+        have += keep.shape[0]
         if have >= count:
             return np.concatenate(out)[:count]
         if batch == 0 and 40 * have < count:

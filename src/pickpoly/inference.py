@@ -43,7 +43,7 @@ from typing import Union
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, _frozen, _is_int, eval_with_derivatives
+from .bernstein import BernsteinPoly, _check_int, _frozen, eval_with_derivatives
 from .full_model import (
     FullModelParam,
     coefficient_tensor,
@@ -98,7 +98,12 @@ class SampleSet:
 
     @staticmethod
     def from_arrays(u, v, ranks: bool = False) -> "SampleSet":
-        """Build a sample, optionally replacing margins by midranks/(n+1)."""
+        """Build a sample, optionally replacing margins by midranks/(n+1).
+
+        A ``ranks`` that is not a bool raises a ValueError naming it.
+        """
+        if not isinstance(ranks, bool):
+            raise ValueError(f"ranks must be a bool, got {ranks!r}")
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         if ranks:
@@ -135,9 +140,7 @@ class OptimConfig:
 
     def __post_init__(self):
         for name, low in (("starts", 1), ("seed", 0), ("maxfev", 1)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
 
 
 @dataclass(frozen=True)
@@ -206,8 +209,10 @@ class _LogLik:
     """
 
     def __init__(self, group: list[SampleSet], m: int):
-        n = group[0].n
-        _check_degree(n, m)
+        n, m = group[0].n, _check_int("m", m)
+        if n < m + 3:
+            warnings.warn(f"sample size n = {n} below m + 3 = {m + 3}; fit may be unstable",
+                          UserWarning, stacklevel=3)
         self.n, self.m, p = n, m, m + 1
         self.t, self.s = (np.array(x) for x in zip(*map(_pseudo_angles, group)))
         # row j: the coefficients of A - 1 for the unit spectral coefficients e_j;
@@ -631,14 +636,6 @@ def _multistart(loglik: _LogLik, points: np.ndarray, converged: np.ndarray, tags
     return out
 
 
-def _check_degree(n: int, m: int):
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if n < m + 3:
-        warnings.warn(f"sample size n = {n} below m + 3 = {m + 3}; fit may be unstable",
-                      UserWarning, stacklevel=4)
-
-
 def _mles(loglik: _LogLik, config: OptimConfig, seeds, full: bool) -> list[FitResult]:
     """``fit_full`` (``full``) or ``fit_sub`` on each dataset of the group, in one search.
 
@@ -688,12 +685,12 @@ def _mles(loglik: _LogLik, config: OptimConfig, seeds, full: bool) -> list[FitRe
 
 
 def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
-    """Constrained MLE over Theta_m (all polynomial Pickands functions, degree m + 2)."""
+    """Constrained MLE over Theta_m (polynomial Pickands functions of degree m + 2), m an integer >= 0."""
     return _mles(_LogLik([data], m), config, [config.seed], True)[0]
 
 
 def fit_sub(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
-    """Constrained MLE over the polytope C_m^+ (Bernstein approximation submodel)."""
+    """Constrained MLE over the polytope C_m^+ (the Bernstein submodel), m an integer >= 0."""
     return _mles(_LogLik([data], m), config, [config.seed], False)[0]
 
 
@@ -767,8 +764,7 @@ def fit_cfg(data: SampleSet, grid: int = 1001) -> FitResult:
     mean, with no n-by-grid array. The sums run in extended precision
     (np.longdouble), so each mean is rounded about once.
     """
-    if not _is_int(grid) or grid < 2:
-        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
+    grid = _check_int("grid", grid, 2)
     if data.n < 2:
         raise ValueError("CFG estimator needs n >= 2")
     if np.ptp(data.u) == 0.0 and np.ptp(data.v) == 0.0:

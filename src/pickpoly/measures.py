@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bernstein import _frozen, basis_eval, bernstein_approx, evaluate
+from .bernstein import _check_int, _frozen, _real_float, basis_eval, bernstein_approx, evaluate
 from .pickands import GenericPickands, PickandsPoly, _comonotone, vee
 
 
@@ -77,16 +77,13 @@ def submodel_tau_range(m: int, which: int) -> float:
 
     tau2 endpoint: floor(m/2) / (floor(m/2) + 1/2).
     tau1 endpoint: 1 - binomial pmf at floor(m/2) with m-1 trials; the pmf's
-    success probability is taken as 1/2 since tau1 evaluates A at 1/2.
+    success probability is taken as 1/2 since tau1 evaluates A at 1/2. An m
+    that is not an integer >= 1, or a which not in 1..2, raises a ValueError
+    naming it.
     """
-    if m < 1:
-        raise ValueError("submodel range needs m >= 1")
+    m, which = _check_int("m", m, 1), _check_int("which", which, 1, 2)
     half = m // 2
-    if which == 2:
-        return half / (half + 0.5)
-    if which == 1:
-        return 1.0 - basis_eval(half, m - 1, 0.5)
-    raise ValueError("which must be 1 or 2")
+    return half / (half + 0.5) if which == 2 else 1.0 - basis_eval(half, m - 1, 0.5)
 
 
 @dataclass(frozen=True)
@@ -104,11 +101,10 @@ def approx_error_bound(A: PickandsPoly | GenericPickands, m: int, t: float) -> A
     For the comonotone V, the GenericPickands of ``comonotone()`` (known by
     its callable), the finer bound {1 - V(t)} P_t(S_{m-1} = floor(m/2)) is
     also reported, and ``v_bound`` is None for every other A; both bounds
-    are attained at t = 1/2. A t outside [0, 1], or NaN, raises a ValueError
-    naming t.
+    are attained at t = 1/2. An m that is not an integer >= 1, or a t that
+    is not a real number in [0, 1], raises a ValueError naming it.
     """
-    if m < 1:
-        raise ValueError("approximation order must be >= 1")
+    m, t = _check_int("m", m, 1), _real_float("t", t)
     if not 0.0 <= t <= 1.0:  # NaN fails too
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
     B = bernstein_approx(A.value, m)

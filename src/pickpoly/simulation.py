@@ -22,8 +22,8 @@ import numpy as np
 
 from .bernstein import (
     PowerPoly,
+    _check_int,
     _check_keys,
-    _is_int,
     _real_float,
     poly_from_json,
     poly_to_json,
@@ -130,8 +130,9 @@ def model_pickands(model: ReferenceModel) -> PickandsPoly | GenericPickands:
 
 
 def split_seed(master: int, *key: int) -> int:
-    """Derive an independent 64-bit child seed from (master, key...)."""
-    ss = np.random.SeedSequence(entropy=master, spawn_key=tuple(key))
+    """Derive an independent 64-bit child seed from (master, key...), integers >= 0."""
+    key = tuple(_check_int(f"key[{i}]", k) for i, k in enumerate(key))
+    ss = np.random.SeedSequence(entropy=_check_int("master", master), spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -189,10 +190,7 @@ def sample_copula(model: ReferenceModel, n: int, seed: int) -> SampleSet:
     ValueError
         If n is not an integer >= 1 or seed not an integer >= 0.
     """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    n, seed = _check_int("n", n, 1), _check_int("seed", seed)
     return _draw_samples(model, n, [seed])[0]
 
 
@@ -301,11 +299,7 @@ class StudyConfig:
         if not isinstance(self.model, ReferenceModel):
             raise ValueError(f"model must be a reference model, got {self.model!r}")
         for name, low in (("n", 2), ("replicates", 1), ("m", 0), ("seed", 0), ("grid", 2)):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
         est = self.estimators
         if not isinstance(est, (str, list, tuple)) or not all(isinstance(e, str) for e in est):
             raise ValueError(f"estimators must be a list or tuple of strings, got {est!r}")
@@ -412,9 +406,7 @@ def _study_group(args: tuple[StudyConfig, list[int]]) -> list[dict]:
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is not None:
-        if not _is_int(threads) or threads < 1:
-            raise ValueError(f"threads must be None or an integer >= 1, got {threads!r}")
-        return int(threads)
+        return _check_int("threads", threads, 1)
     env = os.environ.get("PICKPOLY_THREADS", "").strip()
     if not env:
         return os.cpu_count() or 1

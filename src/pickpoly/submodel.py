@@ -16,18 +16,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, _branch_and_bound, _elevated_blocks, _frozen
+from .bernstein import BernsteinPoly, _branch_and_bound, _check_int, _elevated_blocks, _frozen
 from .pickands import _CERTIFY_DEPTH, _SLACK, certify_nonnegative, endpoint_functionals
 
 
 @dataclass(frozen=True)
 class SubmodelParam:
-    """Bernstein coefficients of h in the polytope C_m^+ (validated)."""
+    """Bernstein coefficients of h in the polytope C_m^+ (validated; m an integer >= 0)."""
 
     m: int
     c: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _check_int("m", self.m))
         c = np.array(self.c, dtype=float)
         if c.ndim != 1 or c.size != self.m + 1:
             raise ValueError(f"c must have length m + 1 = {self.m + 1}")
@@ -240,10 +241,9 @@ def lorentz_degree(h: BernsteinPoly, cap: int = 512) -> int | str:
     Raises
     ------
     ValueError
-        If h is negative somewhere on [0,1] or cap < deg(h).
+        If cap is not an integer >= deg(h), or h is negative somewhere on [0,1].
     """
-    if cap < h.degree:
-        raise ValueError("cap must be >= deg(h)")
+    cap = _check_int("cap", cap, h.degree)
     report = certify_nonnegative(h)
     if not report.nonneg:
         raise ValueError(f"h is negative near t = {report.witness}")

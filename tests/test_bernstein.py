@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from pickpoly import (
 from pickpoly.bernstein import (
     _bernstein_to_power_matrix,
     _branch_and_bound,
+    _check_unit_interval,
     _power_to_bernstein_matrix,
     _split_matrix,
     derivative_coeffs,
@@ -54,17 +56,17 @@ def test_basis_eval_examples():
 
 
 def test_basis_eval_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be in 0\.\.2, got 3$"):
         basis_eval(3, 2, 0.5)
     # a bool is no basis index, though True == 1
-    with pytest.raises(ValueError, match="basis index k=True"):
+    with pytest.raises(ValueError, match="^k must be an integer, got True$"):
         basis_eval(True, 2, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be in 0\.\.2, got -1$"):
         basis_eval(-1, 2, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]$"):
         basis_eval(0, 2, 1.5)
     for k in (1.5, 1.0, "1", None):  # the index must be an integer, not merely integral
-        with pytest.raises(ValueError, match="must be an integer in 0..2"):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
             basis_eval(k, 2, 0.3)
 
 
@@ -114,6 +116,21 @@ def test_evaluate_matches_power_evaluation(rng):
 def test_evaluate_rejects_outside_domain():
     with pytest.raises(ValueError):
         evaluate(BernsteinPoly([0.0, 1.0]), 1.2)
+
+
+@pytest.mark.parametrize("x", ["0.5", True, np.False_, ["0.5"], [True, False], np.array([True]), None])
+def test_abscissae_must_be_real_numbers(x):
+    # np.asarray(x, dtype=float) reads numeric strings and bools: evaluate
+    # gave 0.75 at "0.5", and basis_eval(0, 2, True) gave 0.0
+    h = BernsteinPoly([1.0, 0.5, 1.0])
+    for call in (lambda: evaluate(h, x), lambda: basis_eval(0, 2, x)):
+        with pytest.raises(ValueError, match="^x must be a real number or an array of them, got "):
+            call()
+
+
+def test_abscissae_float_array_is_not_copied():
+    x = np.linspace(0.0, 1.0, 5)
+    assert _check_unit_interval(x, "x") is x
 
 
 def test_derivative_examples():

@@ -587,7 +587,7 @@ def test_convert_to_bernstein_honours_m(tmp_path, capsys):
     path = write(tmp_path / "h.json", POLFULL_H_JSON)
     code, out, err = run(capsys, "convert", "--in", path, "--to", "bernstein", "--m", "1")
     assert code == 1 and out == ""
-    assert "below current degree" in json.loads(err)["message"]
+    assert json.loads(err)["message"] == "target must be >= 2, got 1"
     code, out, _ = run(capsys, "convert", "--in", path, "--to", "bernstein", "--m", "5")
     lifted = json.loads(out)
     assert code == 0 and lifted["degree"] == 5

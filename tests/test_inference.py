@@ -75,6 +75,13 @@ def test_sample_set_rank_transform():
     assert np.allclose(sorted(s.v), [1 / 5, 2 / 5, 3 / 5, 4 / 5])
 
 
+@pytest.mark.parametrize("ranks", ["no", "false", 0, 1, None, np.True_])
+def test_rank_transform_takes_only_a_bool(ranks):
+    # a truthy string used to replace the margins by midranks silently
+    with pytest.raises(ValueError, match="^ranks must be a bool, got "):
+        SampleSet.from_arrays([0.2, 0.3], [0.4, 0.5], ranks=ranks)
+
+
 def test_midranks_bit_identical_to_scipy_rankdata(rng):
     from scipy.stats import rankdata
 

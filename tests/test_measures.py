@@ -142,6 +142,14 @@ def test_approx_error_bound_rejects_t_outside_unit_interval(t):
         approx_error_bound(comonotone(), 4, t)
 
 
+@pytest.mark.parametrize("t", ["0.5", True, np.array([0.5]), None, [0.5]])
+def test_approx_error_bound_rejects_non_real_t(t):
+    # a string used to raise a TypeError, an array an ambiguous truth value,
+    # and True gave the bound at t = 1
+    with pytest.raises(ValueError, match=r"^t must be a number, got "):
+        approx_error_bound(comonotone(), 4, t)
+
+
 def test_v_bound_only_for_the_comonotone_callable():
     # V is known by comonotone()'s own callable: another callable with V's
     # values, or any other model, gets no v_bound

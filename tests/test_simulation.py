@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import time
 import warnings
@@ -345,11 +346,17 @@ def test_run_study_rejects_non_integer_thread_env(monkeypatch):
             run_study(config)
 
 
-@pytest.mark.parametrize("threads", [2.5, "2", True, -3, 0])
-def test_run_study_rejects_bad_threads(threads):
+@pytest.mark.parametrize("threads, message", [
+    (2.5, "threads must be an integer, got 2.5"),
+    ("2", "threads must be an integer, got '2'"),
+    (True, "threads must be an integer, got True"),
+    (-3, "threads must be >= 1, got -3"),
+    (0, "threads must be >= 1, got 0"),
+], ids=["2.5", "2", "True", "-3", "0"])
+def test_run_study_rejects_bad_threads(threads, message):
     config = StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0,
                          estimators=("cfg",), seed=8, grid=11)
-    with pytest.raises(ValueError, match="threads must be None or an integer >= 1"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_study(config, threads=threads)
 
 
