@@ -49,11 +49,22 @@ def basis_eval(k: int, m: int, x):
     return float(out) if out.ndim == 0 else out
 
 
+def _real_array(x, name: str) -> np.ndarray:
+    # x as a float array; a ValueError names it unless it is a real number or
+    # an array of them. dtype=float would take bools and numeric strings, and
+    # numpy infers one dtype for a whole list, so list entries are judged one
+    # by one, as _as_coeff_array does
+    if not isinstance(x, (list, tuple)) or all(
+            isinstance(e, numbers.Real) and not isinstance(e, bool)
+            for e in np.array(x, dtype=object).flat):
+        xa = np.asarray(x)
+        if xa.dtype.kind in "iuf":
+            return np.asarray(xa, dtype=float)
+    raise ValueError(f"{name} must be a real number or an array of them, got {x!r}")
+
+
 def _check_unit_interval(x, name: str) -> np.ndarray:
-    xa = np.asarray(x)
-    if xa.dtype.kind not in "iuf":  # as dtype=float would take bools and numeric strings
-        raise ValueError(f"{name} must be a real number or an array of them, got {x!r}")
-    xa = np.asarray(xa, dtype=float)
+    xa = _real_array(x, name)
     if np.any(xa < 0.0) or np.any(xa > 1.0) or not np.all(np.isfinite(xa)):
         raise ValueError(f"{name} must lie in [0, 1]")
     return xa
@@ -162,8 +173,8 @@ class PowerPoly:
         return int(nz[-1]) if nz.size else 0
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
+        x = _real_array(x, "x")  # any real x: the power basis has no domain limit
+        out = np.zeros_like(x)
         for c in self.coeffs[::-1]:
             out = out * x + c
         return float(out) if out.ndim == 0 else out

@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from dataclasses import MISSING, fields
 
@@ -29,13 +30,7 @@ from .bernstein import (
 from .inference import OptimConfig, SampleSet, fit_cfg, fit_full, fit_sub
 from .measures import approx_error_bound, tau_measures
 from .pickands import PickandsPoly, comonotone, validate_pickands
-from .simulation import (
-    StudyConfig,
-    model_from_json,
-    model_pickands,
-    run_study,
-    sample_copula,
-)
+from .simulation import StudyConfig, _sample_csv, model_from_json, model_pickands, run_study
 from .submodel import lorentz_degree
 
 
@@ -44,11 +39,31 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
+@contextlib.contextmanager
 def _open_out(path: str | None):
-    """The output file at path, or stdout (left open) when path is None."""
+    """The output file at path, or stdout (left open) when path is None.
+
+    A regular file is written whole or not at all: the text goes to a
+    temporary file beside it, which replaces it when the block ends and is
+    removed if the block raises. Another kind of file (a pipe, a device) is
+    written in place.
+    """
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -116,19 +131,11 @@ def _cmd_measures(args) -> int:
     return 0
 
 
-# rows of the simulate CSV formatted per write: the whole text at once
-# would hold every row string in memory together
-_CSV_CHUNK = 8192
-
-
 def _cmd_simulate(args) -> int:
-    model = model_from_json(_read_json(args.model))
-    sample = sample_copula(model, args.n, args.seed)
+    # the header and each block's rows are written as they arrive, in order
+    text = _sample_csv(model_from_json(_read_json(args.model)), args.n, args.seed)
     with _open_out(args.out) as fh:
-        fh.write("u,v\n")
-        for i in range(0, sample.n, _CSV_CHUNK):
-            rows = zip(sample.u[i:i + _CSV_CHUNK].tolist(), sample.v[i:i + _CSV_CHUNK].tolist())
-            fh.write("".join([f"{u!r},{v!r}\n" for u, v in rows]))
+        fh.writelines(text)
     return 0
 
 

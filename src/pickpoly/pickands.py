@@ -186,7 +186,7 @@ class GenericPickands:
             raise ValueError(f"boundary conditions V <= A <= 1 violated near t = {bad}")
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _check_unit_interval(t, "t")
         out = self.kernel(np.atleast_1d(t))[0]
         return float(out[0]) if t.ndim == 0 else out
 

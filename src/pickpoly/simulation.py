@@ -6,11 +6,14 @@ by bisection: the analytic partial dC/du = (C/u){A(t) - t A'(t)} gives the
 residual and the closed-form copula density its slope, with A, A' and A''
 from one kernel pass per step. Studies draw replicates with
 counter-derived seeds so results are bit-identical no matter how many worker
-processes execute them.
+processes execute them. The same kept worker pool solves and formats the
+``pickpoly simulate`` CSV in blocks of 8192 pairs; each v depends only on its
+own (u, w), so the CSV bytes do not depend on the worker count either.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -198,20 +201,50 @@ def _draw_samples(model: ReferenceModel, n: int, seeds) -> list[SampleSet]:
     """``sample_copula(model, n, seed)`` for every seed, with one solve of all pairs.
 
     Each sample's u and w come from its own seed's generator; one
-    ``model_pickands`` call and one ``_solve_conditional`` over the joined
-    pairs give every v, which depends only on its own (u, w).
+    ``_solved_samples`` call over the joined pairs gives every v, which
+    depends only on its own (u, w).
     """
-    uw = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        uw.append((np.clip(rng.random(n), 1e-16, 1.0 - 1e-16), rng.random(n)))
-    u, w = (np.concatenate(x) for x in zip(*uw))
+    u, w = (np.concatenate(x) for x in zip(*(_draw_uw(n, seed) for seed in seeds)))
+    return _solved_samples(model, u, w, n)
+
+
+def _solved_samples(model: ReferenceModel, u: np.ndarray, w: np.ndarray, n: int) -> list[SampleSet]:
+    # the pairs (u, solved v) as SampleSets of n pairs each, which check
+    # every pair; v is solved in blocks, which bound the iteration's temporaries
     kernel = model_pickands(model).kernel
     v = np.empty(u.size)
-    # blocks bound the iteration's temporaries
     for i in range(0, u.size, _BLOCK):
         v[i:i + _BLOCK] = _solve_conditional(kernel, u[i:i + _BLOCK], w[i:i + _BLOCK])
     return [SampleSet(u[i:i + n], v[i:i + n]) for i in range(0, u.size, n)]
+
+
+def _draw_uw(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    # the sampler's u (clipped to [1e-16, 1 - 1e-16]) and w, from the seed's generator
+    rng = np.random.default_rng(seed)
+    return np.clip(rng.random(n), 1e-16, 1.0 - 1e-16), rng.random(n)
+
+
+def _sample_csv(model: ReferenceModel, n: int, seed: int):
+    """``sample_copula(model, n, seed)`` as CSV text: the ``u,v`` header, then each block's rows.
+
+    n, seed and the model are checked here, before any text is yielded; each
+    block of ``_BLOCK`` pairs is solved and formatted by ``_csv_rows``, on
+    the kept worker pool when there are several blocks and more than one
+    worker. Each v depends only on its own (u, w), so the text is the same
+    for any worker count.
+    """
+    n, seed = _check_int("n", n, 1), _check_int("seed", seed)
+    model_pickands(model)  # a bad model fails here, before any block runs
+    u, w = _draw_uw(n, seed)
+    tasks = [(model, u[i:i + _BLOCK], w[i:i + _BLOCK]) for i in range(0, n, _BLOCK)]
+    return itertools.chain(["u,v\n"], _pool_map(_csv_rows, tasks, _resolve_threads(None)))
+
+
+def _csv_rows(task: tuple[ReferenceModel, np.ndarray, np.ndarray]) -> str:
+    # one block's "u,v" rows, each float by repr
+    model, u, w = task
+    [sample] = _solved_samples(model, u, w, u.size)
+    return "".join([f"{a!r},{b!r}\n" for a, b in zip(sample.u.tolist(), sample.v.tolist())])
 
 
 def _solve_conditional(kernel, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -415,8 +448,8 @@ def _resolve_threads(threads: int | None) -> int:
     return int(env)
 
 
-# the worker pool kept across run_study calls, and its worker count; a
-# forked child starts without it, as the workers are its parent's
+# the worker pool kept across run_study and simulate calls, and its worker
+# count; a forked child starts without it, as the workers are its parent's
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 
@@ -436,18 +469,35 @@ def _drop_pool() -> None:
         _pool = None
 
 
-def _kept_pool(threads: int, groups: int) -> ProcessPoolExecutor:
-    # the kept pool if it has workers for every group but no more than
-    # threads, else a new one with min(threads, groups): forked pools start
+def _kept_pool(threads: int, tasks: int) -> ProcessPoolExecutor:
+    # the kept pool if it has workers for every task but no more than
+    # threads, else a new one with min(threads, tasks): forked pools start
     # all their workers at once, so a pool sized by threads alone would fork
-    # one per core for a one-group study
+    # one per core for a two-task call
     global _pool, _pool_workers
-    workers = min(threads, groups)
+    workers = min(threads, tasks)
     if not workers <= _pool_workers <= threads:
         _drop_pool()
     if _pool is None:
         _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
     return _pool
+
+
+def _pool_map(fn, tasks: list, threads: int):
+    # fn over tasks, yielding results in order: in this process with one
+    # worker or one task, else on the kept pool. A pool whose worker died is
+    # replaced once, and the work resumes at the first result not yet yielded
+    if threads <= 1 or len(tasks) <= 1:
+        yield from map(fn, tasks)
+        return
+    done = 0
+    try:
+        for result in _kept_pool(threads, len(tasks)).map(fn, tasks):
+            yield result
+            done += 1
+    except BrokenProcessPool:
+        _drop_pool()
+        yield from _kept_pool(threads, len(tasks) - done).map(fn, tasks[done:])
 
 
 def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
@@ -464,27 +514,20 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
 
     ``threads`` (None or an integer >= 1) is the worker count; None reads
     the ``PICKPOLY_THREADS`` environment variable, else the CPU count. With
-    one worker, or one replicate, the study runs in this process. Otherwise
+    one worker, or one group, the study runs in this process. Otherwise
     worker processes take whole groups: the first such call starts one per
     group, up to the worker count, and later calls in this process reuse
     them until it exits or a call needs more workers than they are or
-    allows fewer. A pool whose worker died is replaced. Only a process that
-    runs several studies gains from the reuse; a single ``pickpoly study``
-    starts as many workers as before.
+    allows fewer. ``pickpoly simulate`` shares the same pool once n exceeds
+    8192 pairs, and its bytes do not depend on the worker count. A pool
+    whose worker died is replaced once, and the work resumes at the first
+    group not yet returned.
     """
     t0 = time.perf_counter()
-    nthreads = _resolve_threads(threads)
     tasks = [(config, list(range(g, min(g + _GROUP, config.replicates))))
              for g in range(0, config.replicates, _GROUP)]
-    if nthreads <= 1 or config.replicates == 1:
-        results = [record for task in tasks for record in _study_group(task)]
-    else:
-        try:
-            groups = list(_kept_pool(nthreads, len(tasks)).map(_study_group, tasks))
-        except BrokenProcessPool:  # a worker died: once more, on a new pool
-            _drop_pool()
-            groups = list(_kept_pool(nthreads, len(tasks)).map(_study_group, tasks))
-        results = [record for group in groups for record in group]
+    results = [record for group in _pool_map(_study_group, tasks, _resolve_threads(threads))
+               for record in group]
 
     tgrid = np.linspace(0.0, 1.0, config.grid)
     truth = model_pickands(config.model).value(tgrid)

@@ -16,7 +16,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, _branch_and_bound, _check_int, _elevated_blocks, _frozen
+from .bernstein import (
+    BernsteinPoly,
+    _branch_and_bound,
+    _check_int,
+    _check_unit_interval,
+    _elevated_blocks,
+    _frozen,
+)
 from .pickands import _CERTIFY_DEPTH, _SLACK, certify_nonnegative, endpoint_functionals
 
 
@@ -75,7 +82,7 @@ class PiecewiseLinearPickands:
         object.__setattr__(self, "values", _frozen(v.copy()))
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _check_unit_interval(t, "t")
         out = np.interp(t, self.knots, self.values)
         return float(out) if out.ndim == 0 else out
 

@@ -118,14 +118,30 @@ def test_evaluate_rejects_outside_domain():
         evaluate(BernsteinPoly([0.0, 1.0]), 1.2)
 
 
-@pytest.mark.parametrize("x", ["0.5", True, np.False_, ["0.5"], [True, False], np.array([True]), None])
+@pytest.mark.parametrize("x", ["0.5", True, np.False_, ["0.5"], [True, False], np.array([True]), None,
+                               [True, 0.5], (0.5, np.True_), [[0.25], [False]], [[0.25, 0.5], [0.5]]])
 def test_abscissae_must_be_real_numbers(x):
     # np.asarray(x, dtype=float) reads numeric strings and bools: evaluate
-    # gave 0.75 at "0.5", and basis_eval(0, 2, True) gave 0.0
+    # gave 0.75 at "0.5", basis_eval(0, 2, True) gave 0.0 and
+    # PowerPoly([1, 2])("0.5") gave 2.0; numpy infers one dtype for a whole
+    # list, so evaluate gave [1.0, 0.75] at [True, 0.5]
     h = BernsteinPoly([1.0, 0.5, 1.0])
-    for call in (lambda: evaluate(h, x), lambda: basis_eval(0, 2, x)):
+    for call in (lambda: evaluate(h, x), lambda: basis_eval(0, 2, x),
+                 lambda: PowerPoly([1.0, 2.0])(x)):
         with pytest.raises(ValueError, match="^x must be a real number or an array of them, got "):
             call()
+
+
+def test_abscissa_lists_of_reals_evaluate_as_arrays():
+    h = BernsteinPoly([1.0, 0.5, 1.0])
+    for x in ([0, 0.25, 1], (np.float64(0.5), 1), [[0.1, 0.2], [0.3, np.float32(0.4)]]):
+        assert np.array_equal(evaluate(h, x), evaluate(h, np.asarray(x, dtype=float)))
+
+
+def test_power_poly_has_no_domain_limit():
+    P = PowerPoly([1.0, 2.0])
+    assert P(3) == 7.0 and P(np.int64(-1)) == -1.0
+    assert np.array_equal(P([-1.5, 0.5, 10]), [-2.0, 2.0, 21.0])
 
 
 def test_abscissae_float_array_is_not_copied():

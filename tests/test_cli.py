@@ -29,6 +29,7 @@ from pickpoly import (
     tau_measures,
 )
 from pickpoly import cli as cli_module
+from pickpoly import simulation as simulation_module
 from pickpoly.cli import main
 
 POLFULL_POWER_JSON = {"basis": "power", "degree": 4, "coeffs": list(map(float, POLFULL_POWER))}
@@ -124,7 +125,7 @@ def _csv_writer_text(sample) -> str:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("n", [1, 2, cli_module._CSV_CHUNK, cli_module._CSV_CHUNK + 1])
+@pytest.mark.parametrize("n", [1, 2, simulation_module._BLOCK, simulation_module._BLOCK + 1])
 def test_simulate_csv_matches_csv_writer(tmp_path, capsys, n):
     model = write(tmp_path / "model.json", MIX_MODEL_JSON)
     out = tmp_path / "sample.csv"
@@ -140,13 +141,51 @@ def test_simulate_csv_exponent_form_values(tmp_path, capsys, monkeypatch):
     # repr switches to exponent form below 1e-4; the rows must still match
     values = np.array([1e-14, 1e-16, 5e-05, 0.0001, 1.0 - 1e-14, 0.1 + 0.2, 2.0**-52])
     fixed = SampleSet(values, values[::-1])
-    monkeypatch.setattr(cli_module, "sample_copula", lambda model, n, seed: fixed)
+    # the block formatter gets these pairs as its drawn u and solved v
+    monkeypatch.setattr(simulation_module, "_draw_uw", lambda n, seed: (values, values))
+    monkeypatch.setattr(simulation_module, "_solve_conditional", lambda kernel, u, w: values[::-1])
     model = write(tmp_path / "model.json", MIX_MODEL_JSON)
     out = tmp_path / "sample.csv"
     assert main(["simulate", "--model", model, "--n", "7", "--seed", "0", "--out", str(out)]) == 0
     text = out.read_text()
     assert text == _csv_writer_text(fixed)
     assert "\n1e-14,2.220446049250313e-16\n" in text
+
+
+def test_simulate_checks_every_solved_pair(tmp_path, capsys, monkeypatch):
+    # a v on the boundary of (0, 1) is an error, not a row
+    monkeypatch.setattr(simulation_module, "_solve_conditional", lambda kernel, u, w: np.ones(u.size))
+    model = write(tmp_path / "model.json", MIX_MODEL_JSON)
+    code, out, err = run(capsys, "simulate", "--model", model, "--n", "5", "--seed", "0")
+    assert code == 1 and out.splitlines()[1:] == []
+    assert json.loads(err) == {"error": "ValueError", "message": "v must lie strictly inside (0, 1)"}
+
+
+def test_simulate_error_in_a_later_block_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
+    # the rows stream block by block; a failure after the first block must
+    # leave neither a truncated --out file nor the temporary one behind
+    csv_rows = simulation_module._csv_rows
+    calls = []
+
+    def failing_second(task):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("block 2 failed")
+        return csv_rows(task)
+
+    monkeypatch.setenv("PICKPOLY_THREADS", "1")
+    monkeypatch.setattr(simulation_module, "_csv_rows", failing_second)
+    model = write(tmp_path / "model.json", MIX_MODEL_JSON)
+    argv = ["simulate", "--model", model, "--n", str(2 * simulation_module._BLOCK), "--seed", "0"]
+    new = tmp_path / "new.csv"
+    code, _, err = run(capsys, *argv, "--out", str(new))
+    assert code == 1 and json.loads(err) == {"error": "ValueError", "message": "block 2 failed"}
+    old = tmp_path / "old.csv"
+    old.write_text("kept\n")
+    calls.clear()
+    assert run(capsys, *argv, "--out", str(old))[0] == 1
+    assert len(calls) == 2 and old.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "old.csv"]
 
 
 @pytest.mark.parametrize("args, field", [

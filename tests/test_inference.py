@@ -27,6 +27,7 @@ from pickpoly import (
     SampleSet,
     SymmetricMixed,
     a_from_h,
+    comonotone,
     copula_density,
     endpoint_functionals,
     feasibility,
@@ -135,6 +136,26 @@ def test_density_and_loglik_reject_piecewise_linear_estimate():
         log_likelihood(est, data)
     with pytest.raises(TypeError, match="PiecewiseLinearPickands"):
         copula_density(est, 0.3, 0.6)
+
+
+@pytest.mark.parametrize("t", ["0.5", True, [0.5, True], None])
+def test_pickands_values_take_real_points_only(t):
+    # the piecewise-linear and generic value methods read "0.5" and True as
+    # numbers: a CFG estimate gave 0.835 at "0.5", comonotone() 1.0 at True
+    estimate = fit_cfg(sample_copula(MIX_MODEL, 60, 4)).estimate
+    for A in (estimate, comonotone(), model_pickands(MIX_MODEL)):
+        with pytest.raises(ValueError, match="^t must be a real number or an array of them, got "):
+            A.value(t)
+
+
+def test_pickands_values_check_the_unit_interval():
+    estimate = fit_cfg(sample_copula(MIX_MODEL, 60, 4)).estimate
+    for A in (estimate, comonotone(), model_pickands(MIX_MODEL)):
+        assert A.value(0) == A.value(1) == 1.0
+        assert np.array_equal(A.value([0.25, 0.5]), A.value(np.array([0.25, 0.5])))
+        for t in (-0.1, 1.5, [0.5, np.nan]):
+            with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\]$"):
+                A.value(t)
 
 
 def test_loglik_sentinel_on_nonpositive_density():
@@ -580,7 +601,7 @@ config = pp.OptimConfig(starts=4, seed=1)
 for m in (1, 4):
     pp.fit_full(data, m, config)
 pp.fit_sub(data, 4, config)
-pp.run_study(pp.StudyConfig(model=pp.SymmetricMixed(0.9), n=40, replicates=2, m=2,
+pp.run_study(pp.StudyConfig(model=pp.SymmetricMixed(0.9), n=40, replicates=9, m=2,
                             estimators=("full", "sub"), optim=pp.OptimConfig(starts=4)),
              threads=2)
 assert inference.minimize is counting

@@ -48,6 +48,7 @@ from pickpoly import (
     theta_to_pickands,
 )
 from pickpoly import simulation as simulation_module
+from pickpoly.cli import main as cli_main
 
 ALOG_MODEL = AsymmetricLogistic(*ALOG_PARAMS)
 MIX_MODEL = SymmetricMixed(MIX_PSI)
@@ -321,19 +322,27 @@ def test_run_study_mse_decomposition_identity():
 
 
 def test_run_study_bit_identical_across_worker_counts():
-    config = StudyConfig(model=MIX_MODEL, n=40, replicates=6, m=2,
+    # 9 replicates are two groups, so threads=2 runs on the pool
+    config = StudyConfig(model=MIX_MODEL, n=40, replicates=9, m=2,
                          estimators=("sub", "cfg"), seed=7, grid=21, optim=TINY_OPTIM)
     serial = run_study(config, threads=1)
+    simulation_module._drop_pool()
     pooled = run_study(config, threads=2)
+    assert len(_worker_pids()) == 2
     assert serial.payload() == pooled.payload()
 
 
 def test_run_study_respects_env_thread_cap(monkeypatch):
+    # two groups would fork two workers; PICKPOLY_THREADS=1 keeps the study
+    # in this process
     monkeypatch.setenv("PICKPOLY_THREADS", "1")
-    config = StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0,
+    config = StudyConfig(model=MIX_MODEL, n=30, replicates=9, m=0,
                          estimators=("cfg",), seed=8, grid=11)
+    simulation_module._drop_pool()
     report = run_study(config)
+    assert simulation_module._pool is None
     assert report.excluded["cfg"] == 0
+    assert report.payload() == run_study(config, threads=2).payload()
 
 
 def test_run_study_rejects_non_integer_thread_env(monkeypatch):
@@ -388,23 +397,25 @@ def test_run_study_replaces_a_killed_worker():
 
 
 def test_run_study_sizes_its_pool_by_groups_and_threads():
-    # a pool starts one worker per group, up to threads; a later call keeps
-    # it if it has a worker for each of its groups and no more than threads
+    # a one-group study runs in this process; a pool starts one worker per
+    # group, up to threads; a later call keeps it if it has a worker for
+    # each of its groups and no more than threads
     one_group = replace(POOL_CONFIG, replicates=8)
     three_groups = replace(POOL_CONFIG, replicates=24)
     simulation_module._drop_pool()
     run_study(one_group, threads=4)
-    pids = _worker_pids()
-    assert len(pids) == 1
+    assert simulation_module._pool is None
     run_study(POOL_CONFIG, threads=3)
-    assert len(_worker_pids()) == 2 and _gone(pids)
     pids = _worker_pids()
+    assert len(pids) == 2
     run_study(POOL_CONFIG, threads=4)
-    run_study(one_group, threads=2)
+    run_study(one_group, threads=2)  # in this process: the pool is untouched
     assert _worker_pids() == pids
     run_study(three_groups, threads=3)
     assert len(_worker_pids()) == 3 and _gone(pids)
     pids = _worker_pids()
+    run_study(POOL_CONFIG, threads=3)  # two groups keep a pool of three workers
+    assert _worker_pids() == pids
     run_study(POOL_CONFIG, threads=2)
     assert len(_worker_pids()) == 2 and _gone(pids)
 
@@ -467,6 +478,81 @@ def test_forked_process_runs_its_own_pooled_study():
     assert child["payload"] == out["payload"] == out["again"]
     assert out["pids_after"] == out["pids"] and not set(child["pids"]) & set(out["pids"])
     assert _gone(out["pids"] + child["pids"])
+
+
+# three blocks, the last of one pair
+SIMULATE_N = 2 * simulation_module._BLOCK + 1
+
+
+def _simulate(tmp_path, model, n: int = SIMULATE_N) -> bytes:
+    # the bytes of pickpoly simulate at seed 5, run in this process
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    out = tmp_path / "sample.csv"
+    argv = ["simulate", "--model", str(path), "--n", str(n), "--seed", "5", "--out", str(out)]
+    assert cli_main(argv) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("model", [ALOG_MODEL, MIX_MODEL, POLY_MODEL], ids=["alog", "mix", "poly"])
+def test_simulate_csv_same_bytes_for_any_worker_count(tmp_path, monkeypatch, model):
+    simulation_module._drop_pool()
+    monkeypatch.setenv("PICKPOLY_THREADS", "1")
+    serial = _simulate(tmp_path, model)
+    monkeypatch.setenv("PICKPOLY_THREADS", "2")
+    _simulate(tmp_path, model, simulation_module._BLOCK)
+    assert simulation_module._pool is None  # one block never forks
+    pooled = _simulate(tmp_path, model)
+    assert simulation_module._pool is not None and pooled == serial
+    # the rows give sample_copula's u and v back exactly
+    sample = sample_copula(model, SIMULATE_N, 5)
+    lines = serial.decode().splitlines()
+    assert lines[0] == "u,v" and len(lines) == SIMULATE_N + 1
+    uv = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(uv[:, 0], sample.u) and np.array_equal(uv[:, 1], sample.v)
+
+
+def test_simulate_replaces_a_killed_worker(tmp_path, monkeypatch):
+    monkeypatch.setenv("PICKPOLY_THREADS", "2")
+    before = _simulate(tmp_path, MIX_MODEL)
+    pids = _worker_pids()
+    os.kill(pids[0], signal.SIGKILL)
+    assert _simulate(tmp_path, MIX_MODEL) == before
+    assert not set(_worker_pids()) & set(pids)
+
+
+# _csv_rows, but the first call on the block whose first u is _DYING["u0"]
+# leaves the file _DYING["mark"] and, after a pause in which the block
+# before it is written, kills its own worker
+_DYING: dict = {}
+_csv_rows = simulation_module._csv_rows
+
+
+def _csv_rows_dying_once(task):
+    if task[1][0] == _DYING["u0"] and not os.path.exists(_DYING["mark"]):
+        open(_DYING["mark"], "w").close()
+        time.sleep(0.5)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _csv_rows(task)
+
+
+def test_simulate_resumes_after_a_block_kills_its_worker(tmp_path, monkeypatch):
+    # the pool is replaced and the blocks not yet written run again: no row
+    # is duplicated or missing
+    monkeypatch.setenv("PICKPOLY_THREADS", "1")
+    serial = _simulate(tmp_path, ALOG_MODEL)
+    u = simulation_module._draw_uw(SIMULATE_N, 5)[0]
+    monkeypatch.setitem(_DYING, "u0", u[simulation_module._BLOCK])
+    monkeypatch.setitem(_DYING, "mark", str(tmp_path / "died"))
+    monkeypatch.setattr(simulation_module, "_csv_rows", _csv_rows_dying_once)
+    monkeypatch.setenv("PICKPOLY_THREADS", "2")
+    simulation_module._drop_pool()  # workers forked from here on run the patched task
+    try:
+        pooled = _simulate(tmp_path, ALOG_MODEL)
+    finally:
+        simulation_module._drop_pool()
+    assert (tmp_path / "died").exists()
+    assert pooled == serial
 
 
 def test_study_config_rejects_negative_m():
