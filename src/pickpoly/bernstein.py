@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -41,7 +42,7 @@ def basis_eval(k: int, m: int, x):
     """
     m = _check_int("m", m)
     k = _check_int("k", k, 0, m)
-    xa = _check_unit_interval(x, "x")
+    xa = _real_array("x", x, interval="[0, 1]")
     with np.errstate(divide="ignore"):  # log 0 = -inf, read only under a nonzero power
         s = (math.log(math.comb(m, k)) + (k * np.log(xa) if k else np.zeros_like(xa))
              + ((m - k) * np.log1p(-xa) if k < m else 0.0))
@@ -49,44 +50,9 @@ def basis_eval(k: int, m: int, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _real_array(x, name: str) -> np.ndarray:
-    # x as a float array; a ValueError names it unless it is a real number or
-    # an array of them. dtype=float would take bools and numeric strings, and
-    # numpy infers one dtype for a whole list, so list entries are judged one
-    # by one, as _as_coeff_array does
-    if not isinstance(x, (list, tuple)) or all(
-            isinstance(e, numbers.Real) and not isinstance(e, bool)
-            for e in np.array(x, dtype=object).flat):
-        xa = np.asarray(x)
-        if xa.dtype.kind in "iuf":
-            return np.asarray(xa, dtype=float)
-    raise ValueError(f"{name} must be a real number or an array of them, got {x!r}")
-
-
-def _check_unit_interval(x, name: str) -> np.ndarray:
-    xa = _real_array(x, name)
-    if np.any(xa < 0.0) or np.any(xa > 1.0) or not np.all(np.isfinite(xa)):
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return xa
-
-
-def _as_coeff_array(coeffs) -> np.ndarray:
-    if isinstance(coeffs, np.ndarray) and coeffs.dtype.kind not in "iuf":
-        coeffs = coeffs.tolist()
-    if isinstance(coeffs, (list, tuple)):
-        # np.array(..., dtype=float) would take bools and numeric strings
-        coeffs = [_real_float(f"coeffs[{i}]", x) for i, x in enumerate(coeffs)]
-    c = np.array(coeffs, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficients must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coefficients must be finite")
-    return _frozen(c)
-
-
-# The checks of outside input shared by every module: JSON objects, integers
-# and real numbers, each rejected with a ValueError that names it. Integers
-# are checked outside any lru_cache, whose hit would take True for 1.
+# The checks of outside input shared by every module: JSON objects, integers,
+# real numbers and arrays of them, each rejected with a ValueError that names
+# it. Integers are checked outside any lru_cache, whose hit takes True for 1.
 
 def _check_keys(obj, known, where: str, required=()) -> None:
     """A ValueError naming the keys unless obj is a dict with all required keys, none unknown."""
@@ -115,15 +81,66 @@ def _check_int(name: str, value, low: int = 0, high: int | None = None) -> int:
     return int(value)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _real_float(name: str, x) -> float:
     # x as a float; a ValueError names it if it is a bool, a string or
     # another non-real, or an int past the float range
-    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+    if _is_real(x):
         try:
             return float(x)
         except OverflowError:
             pass
     raise ValueError(f"{name} must be a number, got {x!r}")
+
+
+def _real_array(name: str, x, size: int | None = None, size_name: str = "",
+                min_size: int | None = None, finite: bool = False,
+                interval: str | None = None) -> np.ndarray:
+    """x as a float array of real numbers (no bool, string or other object).
+
+    ``size`` (``size_name`` in messages) or ``min_size`` asks for a 1-d array
+    of exactly or at least that many entries, ``finite`` for finite entries,
+    ``interval`` "[0, 1]" or "(0, 1)" for entries inside it; else a ValueError
+    "<name> must be ..., got ...". A list's entries are judged one by one by
+    _real_float, which names the first it rejects (numpy infers one dtype for
+    a list, and dtype=float takes bools and numeric strings); an ndarray by
+    its dtype and two reductions. A float64 array comes back as is.
+    """
+    xa = obj = None
+    try:
+        if isinstance(x, (list, tuple)):
+            obj = np.array(x, dtype=object)
+            if all(_is_real(e) for e in obj.flat):
+                xa = obj.astype(float)
+        else:
+            xa = np.asarray(x)
+            xa = np.asarray(xa, dtype=float) if xa.dtype.kind in "iuf" else None
+    except (ValueError, TypeError, OverflowError):  # ragged nesting, or an int past the float range
+        pass
+    if xa is None:
+        for i, e in np.ndenumerate(obj if obj is not None else ()):
+            _real_float(f"{name}{list(i)}", e)
+        got = f"an array of dtype {x.dtype}" if isinstance(x, np.ndarray) else reprlib.repr(x)
+    elif (size is not None or min_size is not None) and (
+            xa.ndim != 1 or (xa.size != size if size is not None else xa.size < min_size)):
+        got = f"shape {xa.shape}"
+    elif (finite or interval) and xa.size:
+        lo, hi = xa.min(), xa.max()  # nan if any entry is
+        low_ok, high_ok = {"(0, 1)": (lo > 0.0, hi < 1.0), "[0, 1]": (lo >= 0.0, hi <= 1.0),
+                           None: (lo > -math.inf, hi < math.inf)}[interval]
+        if low_ok and high_ok:
+            return xa
+        got = repr(float(hi if low_ok else lo))
+    else:
+        return xa
+    real = f"{'finite ' if finite and not interval else ''}real number"
+    count = f"{size_name} = {size}" if size is not None else f"at least {min_size}"
+    rule = (f"a {real} or an array of them" if size is None and min_size is None
+            else f"a 1-d array of {count} {real}s")
+    raise ValueError(f"{name} must be {rule}{' in ' + interval if interval else ''}, got {got}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -144,7 +161,8 @@ class BernsteinPoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs))
+        c = _real_array("coeffs", self.coeffs, min_size=1, finite=True)
+        object.__setattr__(self, "coeffs", _frozen(c.copy()))
 
     @property
     def degree(self) -> int:
@@ -161,7 +179,8 @@ class PowerPoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs))
+        c = _real_array("coeffs", self.coeffs, min_size=1, finite=True)
+        object.__setattr__(self, "coeffs", _frozen(c.copy()))
 
     @property
     def degree(self) -> int:
@@ -173,7 +192,7 @@ class PowerPoly:
         return int(nz[-1]) if nz.size else 0
 
     def __call__(self, x):
-        x = _real_array(x, "x")  # any real x: the power basis has no domain limit
+        x = _real_array("x", x)  # any real x: the power basis has no domain limit
         out = np.zeros_like(x)
         for c in self.coeffs[::-1]:
             out = out * x + c
@@ -186,7 +205,7 @@ def evaluate(P: BernsteinPoly, x):
     Accepts a scalar or an array of abscissae. The convex-combination scheme
     keeps evaluation stable when coefficients sit near feasibility boundaries.
     """
-    xa = _check_unit_interval(x, "x")
+    xa = _real_array("x", x, interval="[0, 1]")
     val = eval_with_derivatives(P.coeffs, xa.ravel())[0]
     return float(val[0]) if xa.ndim == 0 else val.reshape(xa.shape)
 
@@ -302,17 +321,12 @@ def bernstein_approx(f: Callable[[np.ndarray], np.ndarray], m: int) -> Bernstein
     Raises
     ------
     ValueError
-        If m is not an integer >= 1, or f gives another shape or is
-        non-finite at a grid point.
+        If m is not an integer >= 1, or f(grid) is not m + 1 finite real
+        numbers.
     """
     m = _check_int("m", m, 1)
     grid = np.arange(m + 1) / m
-    vals = np.asarray(f(grid), dtype=float)
-    if vals.shape != grid.shape:
-        raise ValueError(f"approximated function gave shape {vals.shape} for a grid of shape {grid.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("function returned a non-finite value at a grid point")
-    return BernsteinPoly(vals)
+    return BernsteinPoly(_real_array("f(grid)", f(grid), size=m + 1, size_name="m + 1", finite=True))
 
 
 # every per-degree table (the basis changes, the walk's split, and those of
@@ -506,8 +520,7 @@ def poly_from_json(obj: dict) -> BernsteinPoly | PowerPoly:
     _check_keys(obj, _POLY_KEYS, "polynomial JSON", required=_POLY_KEYS)
     basis, degree, coeffs = (obj[k] for k in _POLY_KEYS)
     degree = _check_int("polynomial JSON: 'degree'", degree)
-    if not isinstance(coeffs, (list, tuple)) or len(coeffs) != degree + 1:
-        raise ValueError("polynomial JSON: coeffs length must equal degree + 1")
+    coeffs = _real_array("coeffs", coeffs, size=degree + 1, size_name="degree + 1", finite=True)
     if basis == "bernstein":
         return BernsteinPoly(coeffs)
     if basis == "power":

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bernstein import _MATRIX_CACHE, BernsteinPoly, _check_int, _frozen
+from .bernstein import _MATRIX_CACHE, BernsteinPoly, _check_int, _frozen, _real_array
 from .pickands import _SLACK, PickandsPoly, a_from_h, endpoint_functionals
 
 
@@ -46,12 +46,8 @@ class FullModelParam:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _check_int("m", self.m))
-        th = np.array(self.theta, dtype=float)
-        if th.ndim != 1 or th.size != self.m + 1:
-            raise ValueError(f"theta must have length m + 1 = {self.m + 1}")
-        if not np.all(np.isfinite(th)):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "theta", _frozen(th))
+        th = _real_array("theta", self.theta, size=self.m + 1, size_name="m + 1", finite=True)
+        object.__setattr__(self, "theta", _frozen(th.copy()))
 
     def to_json(self) -> dict:
         return {"m": self.m, "theta": [float(x) for x in self.theta]}

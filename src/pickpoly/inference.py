@@ -43,7 +43,7 @@ from typing import Union
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, _check_int, _frozen, eval_with_derivatives
+from .bernstein import BernsteinPoly, _check_int, _frozen, _real_array, eval_with_derivatives
 from .full_model import (
     FullModelParam,
     coefficient_tensor,
@@ -82,13 +82,8 @@ class SampleSet:
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        if u.ndim != 1 or u.shape != v.shape or u.size < 1:
-            raise ValueError("u and v must be equal-length 1-d arrays with n >= 1")
-        for name, x in (("u", u), ("v", v)):
-            if np.any(x <= 0.0) or np.any(x >= 1.0) or not np.all(np.isfinite(x)):
-                raise ValueError(f"{name} must lie strictly inside (0, 1)")
+        u = _real_array("u", self.u, min_size=1, interval="(0, 1)")
+        v = _real_array("v", self.v, size=u.size, size_name="len(u)", interval="(0, 1)")
         object.__setattr__(self, "u", _frozen(u.copy()))
         object.__setattr__(self, "v", _frozen(v.copy()))
 
@@ -104,8 +99,7 @@ class SampleSet:
         """
         if not isinstance(ranks, bool):
             raise ValueError(f"ranks must be a bool, got {ranks!r}")
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        u, v = _real_array("u", u), _real_array("v", v)
         if ranks:
             n = u.size
             u = _midranks(u) / (n + 1)
@@ -728,10 +722,9 @@ def greatest_convex_minorant(values, knots=None) -> np.ndarray:
     Lower convex hull by the monotone-chain sweep; idempotent, equal to the
     input when the input is already convex.
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 2 or not np.all(np.isfinite(v)):
-        raise ValueError("values must be a finite 1-d array with >= 2 points")
-    x = np.linspace(0.0, 1.0, v.size) if knots is None else np.asarray(knots, dtype=float)
+    v = _real_array("values", values, min_size=2, finite=True)
+    x = np.linspace(0.0, 1.0, v.size) if knots is None else _real_array(
+        "knots", knots, size=v.size, size_name="len(values)", finite=True)
     hx: list[float] = []
     hy: list[float] = []
     # Python floats: the same IEEE arithmetic as numpy scalars, at half the cost

@@ -31,8 +31,8 @@ from .bernstein import (
     _MATRIX_CACHE,
     BernsteinPoly,
     _branch_and_bound,
-    _check_unit_interval,
     _frozen,
+    _real_array,
     eval_with_derivatives,
     evaluate,
 )
@@ -58,8 +58,8 @@ class NotSpectralDensityError(ValueError):
 
 
 def vee(t):
-    """Comonotone lower bound V(t) = max(1 - t, t)."""
-    t = np.asarray(t, dtype=float)
+    """Comonotone lower bound V(t) = max(1 - t, t), t real numbers in [0, 1]."""
+    t = _real_array("t", t, interval="[0, 1]")
     out = np.maximum(1.0 - t, t)
     return float(out) if out.ndim == 0 else out
 
@@ -155,7 +155,7 @@ class PickandsPoly:
         return self.poly.degree - 2
 
     def value(self, t):
-        return evaluate(self.poly, t)
+        return evaluate(self.poly, _real_array("t", t, interval="[0, 1]"))
 
     def kernel(self, t: np.ndarray):
         """(A, A', A'') at a 1-d array t in [0, 1] (unchecked), in one de Casteljau pass."""
@@ -186,16 +186,13 @@ class GenericPickands:
             raise ValueError(f"boundary conditions V <= A <= 1 violated near t = {bad}")
 
     def value(self, t):
-        t = _check_unit_interval(t, "t")
-        out = self.kernel(np.atleast_1d(t))[0]
-        return float(out[0]) if t.ndim == 0 else out
+        t = _real_array("t", t, interval="[0, 1]")
+        out = self.kernel(t.ravel())[0]
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def kernel(self, t: np.ndarray):
-        """(A, A', A'') at an array t: one call of fn."""
-        a, d1, d2 = (np.asarray(x, dtype=float) for x in self.fn(t))
-        if not a.shape == d1.shape == d2.shape == t.shape:
-            raise ValueError(f"Pickands callable gave shapes {a.shape}, {d1.shape}, {d2.shape} "
-                             f"for t of shape {t.shape}")
+        """(A, A', A'') at a 1-d array t in [0, 1] (unchecked): one call of fn."""
+        a, d1, d2 = (_real_array("fn(t)", x, size=t.size, size_name="len(t)") for x in self.fn(t))
         return a, d1, d2
 
 
@@ -318,8 +315,8 @@ def copula_cdf(A, u, v):
     [0,1]; zero arguments return 0 (continuous extension), and the removable
     singularity at u = v = 1 uses t = 1/2 (the value does not depend on it).
     """
-    ua = _check_unit_interval(u, "u")
-    va = _check_unit_interval(v, "v")
+    ua = _real_array("u", u, interval="[0, 1]")
+    va = _real_array("v", v, interval="[0, 1]")
     scalar = ua.ndim == 0 and va.ndim == 0
     ua, va = np.broadcast_arrays(np.atleast_1d(ua), np.atleast_1d(va))
     out = np.zeros(ua.shape)
@@ -364,8 +361,8 @@ def copula_density(A, u, v):
     TypeError
         If A has no ``kernel``, as a PiecewiseLinearPickands.
     """
-    ua = _check_unit_interval(u, "u")
-    va = _check_unit_interval(v, "v")
+    ua = _real_array("u", u, interval="[0, 1]")
+    va = _real_array("v", v, interval="[0, 1]")
     if np.any(ua <= 0.0) or np.any(ua >= 1.0) or np.any(va <= 0.0) or np.any(va >= 1.0):
         raise ValueError("density requires u, v strictly inside (0, 1)")
     scalar = ua.ndim == 0 and va.ndim == 0

@@ -90,6 +90,10 @@ class PolynomialModel:
 
     pickands: PickandsPoly
 
+    def __post_init__(self):
+        if not isinstance(self.pickands, PickandsPoly):
+            raise ValueError(f"pickands must be a PickandsPoly, got {type(self.pickands).__name__}")
+
 
 ReferenceModel = Union[AsymmetricLogistic, SymmetricMixed, PolynomialModel]
 
@@ -442,7 +446,7 @@ def _resolve_threads(threads: int | None) -> int:
         return _check_int("threads", threads, 1)
     env = os.environ.get("PICKPOLY_THREADS", "").strip()
     if not env:
-        return os.cpu_count() or 1
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if not env.isdecimal() or int(env) < 1:
         raise ValueError(f"PICKPOLY_THREADS must be an integer >= 1, got {env!r}")
     return int(env)

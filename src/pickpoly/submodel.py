@@ -20,9 +20,9 @@ from .bernstein import (
     BernsteinPoly,
     _branch_and_bound,
     _check_int,
-    _check_unit_interval,
     _elevated_blocks,
     _frozen,
+    _real_array,
 )
 from .pickands import _CERTIFY_DEPTH, _SLACK, certify_nonnegative, endpoint_functionals
 
@@ -36,13 +36,11 @@ class SubmodelParam:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _check_int("m", self.m))
-        c = np.array(self.c, dtype=float)
-        if c.ndim != 1 or c.size != self.m + 1:
-            raise ValueError(f"c must have length m + 1 = {self.m + 1}")
+        c = _real_array("c", self.c, size=self.m + 1, size_name="m + 1", finite=True)
         report = in_submodel_h(c)
         if not report["member"]:
             raise ValueError(f"coefficients outside the polytope: {report['violations']}")
-        object.__setattr__(self, "c", _frozen(c))
+        object.__setattr__(self, "c", _frozen(c.copy()))
 
     def to_json(self) -> dict:
         return {"m": self.m, "c": [float(x) for x in self.c]}
@@ -65,10 +63,8 @@ class PiecewiseLinearPickands:
     values: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.knots, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if k.ndim != 1 or k.shape != v.shape or k.size < 2:
-            raise ValueError("knots and values must be equal-length 1-d arrays (>= 2 points)")
+        k = _real_array("knots", self.knots, min_size=2, finite=True)
+        v = _real_array("values", self.values, size=k.size, size_name="len(knots)", finite=True)
         if np.any(np.diff(k) <= 0) or k[0] != 0.0 or k[-1] != 1.0:
             raise ValueError("knots must increase strictly from 0 to 1")
         if abs(v[0] - 1.0) > _GRID_TOL or abs(v[-1] - 1.0) > _GRID_TOL:
@@ -82,7 +78,7 @@ class PiecewiseLinearPickands:
         object.__setattr__(self, "values", _frozen(v.copy()))
 
     def value(self, t):
-        t = _check_unit_interval(t, "t")
+        t = _real_array("t", t, interval="[0, 1]")
         out = np.interp(t, self.knots, self.values)
         return float(out) if out.ndim == 0 else out
 
@@ -93,7 +89,7 @@ def in_submodel_h(c) -> dict:
     Member iff every coefficient is >= 0 and both endpoint-derivative sums
     are <= 1, all with 1e-12 slack; violations name the failing constraint.
     """
-    c = np.asarray(c, dtype=float)
+    c = _real_array("c", c, min_size=1, finite=True)
     violations: list[dict] = []
     for k in np.nonzero(c < -_SLACK)[0]:
         violations.append({"rule": "negative_coefficient", "witness": int(k)})
@@ -214,7 +210,7 @@ def _has_interior_zero(h: BernsteinPoly) -> bool:
     when the exact minimum of h there is at most 2^-50 * scale. A tiny but
     resolvable positive minimum is thus never claimed as a zero.
     """
-    c = np.asarray(h.coeffs, dtype=float)
+    c = h.coeffs
     scale = max(1.0, float(np.max(np.abs(c))))
     while c.size > 1 and abs(c[0]) <= 1e-13 * scale:
         c = _deflate_left(c)

@@ -1,21 +1,30 @@
-"""One integer rule for the Python API.
+"""One integer rule and one real-array rule for the Python API.
 
 Every public integer argument (a degree, count, index or seed) is an int or
 a numpy integer, never a bool, a float or a string, and within its bound.
-Anything else raises a ValueError that names the argument.
+Every public array argument (coefficients, parameters, abscissae, data) is
+a real number or an array of them, never a bool, a string or another
+object, of the shape it needs, finite or inside [0, 1] or (0, 1) where it
+must be. Anything else raises a ValueError that names the argument.
 """
 
+import math
 import re
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pickpoly import (
     BernsteinPoly,
     FullModelParam,
+    GenericPickands,
     OptimConfig,
+    PickandsPoly,
+    PiecewiseLinearPickands,
     PowerPoly,
+    SampleSet,
     StudyConfig,
     SubmodelParam,
     SymmetricMixed,
@@ -23,10 +32,14 @@ from pickpoly import (
     basis_eval,
     bernstein_approx,
     comonotone,
+    copula_cdf,
+    copula_density,
     elevate_degree,
+    evaluate,
     fit_cfg,
     fit_full,
     fit_sub,
+    in_submodel_h,
     lorentz_degree,
     poly_from_json,
     power_to_bernstein,
@@ -35,7 +48,9 @@ from pickpoly import (
     sample_feasible,
     split_seed,
     submodel_tau_range,
+    vee,
 )
+from pickpoly.inference import greatest_convex_minorant
 
 MIX = SymmetricMixed(0.9)
 DATA = sample_copula(MIX, 20, 1)
@@ -128,3 +143,132 @@ def test_any_value_in_one_integer_argument_runs_or_names_it(case, value):
     else:
         # a call returns only for an integer, or a None where None is the default
         assert _is_integer(value) or (value is None and none_ok), (case, value)
+
+
+A2 = PickandsPoly(BernsteinPoly([1.0, 0.75, 1.0]))
+PWL = PiecewiseLinearPickands([0.0, 0.5, 1.0], [1.0, 0.75, 1.0])
+
+# (the argument, the name its errors start with, the call with value in that
+# argument and every other argument valid, whether it must be 1-d, and the
+# rule its entries obey: None (any real), "finite", "[0, 1]" or "(0, 1)")
+ARRAY_CASES = {
+    "BernsteinPoly.coeffs": ("coeffs", BernsteinPoly, True, "finite"),
+    "PowerPoly.coeffs": ("coeffs", PowerPoly, True, "finite"),
+    "poly_from_json.coeffs": ("coeffs", lambda v: poly_from_json(
+        {"basis": "bernstein", "degree": 2, "coeffs": v}), True, "finite"),
+    "PowerPoly.x": ("x", PowerPoly([1.0, 2.0]), False, None),
+    "evaluate.x": ("x", lambda v: evaluate(P2, v), False, "[0, 1]"),
+    "basis_eval.x": ("x", lambda v: basis_eval(1, 2, v), False, "[0, 1]"),
+    "bernstein_approx.f": ("f(grid)", lambda v: bernstein_approx(lambda g: v, 2), True, "finite"),
+    "GenericPickands.fn": ("fn(t)", lambda v: GenericPickands(
+        lambda t: (v, np.zeros_like(t), np.zeros_like(t))), True, None),
+    "FullModelParam.theta": ("theta", lambda v: FullModelParam(2, v), True, "finite"),
+    "SubmodelParam.c": ("c", lambda v: SubmodelParam(2, v), True, "finite"),
+    "in_submodel_h.c": ("c", in_submodel_h, True, "finite"),
+    "PiecewiseLinearPickands.knots": ("knots", lambda v: PiecewiseLinearPickands(
+        v, [1.0, 0.75, 1.0]), True, "finite"),
+    "PiecewiseLinearPickands.values": ("values", lambda v: PiecewiseLinearPickands(
+        [0.0, 0.5, 1.0], v), True, "finite"),
+    "PiecewiseLinearPickands.value": ("t", PWL.value, False, "[0, 1]"),
+    "GenericPickands.value": ("t", comonotone().value, False, "[0, 1]"),
+    "PickandsPoly.value": ("t", A2.value, False, "[0, 1]"),
+    "vee.t": ("t", vee, False, "[0, 1]"),
+    "copula_cdf.u": ("u", lambda v: copula_cdf(A2, v, 0.5), False, "[0, 1]"),
+    "copula_cdf.v": ("v", lambda v: copula_cdf(A2, 0.5, v), False, "[0, 1]"),
+    "copula_density.u": ("u", lambda v: copula_density(A2, v, 0.5), False, "[0, 1]"),
+    "copula_density.v": ("v", lambda v: copula_density(A2, 0.5, v), False, "[0, 1]"),
+    "SampleSet.u": ("u", lambda v: SampleSet(v, [0.5, 0.25]), True, "(0, 1)"),
+    "SampleSet.v": ("v", lambda v: SampleSet([0.5, 0.25], v), True, "(0, 1)"),
+    "SampleSet.from_arrays.u": ("u", lambda v: SampleSet.from_arrays(v, [0.5, 0.25]), True, "(0, 1)"),
+    "SampleSet.from_arrays.v": ("v", lambda v: SampleSet.from_arrays([0.5, 0.25], v), True, "(0, 1)"),
+    # on ranks, any real u gives ranks inside (0, 1), and nan stays nan
+    "SampleSet.from_arrays.u.ranks": ("u", lambda v: SampleSet.from_arrays(
+        v, [0.5, 0.25], ranks=True), True, None),
+    "greatest_convex_minorant.values": ("values", greatest_convex_minorant, True, "finite"),
+    "greatest_convex_minorant.knots": ("knots", lambda v: greatest_convex_minorant(
+        [1.0, 0.5, 1.0], v), True, "finite"),
+}
+NONE_OK = {"greatest_convex_minorant.knots"}  # the default
+
+REALS = (st.floats(-0.5, 1.5) | st.sampled_from([0.0, 0.5, 1.0, math.nan, math.inf, -math.inf])
+         | st.integers(-2, 2) | st.sampled_from([np.float64(0.25), np.float32(0.5), np.int64(1)]))
+NON_REALS = st.booleans() | st.sampled_from([np.True_, None]) | st.text(max_size=3) | st.just("0.5")
+ENTRIES = st.lists(REALS, max_size=4)
+ARRAY_VALUES = (
+    REALS | NON_REALS | ENTRIES | st.lists(REALS | NON_REALS, max_size=4)  # wrong lengths too
+    | st.lists(st.lists(REALS, min_size=2, max_size=2), min_size=1, max_size=3)  # 2-d
+    | st.lists(st.lists(REALS, max_size=2), min_size=2, max_size=2)  # 2-d or ragged
+    | ENTRIES.map(tuple) | ENTRIES.map(np.array)
+    | ENTRIES.map(lambda e: np.array(e, dtype=object))
+    | st.lists(st.booleans(), max_size=3).map(np.array)
+    | st.lists(st.sampled_from(["0.5", "1"]), max_size=3).map(np.array)
+    | ENTRIES.map(lambda e: np.array(e).reshape(1, -1))
+)
+
+
+def _obeys(value, one_d: bool, rule) -> bool:
+    # value is a real number, a list or tuple of them that numpy lays out as
+    # a regular array, or an integer or float ndarray; 1-d if it must be,
+    # with entries that obey the rule
+    if isinstance(value, np.ndarray) and value.dtype.kind not in "iuf":
+        return False
+    entries = np.array(value, dtype=object)  # a ragged list holds lists
+    if not all(isinstance(e, (int, float, np.integer, np.floating)) and not isinstance(e, bool)
+               for e in entries.flat) or (one_d and entries.ndim != 1):
+        return False
+    x = entries.astype(float)
+    if rule == "finite":
+        return bool(np.all(np.isfinite(x)))
+    if rule == "[0, 1]":
+        return bool(np.all((x >= 0.0) & (x <= 1.0)))
+    if rule == "(0, 1)":
+        return bool(np.all((x > 0.0) & (x < 1.0)))
+    return True
+
+
+@settings(max_examples=800, deadline=None)
+@given(case=st.sampled_from(sorted(ARRAY_CASES)), value=ARRAY_VALUES)
+@example(case="PiecewiseLinearPickands.values", value=[1.0, math.nan, 1.0])
+@example(case="vee.t", value=-1.0)
+@example(case="FullModelParam.theta", value=["0.5", True, 0.1])
+@example(case="SubmodelParam.c", value=[0.1, True, "0.2"])
+@example(case="SampleSet.u", value=["0.5", 0.2])
+@example(case="in_submodel_h.c", value=["0.1", True, 0.2])
+@example(case="bernstein_approx.f", value=np.array(["0.5", "1", "0.5"]))
+@example(case="BernsteinPoly.coeffs", value=np.array([True, False]))
+@example(case="basis_eval.x", value=np.array([0.5], dtype=object))
+def test_any_value_in_one_array_argument_runs_or_names_it(case, value):
+    name, call, one_d, rule = ARRAY_CASES[case]
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):  # a real x may be inf
+            call(value)
+    except ValueError as exc:
+        # the array rule names the argument, or one entry of it; only a
+        # value it passes meets a domain rule (knot order, the polytope,
+        # the endpoint values and slopes, the open square of the density)
+        if not re.match(rf"{re.escape(name)}(\[[0-9, ]+\])? must be ", str(exc)):
+            assert _obeys(value, one_d, rule), (case, value, str(exc))
+    else:
+        assert _obeys(value, one_d, rule) or (value is None and case in NONE_OK), (case, value)
+
+
+@pytest.mark.parametrize("name, call", [
+    # accepted: values nan gave value(0.25) = nan, V(-1) = 2 and V("0.3") = 0.7
+    pytest.param("values", lambda: PiecewiseLinearPickands([0, 0.5, 1], [1, math.nan, 1]), id="pwl-nan"),
+    pytest.param("t", lambda: vee(-1.0), id="vee-negative"),
+    pytest.param("t", lambda: vee("0.3"), id="vee-string"),
+    pytest.param("t", lambda: vee(math.nan), id="vee-nan"),
+    pytest.param("theta", lambda: FullModelParam(1, ["0.5", True]), id="theta-string-bool"),
+    pytest.param("c", lambda: SubmodelParam(2, [0.1, True, "0.2"]), id="c-bool-string"),
+    pytest.param("u", lambda: SampleSet(["0.5", 0.2], [0.4, 0.3]), id="u-string"),
+    pytest.param("c", lambda: in_submodel_h(["0.1", True, 0.2]), id="in-submodel-string-bool"),
+    pytest.param("f(grid)", lambda: bernstein_approx(lambda g: np.full(g.shape, "0.5"), 2),
+                 id="bernstein-approx-strings"),
+    pytest.param("fn(t)", lambda: GenericPickands(
+        lambda t: (np.full(t.shape, "1"), np.zeros_like(t), np.zeros_like(t))), id="generic-strings"),
+    # rejected, but by a message about "coefficients" that did not name c
+    pytest.param("c", lambda: SubmodelParam(2, [0.1, math.nan, 0.2]), id="c-nan"),
+])
+def test_array_rule_names_the_argument(name, call):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)}(\[[0-9, ]+\])? must be "):
+        call()

@@ -158,7 +158,8 @@ def test_simulate_checks_every_solved_pair(tmp_path, capsys, monkeypatch):
     model = write(tmp_path / "model.json", MIX_MODEL_JSON)
     code, out, err = run(capsys, "simulate", "--model", model, "--n", "5", "--seed", "0")
     assert code == 1 and out.splitlines()[1:] == []
-    assert json.loads(err) == {"error": "ValueError", "message": "v must lie strictly inside (0, 1)"}
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "v must be a 1-d array of len(u) = 5 real numbers in (0, 1), got 1.0"}
 
 
 def test_simulate_error_in_a_later_block_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
@@ -748,5 +749,7 @@ def test_convert_past_float_range_writes_one_json_error(tmp_path, poly):
     # a subprocess: in process, pytest captures numpy's RuntimeWarning
     proc = run_python("-m", "pickpoly", "convert", "--in", write(tmp_path / "p.json", poly))
     assert proc.returncode == 1 and proc.stdout == ""
-    assert json.loads(proc.stderr) == {"error": "ValueError",
-                                       "message": "coefficients must be finite"}
+    msg = json.loads(proc.stderr)
+    assert msg["error"] == "ValueError"
+    got = {"bernstein": "nan", "power": "inf"}[poly["basis"]]
+    assert msg["message"] == f"coeffs must be a 1-d array of at least 1 finite real numbers, got {got}"

@@ -242,11 +242,11 @@ def test_copula_cdf_margins_and_edges():
     assert np.allclose(copula_cdf(A, 1.0, us), us, atol=1e-14)
     assert copula_cdf(A, 0.0, 0.5) == 0.0
     assert copula_cdf(A, 1.0, 1.0) == 1.0
-    with pytest.raises(ValueError, match=r"^u must lie in \[0, 1\]$"):
+    with pytest.raises(ValueError, match=r"^u must be a real number or an array of them in \[0, 1\], got -0\.1$"):
         copula_cdf(A, -0.1, 0.5)
-    with pytest.raises(ValueError, match=r"^v must lie in \[0, 1\]$"):
+    with pytest.raises(ValueError, match=r"^v must be a real number or an array of them in \[0, 1\], got 1\.1$"):
         copula_cdf(A, 0.5, 1.1)
-    with pytest.raises(ValueError, match=r"^v must lie in \[0, 1\]$"):
+    with pytest.raises(ValueError, match=r"^v must be a real number or an array of them in \[0, 1\], got nan$"):
         copula_density(A, 0.5, np.nan)
 
 

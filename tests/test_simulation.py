@@ -93,6 +93,13 @@ def test_model_parameters_must_be_numbers(make, field, value):
         make(value)
 
 
+@pytest.mark.parametrize("pickands", ["x", None, BernsteinPoly(POLFULL_H), model_pickands(MIX_MODEL)])
+def test_polynomial_model_takes_a_pickands_poly_only(pickands):
+    # any object was taken, and sampling from a string raised AttributeError
+    with pytest.raises(ValueError, match="^pickands must be a PickandsPoly, got "):
+        PolynomialModel(pickands)
+
+
 def test_model_parameters_are_stored_as_floats():
     alog = AsymmetricLogistic(1, np.float32(0.5), np.int64(1))
     assert [type(x) for x in (alog.alpha, alog.psi1, alog.psi2)] == [float] * 3
@@ -343,6 +350,17 @@ def test_run_study_respects_env_thread_cap(monkeypatch):
     assert simulation_module._pool is None
     assert report.excluded["cfg"] == 0
     assert report.payload() == run_study(config, threads=2).payload()
+
+
+def test_default_worker_count_is_the_cpu_set(monkeypatch):
+    # os.cpu_count() counts CPUs the process may not run on: under
+    # taskset -c 0 it read 2 on a 2-CPU host
+    monkeypatch.delenv("PICKPOLY_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert simulation_module._resolve_threads(None) == 1
+    monkeypatch.setenv("PICKPOLY_THREADS", "3")
+    assert simulation_module._resolve_threads(None) == 3
+    assert simulation_module._resolve_threads(2) == 2
 
 
 def test_run_study_rejects_non_integer_thread_env(monkeypatch):
