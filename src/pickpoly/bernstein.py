@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 import numbers
 import reprlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -50,15 +50,25 @@ def basis_eval(k: int, m: int, x):
     return float(out) if out.ndim == 0 else out
 
 
-# The checks of outside input shared by every module: JSON objects, integers,
-# real numbers and arrays of them, each rejected with a ValueError that names
-# it. Integers are checked outside any lru_cache, whose hit takes True for 1.
+# The checks of outside input shared by every module: objects by type, JSON
+# objects, integers, reals and arrays of them, each rejected with a ValueError
+# naming it. Integers are checked outside any lru_cache (a hit takes True for 1).
+
+def _check_type(name: str, value, *types: type):
+    # value if it is an instance of one of types (type(None) admits None), else
+    # a ValueError "<name> must be a <T1> or a <T2>, got <what>": <what> is the
+    # value if it is None, a string or a number, else its type (a dict is a JSON object)
+    if isinstance(value, types):
+        return value
+    nouns = ["None" if t is type(None) else "JSON object" if t is dict else t.__name__ for t in types]
+    rule = " or ".join(n if n == "None" else f"{'an' if n[0] in 'AEIOU' else 'a'} {n}" for n in nouns)
+    scalar = value is None or isinstance(value, (str, numbers.Number, np.generic))
+    raise ValueError(f"{name} must be {rule}, got {reprlib.repr(value) if scalar else type(value).__name__}")
+
 
 def _check_keys(obj, known, where: str, required=()) -> None:
     """A ValueError naming the keys unless obj is a dict with all required keys, none unknown."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(known))
+    unknown = sorted(set(_check_type(where, obj, dict)) - set(known))
     if unknown:
         raise ValueError(f"unknown {where} keys {unknown}; expected a subset of {sorted(known)}")
     missing = [k for k in required if k not in obj]
@@ -193,9 +203,10 @@ class PowerPoly:
 
     def __call__(self, x):
         x = _real_array("x", x)  # any real x: the power basis has no domain limit
-        out = np.zeros_like(x)
-        for c in self.coeffs[::-1]:
-            out = out * x + c
+        c = self.coeffs[:self.natural_degree() + 1]  # Horner from the leading nonzero term,
+        out = np.full_like(x, c[-1])  # so x = +-inf meets no 0 * inf
+        for a in c[-2::-1]:
+            out = out * x + a
         return float(out) if out.ndim == 0 else out
 
 
@@ -206,7 +217,7 @@ def evaluate(P: BernsteinPoly, x):
     keeps evaluation stable when coefficients sit near feasibility boundaries.
     """
     xa = _real_array("x", x, interval="[0, 1]")
-    val = eval_with_derivatives(P.coeffs, xa.ravel())[0]
+    val = eval_with_derivatives(_check_type("P", P, BernsteinPoly).coeffs, xa.ravel())[0]
     return float(val[0]) if xa.ndim == 0 else val.reshape(xa.shape)
 
 
@@ -309,7 +320,7 @@ def elevate_degree(P: BernsteinPoly, target: int) -> BernsteinPoly:
     ValueError
         If target is not an integer >= P.degree.
     """
-    target = _check_int("target", target, P.degree)
+    target = _check_int("target", target, _check_type("P", P, BernsteinPoly).degree)
     return BernsteinPoly(np.concatenate(list(_elevated_blocks(P.coeffs, target))))
 
 
@@ -326,7 +337,8 @@ def bernstein_approx(f: Callable[[np.ndarray], np.ndarray], m: int) -> Bernstein
     """
     m = _check_int("m", m, 1)
     grid = np.arange(m + 1) / m
-    return BernsteinPoly(_real_array("f(grid)", f(grid), size=m + 1, size_name="m + 1", finite=True))
+    fg = _check_type("f", f, Callable)(grid)
+    return BernsteinPoly(_real_array("f(grid)", fg, size=m + 1, size_name="m + 1", finite=True))
 
 
 # every per-degree table (the basis changes, the walk's split, and those of
@@ -404,7 +416,7 @@ def power_to_bernstein(P: PowerPoly, m: int | None = None) -> BernsteinPoly:
     ValueError
         If m is neither None nor an integer >= the natural degree of P.
     """
-    nat = P.natural_degree()
+    nat = _check_type("P", P, PowerPoly).natural_degree()
     m = nat if m is None else _check_int("m", m, nat)
     a = P.coeffs[:m + 1]  # entries past m are zero, as m >= the natural degree
     with np.errstate(over="ignore", invalid="ignore"):  # BernsteinPoly rejects non-finite
@@ -422,7 +434,7 @@ def bernstein_to_power(P: BernsteinPoly) -> PowerPoly:
     range, the result is not finite, and PowerPoly raises ValueError.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # PowerPoly rejects non-finite
-        a = (_bernstein_to_power_matrix(P.degree) @ P.coeffs).astype(float)
+        a = (_bernstein_to_power_matrix(_check_type("P", P, BernsteinPoly).degree) @ P.coeffs).astype(float)
     return PowerPoly(a)
 
 
@@ -500,7 +512,7 @@ def global_minimum(P: BernsteinPoly):
 
     Returns (abscissa, value) with the abscissa localized to 1e-10.
     """
-    t, v, _, _ = _branch_and_bound(P.coeffs, None, _MINIMUM_DEPTH)
+    t, v, _, _ = _branch_and_bound(_check_type("P", P, BernsteinPoly).coeffs, None, _MINIMUM_DEPTH)
     return t, v
 
 
@@ -508,7 +520,7 @@ def global_minimum(P: BernsteinPoly):
 #                                    "degree": m, "coeffs": [...]}
 
 def poly_to_json(P: BernsteinPoly | PowerPoly) -> dict:
-    basis = "bernstein" if isinstance(P, BernsteinPoly) else "power"
+    basis = "power" if isinstance(_check_type("P", P, BernsteinPoly, PowerPoly), PowerPoly) else "bernstein"
     return {"basis": basis, "degree": P.degree, "coeffs": [float(c) for c in P.coeffs]}
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bernstein import _MATRIX_CACHE, BernsteinPoly, _check_int, _frozen, _real_array
+from .bernstein import _MATRIX_CACHE, BernsteinPoly, _check_int, _check_type, _frozen, _real_array
 from .pickands import _SLACK, PickandsPoly, a_from_h, endpoint_functionals
 
 
@@ -104,7 +104,7 @@ def form_matrices(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def theta_to_h(param: FullModelParam) -> BernsteinPoly:
     """Spectral-density polynomial h_theta of degree m (nonnegative by construction)."""
-    if param.m == 0:
+    if _check_type("param", param, FullModelParam).m == 0:
         return BernsteinPoly(param.theta)
     T = coefficient_tensor(param.m)
     th = param.theta
@@ -169,10 +169,11 @@ def sample_feasible(m: int, rng: np.random.Generator, count: int) -> np.ndarray:
     boundary radius 1/sqrt(max(q0(xi), q1(xi))) and pulled inside by
     U^(1/(m+1)). The fallback covers the whole body including the boundary
     region, though not with exactly uniform measure. Deterministic given
-    the generator state. An m or count that is not an integer >= 0 raises a
-    ValueError naming it.
+    the generator state. An m or count that is not an integer >= 0, or an
+    rng that is not a numpy Generator, raises a ValueError naming it.
     """
     m, count = _check_int("m", m), _check_int("count", count)
+    rng = _check_type("rng", rng, np.random.Generator)
     if m == 0:
         return rng.uniform(0.0, 2.0, size=(count, 1))
     Q0, Q1 = form_matrices(m)

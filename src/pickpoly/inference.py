@@ -39,11 +39,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Union
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, _check_int, _frozen, _real_array, eval_with_derivatives
+from .bernstein import BernsteinPoly, _check_int, _check_type, _frozen, _real_array, eval_with_derivatives
 from .full_model import (
     FullModelParam,
     coefficient_tensor,
@@ -51,15 +50,16 @@ from .full_model import (
     sample_feasible,
 )
 from .pickands import (
+    _DENSITY,
     PickandsPoly,
+    PiecewiseLinearPickands,
     _a_coeffs,
     _density_brace,
-    _kernel,
     a_from_h,
     a_from_h_matrix,
     vee,
 )
-from .submodel import PiecewiseLinearPickands, SubmodelParam
+from .submodel import SubmodelParam
 
 LOGLIK_NEG_INF = float("-inf")
 
@@ -93,14 +93,9 @@ class SampleSet:
 
     @staticmethod
     def from_arrays(u, v, ranks: bool = False) -> "SampleSet":
-        """Build a sample, optionally replacing margins by midranks/(n+1).
-
-        A ``ranks`` that is not a bool raises a ValueError naming it.
-        """
-        if not isinstance(ranks, bool):
-            raise ValueError(f"ranks must be a bool, got {ranks!r}")
+        """Build a sample, optionally (``ranks`` a bool) replacing margins by midranks/(n+1)."""
         u, v = _real_array("u", u), _real_array("v", v)
-        if ranks:
+        if _check_type("ranks", ranks, bool):
             n = u.size
             u = _midranks(u) / (n + 1)
             v = _midranks(v) / (n + 1)
@@ -139,9 +134,9 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    estimate: Union[PickandsPoly, PiecewiseLinearPickands]
+    estimate: PickandsPoly | PiecewiseLinearPickands
     loglik: float
-    param: Union[FullModelParam, SubmodelParam, None]
+    param: FullModelParam | SubmodelParam | None
     starts_used: int
     converged: bool
 
@@ -170,13 +165,13 @@ def log_likelihood(A, data: SampleSet) -> float:
     """Sum of log copula densities of the data under A.
 
     A is a PickandsPoly or a GenericPickands, read through one
-    ``A.kernel`` call at the data's pseudo-angles. Returns -inf when the
-    density is nonpositive at some observation. A PiecewiseLinearPickands
-    (the CFG estimate, whose A'' is a measure) has no density and raises a
-    TypeError.
+    ``A.kernel`` call at the data's pseudo-angles, and data a SampleSet.
+    Returns -inf when the density is nonpositive at some observation. A
+    PiecewiseLinearPickands (the CFG estimate, whose A'' is a measure) has
+    no density and raises a ValueError naming A.
     """
-    t, s = _pseudo_angles(data)
-    return _loglik_terms(_kernel(A, t), t, s)
+    t, s = _pseudo_angles(_check_type("data", data, SampleSet))
+    return _loglik_terms(_check_type("A", A, *_DENSITY).kernel(t), t, s)
 
 
 _UNDEFINED_OBJ = 1e12
@@ -680,12 +675,14 @@ def _mles(loglik: _LogLik, config: OptimConfig, seeds, full: bool) -> list[FitRe
 
 def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
     """Constrained MLE over Theta_m (polynomial Pickands functions of degree m + 2), m an integer >= 0."""
-    return _mles(_LogLik([data], m), config, [config.seed], True)[0]
+    config = _check_type("config", config, OptimConfig)
+    return _mles(_LogLik([_check_type("data", data, SampleSet)], m), config, [config.seed], True)[0]
 
 
 def fit_sub(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
     """Constrained MLE over the polytope C_m^+ (the Bernstein submodel), m an integer >= 0."""
-    return _mles(_LogLik([data], m), config, [config.seed], False)[0]
+    config = _check_type("config", config, OptimConfig)
+    return _mles(_LogLik([_check_type("data", data, SampleSet)], m), config, [config.seed], False)[0]
 
 
 def _canonical_sign(theta: np.ndarray, m: int) -> np.ndarray:
@@ -720,11 +717,13 @@ def greatest_convex_minorant(values, knots=None) -> np.ndarray:
     """Greatest convex function below the given grid values, on the grid.
 
     Lower convex hull by the monotone-chain sweep; idempotent, equal to the
-    input when the input is already convex.
+    input when the input is already convex. The knots must increase strictly.
     """
     v = _real_array("values", values, min_size=2, finite=True)
     x = np.linspace(0.0, 1.0, v.size) if knots is None else _real_array(
         "knots", knots, size=v.size, size_name="len(values)", finite=True)
+    if np.any(np.diff(x) <= 0.0):
+        raise ValueError(f"knots must increase strictly, got {np.array2string(x, threshold=10)}")
     hx: list[float] = []
     hy: list[float] = []
     # Python floats: the same IEEE arithmetic as numpy scalars, at half the cost
@@ -758,7 +757,7 @@ def fit_cfg(data: SampleSet, grid: int = 1001) -> FitResult:
     (np.longdouble), so each mean is rounded about once.
     """
     grid = _check_int("grid", grid, 2)
-    if data.n < 2:
+    if _check_type("data", data, SampleSet).n < 2:
         raise ValueError("CFG estimator needs n >= 2")
     if np.ptp(data.u) == 0.0 and np.ptp(data.v) == 0.0:
         raise ValueError("degenerate sample: all pairs identical")

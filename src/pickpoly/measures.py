@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bernstein import _check_int, _frozen, _real_float, basis_eval, bernstein_approx, evaluate
-from .pickands import GenericPickands, PickandsPoly, _comonotone, vee
+from .bernstein import _check_int, _check_type, _frozen, _real_float, basis_eval, bernstein_approx, evaluate
+from .pickands import _PICKANDS, GenericPickands, PickandsPoly, _comonotone, vee
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,14 @@ def _integral(A: GenericPickands) -> float:
     return float(total)
 
 
-def tau_measures(A: PickandsPoly | GenericPickands) -> DependenceReport:
-    """Compute (tau1, tau2) for a valid Pickands function.
+def tau_measures(A) -> DependenceReport:
+    """Compute (tau1, tau2) for a valid Pickands function of any Pickands type.
 
     For polynomials the integral in tau2 is the coefficient mean (each basis
-    polynomial integrates to 1/(degree+1)); for generic functions it is an
+    polynomial integrates to 1/(degree+1)); for the other types it is an
     adaptive Gauss-Legendre rule accurate to about 1e-12 (``_integral``).
     """
-    tau1 = 2.0 * (1.0 - A.value(0.5))
+    tau1 = 2.0 * (1.0 - _check_type("A", A, *_PICKANDS).value(0.5))
     integral = float(np.mean(A.poly.coeffs)) if isinstance(A, PickandsPoly) else _integral(A)
     tau2 = 4.0 * (1.0 - integral)
     return DependenceReport(max(tau1, 0.0), max(tau2, 0.0))
@@ -93,7 +93,7 @@ class ApproxBound:
     v_bound: float | None = None
 
 
-def approx_error_bound(A: PickandsPoly | GenericPickands, m: int, t: float) -> ApproxBound:
+def approx_error_bound(A, m: int, t: float) -> ApproxBound:
     """Bernstein approximation error B_m(A,t) - A(t) and its pmf bound.
 
     A is any Pickands type; only its ``value`` is read. The error is
@@ -107,7 +107,7 @@ def approx_error_bound(A: PickandsPoly | GenericPickands, m: int, t: float) -> A
     m, t = _check_int("m", m, 1), _real_float("t", t)
     if not 0.0 <= t <= 1.0:  # NaN fails too
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    B = bernstein_approx(A.value, m)
+    B = bernstein_approx(_check_type("A", A, *_PICKANDS).value, m)
     error = float(evaluate(B, t) - A.value(t))
     bound = 2.0 * t * (1.0 - t) * basis_eval(min(math.floor(m * t), m - 1), m - 1, t)
     v_bound = None

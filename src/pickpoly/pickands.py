@@ -15,15 +15,16 @@ spectral-measure reconstruction, and copula cdf/density evaluation.
 
 Every Pickands type has ``value(t)``. PickandsPoly and GenericPickands also
 have ``kernel(t)``, (A, A', A'') at an array t in one call: all that the
-copula density, the likelihood and the sampler read. A GenericPickands is
-built from one callable that returns that triple.
+copula density, the likelihood and the sampler read, and which the third
+type, PiecewiseLinearPickands, lacks. A GenericPickands is built from one
+callable that returns that triple.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .bernstein import (
     _MATRIX_CACHE,
     BernsteinPoly,
     _branch_and_bound,
+    _check_type,
     _frozen,
     _real_array,
     eval_with_derivatives,
@@ -86,7 +88,8 @@ def certify_nonnegative(P: BernsteinPoly) -> NonnegReport:
     abscissa turns up, it raises CertificateInconclusiveError rather than
     guessing.
     """
-    t, v, splits, undecided = _branch_and_bound(P.coeffs, -_SLACK, _CERTIFY_DEPTH)
+    c = _check_type("P", P, BernsteinPoly).coeffs
+    t, v, splits, undecided = _branch_and_bound(c, -_SLACK, _CERTIFY_DEPTH)
     if v < -_SLACK:
         return NonnegReport(False, t, splits)
     if undecided:
@@ -103,7 +106,7 @@ def validate_pickands(P: BernsteinPoly) -> dict:
     input is classified, and failed rules come with a witness (coefficient
     index or abscissa).
     """
-    c = P.coeffs
+    c = _check_type("P", P, BernsteinPoly).coeffs
     m2 = P.degree
     violations: list[dict] = []
     for k in sorted({0, m2}):
@@ -138,7 +141,7 @@ class PickandsPoly:
     poly: BernsteinPoly
 
     def __post_init__(self):
-        c = self.poly.coeffs.copy()
+        c = _check_type("poly", self.poly, BernsteinPoly).coeffs.copy()
         if c.size < 3:
             raise ValueError("PickandsPoly needs degree >= 2; A == 1 is degree-2 [1,1,1]")
         for k in (0, c.size - 1):
@@ -177,6 +180,7 @@ class GenericPickands:
     fn: Callable
 
     def __post_init__(self):
+        _check_type("fn", self.fn, Callable)
         grid = np.linspace(0.0, 1.0, 1001)
         vals = self.kernel(grid)[0]
         if abs(vals[0] - 1.0) > _SLACK or abs(vals[-1] - 1.0) > _SLACK:
@@ -194,6 +198,48 @@ class GenericPickands:
         """(A, A', A'') at a 1-d array t in [0, 1] (unchecked): one call of fn."""
         a, d1, d2 = (_real_array("fn(t)", x, size=t.size, size_name="len(t)") for x in self.fn(t))
         return a, d1, d2
+
+
+_GRID_TOL = 1e-10  # slack of PiecewiseLinearPickands' endpoint, slope and convexity checks
+
+
+@dataclass(frozen=True)
+class PiecewiseLinearPickands:
+    """Piecewise-linear Pickands function through (knots, values).
+
+    Validates the grid Pickands conditions at construction: endpoint values
+    1, slopes nondecreasing, first slope >= -1 and last slope <= 1. Used both
+    for the A* characterization of submodel membership and as the CFG
+    estimator's return type. Its A'' is a measure, so it has no ``kernel``.
+    """
+
+    knots: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        k = _real_array("knots", self.knots, min_size=2, finite=True)
+        v = _real_array("values", self.values, size=k.size, size_name="len(knots)", finite=True)
+        if np.any(np.diff(k) <= 0) or k[0] != 0.0 or k[-1] != 1.0:
+            raise ValueError("knots must increase strictly from 0 to 1")
+        if abs(v[0] - 1.0) > _GRID_TOL or abs(v[-1] - 1.0) > _GRID_TOL:
+            raise ValueError("endpoint values must equal 1")
+        slopes = np.diff(v) / np.diff(k)
+        if slopes[0] < -1.0 - _GRID_TOL or slopes[-1] > 1.0 + _GRID_TOL:
+            raise ValueError("endpoint slopes must lie in [-1, 1]")
+        if np.any(np.diff(slopes) < -_GRID_TOL):
+            raise ValueError("slopes must be nondecreasing (convexity)")
+        object.__setattr__(self, "knots", _frozen(k.copy()))
+        object.__setattr__(self, "values", _frozen(v.copy()))
+
+    def value(self, t):
+        t = _real_array("t", t, interval="[0, 1]")
+        out = np.interp(t, self.knots, self.values)
+        return float(out) if out.ndim == 0 else out
+
+
+# the Pickands types, and those with a density (a ``kernel``)
+_PICKANDS = (PickandsPoly, GenericPickands, PiecewiseLinearPickands)
+_DENSITY = (PickandsPoly, GenericPickands)
 
 
 def _comonotone(t):
@@ -232,7 +278,7 @@ def a_from_h(h: BernsteinPoly) -> BernsteinPoly:
     Coefficientwise realization of A(t) = 1 - int min{(1-t)w, t(1-w)} h(w) dw;
     the first and last output coefficients are exactly 1.
     """
-    return BernsteinPoly(_a_coeffs(h.coeffs))
+    return BernsteinPoly(_a_coeffs(_check_type("h", h, BernsteinPoly).coeffs))
 
 
 def _a_coeffs(h: np.ndarray) -> np.ndarray:
@@ -252,7 +298,7 @@ def h_from_a(A: BernsteinPoly) -> BernsteinPoly:
     coefficients. Round trip a_from_h(h_from_a(A)) reproduces A exactly
     whenever A(0) = A(1) = 1.
     """
-    d = A.degree
+    d = _check_type("A", A, BernsteinPoly).degree
     if d < 2:
         raise ValueError("h_from_a needs degree >= 2")
     return BernsteinPoly(d * (d - 1) * np.diff(A.coeffs, n=2))
@@ -263,7 +309,7 @@ def endpoint_functionals(h: BernsteinPoly) -> tuple[float, float]:
 
     These equal -A'(0) and A'(1) of the associated Pickands function.
     """
-    m = h.degree
+    m = _check_type("h", h, BernsteinPoly).degree
     y = (np.arange(m + 1) + 1.0) / (m + 2)
     q0 = float(np.dot(1.0 - y, h.coeffs) / (m + 1))
     q1 = float(np.dot(y, h.coeffs) / (m + 1))
@@ -291,7 +337,7 @@ def spectral_measure(h: BernsteinPoly) -> SpectralDensity:
     NotSpectralDensityError
         If an endpoint-derivative functional exceeds 1 (beyond 1e-12).
     """
-    report = certify_nonnegative(h)
+    report = certify_nonnegative(_check_type("h", h, BernsteinPoly))
     if not report.nonneg:
         raise ValueError(f"h is negative near t = {report.witness}")
     q0, q1 = endpoint_functionals(h)
@@ -308,17 +354,24 @@ def spectral_measure(h: BernsteinPoly) -> SpectralDensity:
     )
 
 
+def _broadcast(ua: np.ndarray, va: np.ndarray):
+    # the checked u and v broadcast together, at least 1-d, and whether both are scalars
+    try:
+        return (*np.broadcast_arrays(np.atleast_1d(ua), np.atleast_1d(va)), ua.ndim == 0 and va.ndim == 0)
+    except ValueError:
+        raise ValueError(f"v must broadcast with u, got shapes {ua.shape} and {va.shape}") from None
+
+
 def copula_cdf(A, u, v):
     """Extreme-value copula C_A(u, v) = exp{log(uv) A(log v / log uv)}.
 
-    A is a PickandsPoly or GenericPickands. u, v may be scalars or arrays in
-    [0,1]; zero arguments return 0 (continuous extension), and the removable
-    singularity at u = v = 1 uses t = 1/2 (the value does not depend on it).
+    A is any Pickands type. u, v are scalars or arrays in [0,1] that
+    broadcast together; zero arguments return 0 (continuous extension), and
+    the removable singularity at u = v = 1 uses t = 1/2 (any t gives it).
     """
-    ua = _real_array("u", u, interval="[0, 1]")
-    va = _real_array("v", v, interval="[0, 1]")
-    scalar = ua.ndim == 0 and va.ndim == 0
-    ua, va = np.broadcast_arrays(np.atleast_1d(ua), np.atleast_1d(va))
+    value = _check_type("A", A, *_PICKANDS).value
+    ua, va, scalar = _broadcast(_real_array("u", u, interval="[0, 1]"),
+                                _real_array("v", v, interval="[0, 1]"))
     out = np.zeros(ua.shape)
     zero = (ua == 0.0) | (va == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -328,15 +381,8 @@ def copula_cdf(A, u, v):
     out[live & (s == 0.0)] = 1.0
     inner = live & (s < 0.0)
     if np.any(inner):
-        out[inner] = np.exp(s[inner] * A.value(t[inner]))
+        out[inner] = np.exp(s[inner] * value(t[inner]))
     return float(out[0]) if scalar else out
-
-
-def _kernel(A, t: np.ndarray):
-    # (A, A', A'') at t; a value-only type, whose A'' is a measure, has no density
-    if not hasattr(A, "kernel"):
-        raise TypeError(f"{type(A).__name__} has no kernel (A, A', A''), so no copula density")
-    return A.kernel(t)
 
 
 def _density_brace(a, d1, d2, t, s):
@@ -352,23 +398,22 @@ def copula_density(A, u, v):
 
         c(u, v) = exp{s (A - 1)} [ {A + (1-t) A'} {A - t A'} - t(1-t) A'' / s ]
 
-    from one ``A.kernel`` call (A a PickandsPoly or GenericPickands).
+    from one ``A.kernel`` call.
 
     Raises
     ------
     ValueError
-        If u or v sits on the boundary {0, 1}.
-    TypeError
-        If A has no ``kernel``, as a PiecewiseLinearPickands.
+        If A is not a PickandsPoly or GenericPickands (a
+        PiecewiseLinearPickands, whose A'' is a measure, has no density), or
+        u or v sits on the boundary {0, 1} or the two do not broadcast.
     """
     ua = _real_array("u", u, interval="[0, 1]")
     va = _real_array("v", v, interval="[0, 1]")
     if np.any(ua <= 0.0) or np.any(ua >= 1.0) or np.any(va <= 0.0) or np.any(va >= 1.0):
         raise ValueError("density requires u, v strictly inside (0, 1)")
-    scalar = ua.ndim == 0 and va.ndim == 0
-    ua, va = np.broadcast_arrays(np.atleast_1d(ua), np.atleast_1d(va))
+    ua, va, scalar = _broadcast(ua, va)
     s = (np.log(ua) + np.log(va)).ravel()
     t = np.log(va).ravel() / s
-    a, d1, d2 = _kernel(A, t)
+    a, d1, d2 = _check_type("A", A, *_DENSITY).kernel(t)
     out = np.exp(s * (a - 1.0)) * _density_brace(a, d1, d2, t, s)
     return float(out[0]) if scalar else out.reshape(ua.shape)

@@ -27,6 +27,7 @@ from .bernstein import (
     PowerPoly,
     _check_int,
     _check_keys,
+    _check_type,
     _real_float,
     poly_from_json,
     poly_to_json,
@@ -91,11 +92,12 @@ class PolynomialModel:
     pickands: PickandsPoly
 
     def __post_init__(self):
-        if not isinstance(self.pickands, PickandsPoly):
-            raise ValueError(f"pickands must be a PickandsPoly, got {type(self.pickands).__name__}")
+        _check_type("pickands", self.pickands, PickandsPoly)
 
 
 ReferenceModel = Union[AsymmetricLogistic, SymmetricMixed, PolynomialModel]
+# the model JSON kinds and the classes that check and hold their parameters
+_MODEL_KINDS = {"alog": AsymmetricLogistic, "mix": SymmetricMixed, "poly": PolynomialModel}
 
 
 def model_pickands(model: ReferenceModel) -> PickandsPoly | GenericPickands:
@@ -104,7 +106,7 @@ def model_pickands(model: ReferenceModel) -> PickandsPoly | GenericPickands:
     A PolynomialModel gives its own PickandsPoly; the other models give a
     GenericPickands of one closed-form function returning (A, A', A'').
     """
-    if isinstance(model, SymmetricMixed):
+    if isinstance(_check_type("model", model, *_MODEL_KINDS.values()), SymmetricMixed):
         psi = model.psi
 
         def mix(t):
@@ -113,27 +115,25 @@ def model_pickands(model: ReferenceModel) -> PickandsPoly | GenericPickands:
         return GenericPickands(mix)
     if isinstance(model, PolynomialModel):
         return model.pickands
-    if isinstance(model, AsymmetricLogistic):
-        alpha, psi1, psi2 = model.alpha, model.psi1, model.psi2
-        if alpha == 1.0 or psi1 == 0.0 or psi2 == 0.0:
-            return independence()  # the bracket collapses to a linear term: A == 1
-        r = 1.0 / alpha
-        c1, c2 = psi1**r, psi2**r
+    alpha, psi1, psi2 = model.alpha, model.psi1, model.psi2
+    if alpha == 1.0 or psi1 == 0.0 or psi2 == 0.0:
+        return independence()  # the bracket collapses to a linear term: A == 1
+    r = 1.0 / alpha
+    c1, c2 = psi1**r, psi2**r
 
-        def alog(t):
-            # for alpha > 1/2, t**(r - 2) divides by zero at t in {0, 1}:
-            # A'' is infinite there and is only read on (0, 1)
-            with np.errstate(divide="ignore"):
-                g = c1 * t**r + c2 * (1.0 - t) ** r
-                dg = r * (c1 * t ** (r - 1.0) - c2 * (1.0 - t) ** (r - 1.0))
-                d2g = r * (r - 1.0) * (c1 * t ** (r - 2.0) + c2 * (1.0 - t) ** (r - 2.0))
-                return ((1.0 - psi1) * t + (1.0 - psi2) * (1.0 - t) + g**alpha,
-                        (psi2 - psi1) + alpha * g ** (alpha - 1.0) * dg,
-                        alpha * (alpha - 1.0) * g ** (alpha - 2.0) * dg**2
-                        + alpha * g ** (alpha - 1.0) * d2g)
+    def alog(t):
+        # for alpha > 1/2, t**(r - 2) divides by zero at t in {0, 1}:
+        # A'' is infinite there and is only read on (0, 1)
+        with np.errstate(divide="ignore"):
+            g = c1 * t**r + c2 * (1.0 - t) ** r
+            dg = r * (c1 * t ** (r - 1.0) - c2 * (1.0 - t) ** (r - 1.0))
+            d2g = r * (r - 1.0) * (c1 * t ** (r - 2.0) + c2 * (1.0 - t) ** (r - 2.0))
+            return ((1.0 - psi1) * t + (1.0 - psi2) * (1.0 - t) + g**alpha,
+                    (psi2 - psi1) + alpha * g ** (alpha - 1.0) * dg,
+                    alpha * (alpha - 1.0) * g ** (alpha - 2.0) * dg**2
+                    + alpha * g ** (alpha - 1.0) * d2g)
 
-        return GenericPickands(alog)
-    raise TypeError(f"unknown reference model {model!r}")
+    return GenericPickands(alog)
 
 
 def split_seed(master: int, *key: int) -> int:
@@ -143,15 +143,10 @@ def split_seed(master: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# the model JSON kinds and the classes that check and hold their parameters
-_MODEL_KINDS = {"alog": AsymmetricLogistic, "mix": SymmetricMixed, "poly": PolynomialModel}
-
-
 def model_to_json(model: ReferenceModel) -> dict:
-    """Serialize a reference model to the CLI's model JSON schema."""
-    kind = next((k for k, cls in _MODEL_KINDS.items() if isinstance(model, cls)), None)
-    if kind is None:
-        raise TypeError(f"unknown reference model {model!r}")
+    """Serialize a reference model to the CLI's model JSON schema; any other model raises a ValueError."""
+    _check_type("model", model, *_MODEL_KINDS.values())
+    kind = next(k for k, cls in _MODEL_KINDS.items() if isinstance(model, cls))
     if kind == "poly":
         return {"model": kind, "pickands": poly_to_json(model.pickands.poly)}
     return {"model": kind, **asdict(model)}
@@ -159,9 +154,7 @@ def model_to_json(model: ReferenceModel) -> dict:
 
 def model_from_json(obj: dict) -> ReferenceModel:
     """Parse the model JSON schema (alog | mix | poly): keys checked here, values by the model."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"model JSON must be a JSON object, got {type(obj).__name__}")
-    kind = obj.get("model")
+    kind = _check_type("model JSON", obj, dict).get("model")
     cls = _MODEL_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"model JSON: unknown model kind {kind!r}")
@@ -311,15 +304,14 @@ def _solve_conditional(kernel, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 class StudyConfig:
     """One Monte Carlo experiment: model, sizes, estimators, seed, grid.
 
-    A ``model`` that is not a reference model, an ``n``, ``replicates``,
-    ``m``, ``seed`` or ``grid`` that is not an integer, or is below 2, 1, 0,
-    0 or 2 respectively, raises a ValueError naming the field, as do
-    ``estimators`` that are not a list or tuple of distinct names from
-    full/sub/cfg (stored as a tuple), an ``optim`` that is neither None nor
-    an OptimConfig, and a ``ranks`` that is not a bool. ``optim`` gives the
-    multistart's ``starts`` and ``maxfev``. Each replicate's optimizer seeds
-    are split from the study's ``seed``, so an ``optim`` whose ``seed`` is
-    not the default 0 raises a ValueError naming ``optim.seed``.
+    Every field is checked by its type (``optim`` may be None), and a
+    ValueError names the first that fails: ``n``, ``replicates``, ``m``,
+    ``seed`` and ``grid`` must be at least 2, 1, 0, 0 and 2, and
+    ``estimators`` distinct names from full/sub/cfg (stored as a tuple).
+    ``optim`` gives the multistart's ``starts`` and ``maxfev``. Each
+    replicate's optimizer seeds are split from the study's ``seed``, so an
+    ``optim`` whose ``seed`` is not the default 0 raises a ValueError naming
+    ``optim.seed``.
     """
 
     model: ReferenceModel
@@ -333,24 +325,19 @@ class StudyConfig:
     ranks: bool = False  # fit on midrank pseudo-observations instead of true margins
 
     def __post_init__(self):
-        if not isinstance(self.model, ReferenceModel):
-            raise ValueError(f"model must be a reference model, got {self.model!r}")
+        _check_type("model", self.model, *_MODEL_KINDS.values())
         for name, low in (("n", 2), ("replicates", 1), ("m", 0), ("seed", 0), ("grid", 2)):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
-        est = self.estimators
-        if not isinstance(est, (str, list, tuple)) or not all(isinstance(e, str) for e in est):
-            raise ValueError(f"estimators must be a list or tuple of strings, got {est!r}")
-        if (isinstance(est, str) or not est or set(est) - {"full", "sub", "cfg"}
-                or len(set(est)) != len(est)):
+        est = tuple(_check_type(f"estimators[{i}]", e, str)
+                    for i, e in enumerate(_check_type("estimators", self.estimators, list, tuple)))
+        if not est or set(est) - {"full", "sub", "cfg"} or len(set(est)) != len(est):
             raise ValueError(f"estimators must be distinct names from full/sub/cfg, got {est!r}")
-        object.__setattr__(self, "estimators", tuple(est))
-        if self.optim is not None and not isinstance(self.optim, OptimConfig):
-            raise ValueError(f"optim must be None or an OptimConfig, got {self.optim!r}")
-        if self.optim is not None and self.optim.seed != OptimConfig.seed:
-            raise ValueError(f"optim.seed must be {OptimConfig.seed}, got {self.optim.seed!r}: each "
+        object.__setattr__(self, "estimators", est)
+        optim = _check_type("optim", self.optim, type(None), OptimConfig)
+        if optim is not None and optim.seed != OptimConfig.seed:
+            raise ValueError(f"optim.seed must be {OptimConfig.seed}, got {optim.seed!r}: each "
                              "replicate's optimizer seeds are split from the study's 'seed'")
-        if not isinstance(self.ranks, bool):
-            raise ValueError(f"ranks must be a bool, got {self.ranks!r}")
+        _check_type("ranks", self.ranks, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,6 +515,7 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
     group not yet returned.
     """
     t0 = time.perf_counter()
+    config = _check_type("config", config, StudyConfig)
     tasks = [(config, list(range(g, min(g + _GROUP, config.replicates))))
              for g in range(0, config.replicates, _GROUP)]
     results = [record for group in _pool_map(_study_group, tasks, _resolve_threads(threads))

@@ -20,11 +20,13 @@ from .bernstein import (
     BernsteinPoly,
     _branch_and_bound,
     _check_int,
+    _check_type,
     _elevated_blocks,
     _frozen,
     _real_array,
 )
-from .pickands import _CERTIFY_DEPTH, _SLACK, certify_nonnegative, endpoint_functionals
+from .pickands import (_CERTIFY_DEPTH, _SLACK, PiecewiseLinearPickands, certify_nonnegative,
+                       endpoint_functionals)
 
 
 @dataclass(frozen=True)
@@ -44,43 +46,6 @@ class SubmodelParam:
 
     def to_json(self) -> dict:
         return {"m": self.m, "c": [float(x) for x in self.c]}
-
-
-_GRID_TOL = 1e-10  # slack of PiecewiseLinearPickands' endpoint, slope and convexity checks
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearPickands:
-    """Piecewise-linear Pickands function through (knots, values).
-
-    Validates the grid Pickands conditions at construction: endpoint values
-    1, slopes nondecreasing, first slope >= -1 and last slope <= 1. Used both
-    for the A* characterization of submodel membership and as the CFG
-    estimator's return type.
-    """
-
-    knots: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        k = _real_array("knots", self.knots, min_size=2, finite=True)
-        v = _real_array("values", self.values, size=k.size, size_name="len(knots)", finite=True)
-        if np.any(np.diff(k) <= 0) or k[0] != 0.0 or k[-1] != 1.0:
-            raise ValueError("knots must increase strictly from 0 to 1")
-        if abs(v[0] - 1.0) > _GRID_TOL or abs(v[-1] - 1.0) > _GRID_TOL:
-            raise ValueError("endpoint values must equal 1")
-        slopes = np.diff(v) / np.diff(k)
-        if slopes[0] < -1.0 - _GRID_TOL or slopes[-1] > 1.0 + _GRID_TOL:
-            raise ValueError("endpoint slopes must lie in [-1, 1]")
-        if np.any(np.diff(slopes) < -_GRID_TOL):
-            raise ValueError("slopes must be nondecreasing (convexity)")
-        object.__setattr__(self, "knots", _frozen(k.copy()))
-        object.__setattr__(self, "values", _frozen(v.copy()))
-
-    def value(self, t):
-        t = _real_array("t", t, interval="[0, 1]")
-        out = np.interp(t, self.knots, self.values)
-        return float(out) if out.ndim == 0 else out
 
 
 def in_submodel_h(c) -> dict:
@@ -107,7 +72,7 @@ def in_submodel_a(A: BernsteinPoly) -> bool:
     Equivalent to the piecewise-linear interpolant A* of the coefficients
     being a Pickands function.
     """
-    m = A.degree
+    m = _check_type("A", A, BernsteinPoly).degree
     if m < 1:
         raise ValueError("in_submodel_a needs degree >= 1")
     try:
@@ -246,7 +211,7 @@ def lorentz_degree(h: BernsteinPoly, cap: int = 512) -> int | str:
     ValueError
         If cap is not an integer >= deg(h), or h is negative somewhere on [0,1].
     """
-    cap = _check_int("cap", cap, h.degree)
+    cap = _check_int("cap", cap, _check_type("h", h, BernsteinPoly).degree)
     report = certify_nonnegative(h)
     if not report.nonneg:
         raise ValueError(f"h is negative near t = {report.witness}")

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,13 @@ def test_power_poly_has_no_domain_limit():
     P = PowerPoly([1.0, 2.0])
     assert P(3) == 7.0 and P(np.int64(-1)) == -1.0
     assert np.array_equal(P([-1.5, 0.5, 10]), [-2.0, 2.0, 21.0])
+    # at +-inf the leading term wins; Horner started from zeros computed
+    # 0 * inf, giving nan and a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert P(np.inf) == np.inf and P(-np.inf) == -np.inf
+        assert np.array_equal(PowerPoly([1.0, 2.0, -3.0, 0.0])([-np.inf, np.inf]), [-np.inf, -np.inf])
+        assert PowerPoly([0.0, 0.0])(np.inf) == 0.0
 
 
 def test_abscissae_float_array_is_not_copied():

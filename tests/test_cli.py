@@ -323,7 +323,7 @@ def test_malformed_model_json_exits_1(tmp_path, capsys, command, extra, model, f
     pytest.param({"n": None}, "n must be an integer, got None", id="change2-'n'"),
     pytest.param({"replicates": "many"}, "replicates must be an integer, got 'many'",
                  id="change3-'replicates'"),
-    pytest.param({"estimators": 5}, "estimators must be a list or tuple of strings, got 5",
+    pytest.param({"estimators": 5}, "estimators must be a list or a tuple, got 5",
                  id="change4-'estimators'"),
     pytest.param({"seed": None}, "seed must be an integer, got None", id="change5-'seed'"),
     pytest.param({"n": 40.9}, "n must be an integer, got 40.9", id="change6-'n'"),
@@ -331,11 +331,9 @@ def test_malformed_model_json_exits_1(tmp_path, capsys, command, extra, model, f
     pytest.param({"grid": 11.0}, "grid must be an integer, got 11.0", id="change8-'grid'"),
     pytest.param({"ranks": "false"}, "ranks must be a bool, got 'false'", id="change9-'ranks'"),
     pytest.param({"ranks": 0}, "ranks must be a bool, got 0", id="change10-'ranks'"),
-    pytest.param({"estimators": "full"},
-                 "estimators must be distinct names from full/sub/cfg, got 'full'",
+    pytest.param({"estimators": "full"}, "estimators must be a list or a tuple, got 'full'",
                  id="change11-'estimators'"),
-    pytest.param({"estimators": ["cfg", 1]},
-                 "estimators must be a list or tuple of strings, got ['cfg', 1]",
+    pytest.param({"estimators": ["cfg", 1]}, "estimators[1] must be a str, got 1",
                  id="change12-'estimators'"),
     ({"estimators": ["cfg", "cfg"]}, "estimators must be distinct"),
     ({"estimator": ["cfg"], "sed": 4},
@@ -566,7 +564,7 @@ def test_non_number_polynomial_coefficient_exits_1(tmp_path, capsys, command, co
                  "unknown polynomial JSON keys ['scale']; expected a subset of "
                  "['basis', 'coeffs', 'degree']", id="unknown-key"),
     pytest.param([1, 2], "polynomial JSON must be a JSON object, got list", id="list"),
-    pytest.param("bernstein", "polynomial JSON must be a JSON object, got str", id="string"),
+    pytest.param("bernstein", "polynomial JSON must be a JSON object, got 'bernstein'", id="string"),
     pytest.param({"basis": "bernstein", "coeffs": [1.0, 0.75, 1.0]},
                  "polynomial JSON is missing the required keys ['degree']", id="missing-key"),
 ])

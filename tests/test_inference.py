@@ -132,9 +132,10 @@ def test_density_and_loglik_reject_piecewise_linear_estimate():
     data = sample_copula(MIX_MODEL, 60, 4)
     est = fit_cfg(data).estimate
     assert isinstance(est, PiecewiseLinearPickands)
-    with pytest.raises(TypeError, match="PiecewiseLinearPickands"):
+    message = "^A must be a PickandsPoly or a GenericPickands, got PiecewiseLinearPickands$"
+    with pytest.raises(ValueError, match=message):
         log_likelihood(est, data)
-    with pytest.raises(TypeError, match="PiecewiseLinearPickands"):
+    with pytest.raises(ValueError, match=message):
         copula_density(est, 0.3, 0.6)
 
 
@@ -175,6 +176,13 @@ def test_gcm_examples():
     assert np.allclose(greatest_convex_minorant(convex), convex, atol=1e-14)
     vals = greatest_convex_minorant(np.array([1.0, 0.75, 1.0, 0.75, 1.0]))
     assert np.allclose(vals, [1.0, 0.75, 0.75, 0.75, 1.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("knots", [[0.0, 1.0, 0.5], [0.0, 0.5, 0.5], [1.0, 0.5, 0.0]])
+def test_gcm_knots_must_increase(knots):
+    # the sweep assumes increasing knots: [0, 1, 0.5] gave [1.0, 1.0, 0.75]
+    with pytest.raises(ValueError, match=r"^knots must increase strictly, got \["):
+        greatest_convex_minorant([1.0, 0.5, 1.0], knots)
 
 
 def test_gcm_against_bruteforce(rng):

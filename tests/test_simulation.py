@@ -600,7 +600,9 @@ def test_study_config_rejects_optim_seed(seed):
 
 @pytest.mark.parametrize("estimators", [("full", "full"), ("sub", "cfg", "sub"), "full", ()])
 def test_study_config_rejects_bad_estimators(estimators):
-    with pytest.raises(ValueError, match="^estimators must be distinct names"):
+    # a lone string is not a list or tuple of names
+    rule = "a list or a tuple" if isinstance(estimators, str) else "distinct names"
+    with pytest.raises(ValueError, match=f"^estimators must be {rule}"):
         StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0, estimators=estimators)
 
 
@@ -620,8 +622,8 @@ def test_study_config_rejects_non_optimconfig_optim(optim):
 
 @pytest.mark.parametrize("estimators", [5, None, [["full"]], ("full", 1), {"full"}, b"cfg"])
 def test_study_config_rejects_non_string_estimators(estimators):
-    # these used to raise a TypeError, or pass as a set
-    with pytest.raises(ValueError, match="^estimators must be a list or tuple of strings, got "):
+    # these used to raise a TypeError, or pass as a set; an entry is named by its index
+    with pytest.raises(ValueError, match=r"^estimators(\[[01]\])? must be a (list or a tuple|str), got "):
         StudyConfig(model=MIX_MODEL, n=30, replicates=2, m=0, estimators=estimators)
 
 
@@ -634,7 +636,8 @@ def test_study_config_accepts_a_list_of_estimators():
 
 @pytest.mark.parametrize("model", [None, {"model": "mix", "psi": 0.9}, model_pickands(MIX_MODEL)])
 def test_study_config_rejects_a_model_that_is_not_a_reference_model(model):
-    with pytest.raises(ValueError, match="^model must be a reference model, got "):
+    with pytest.raises(ValueError, match="^model must be an AsymmetricLogistic or a SymmetricMixed or "
+                                         "a PolynomialModel, got "):
         StudyConfig(model=model, n=30, replicates=2, m=0, estimators=("cfg",))
 
 
@@ -757,7 +760,7 @@ def test_model_to_json_schema():
     assert model_to_json(POLY_MODEL) == {
         "model": "poly", "pickands": {"basis": "bernstein", "degree": 4,
                                       "coeffs": POLY_MODEL.pickands.poly.coeffs.tolist()}}
-    with pytest.raises(TypeError, match="unknown reference model"):
+    with pytest.raises(ValueError, match="^model must be an AsymmetricLogistic .*, got 0.9$"):
         model_to_json(MIX_MODEL.psi)
 
 
