@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bernstein import _MATRIX_CACHE, BernsteinPoly, _check_int, _check_type, _frozen, _real_array
-from .pickands import _SLACK, PickandsPoly, a_from_h, endpoint_functionals
+from .pickands import _SLACK, PickandsPoly, _cap_weights, _caps, a_from_h
 
 
 class InfeasibleThetaError(ValueError):
@@ -97,9 +97,7 @@ def coefficient_tensor(m: int) -> np.ndarray:
 def form_matrices(m: int) -> tuple[np.ndarray, np.ndarray]:
     """(Q0, Q1) with int (1-w) h_theta = theta^T Q0 theta, int w h_theta = theta^T Q1 theta."""
     T = coefficient_tensor(m)
-    y = (np.arange(m + 1) + 1.0) / (m + 2)
-    return (_frozen(np.tensordot(1.0 - y, T, axes=(0, 0)) / (m + 1)),
-            _frozen(np.tensordot(y, T, axes=(0, 0)) / (m + 1)))
+    return tuple(_frozen(np.tensordot(w, T, axes=(0, 0)) / (m + 1)) for w in _cap_weights(m))
 
 
 def theta_to_h(param: FullModelParam) -> BernsteinPoly:
@@ -125,11 +123,8 @@ def feasibility(param: FullModelParam) -> Feasibility:
     m = 0 the parameter is the value of h itself, so theta >= 0 is required
     as well (Theta_0 = [0, 2]).
     """
-    h = theta_to_h(param)
-    q0, q1 = endpoint_functionals(h)
-    ok = q0 <= 1.0 + _SLACK and q1 <= 1.0 + _SLACK
-    if param.m == 0:
-        ok = ok and param.theta[0] >= -_SLACK
+    (q0, q1), over = _caps(theta_to_h(param).coeffs)
+    ok = not over and (param.m > 0 or param.theta[0] >= -_SLACK)
     return Feasibility(bool(ok), q0, q1)
 
 

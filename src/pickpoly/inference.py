@@ -54,6 +54,7 @@ from .pickands import (
     PickandsPoly,
     PiecewiseLinearPickands,
     _a_coeffs,
+    _cap_weights,
     _density_brace,
     a_from_h,
     a_from_h_matrix,
@@ -636,7 +637,7 @@ def _mles(loglik: _LogLik, config: OptimConfig, seeds, full: bool) -> list[FitRe
     scored.
     """
     m = loglik.m
-    W = _cap_weights(m)
+    W = _cap_weights(m) / (m + 1)  # int (1-w) h = W[0] . c, int w h = W[1] . c
     spawn = 0 if full else 1
     rngs = (np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(spawn,)))
             for seed in seeds)
@@ -695,12 +696,6 @@ def _canonical_sign(theta: np.ndarray, m: int) -> np.ndarray:
         first = seg[np.arange(seg.shape[0]), np.argmax(seg != 0.0, axis=1)]
         seg[first < 0.0] *= -1.0
     return theta
-
-
-def _cap_weights(m: int) -> np.ndarray:
-    # rows w0, w1 with int (1-w) h = w0 . c and int w h = w1 . c
-    y = (np.arange(m + 1) + 1.0) / (m + 2)
-    return np.stack([1.0 - y, y]) / (m + 1)
 
 
 def _polytope_starts(m: int, rng: np.random.Generator, count: int, W: np.ndarray) -> np.ndarray:

@@ -40,9 +40,9 @@ from .bernstein import (
 )
 
 # The slack of every constraint check: a coefficient or value of h = A'' may
-# dip to -_SLACK, an endpoint-derivative functional may reach 1 + _SLACK, and
-# A may leave [V, 1] or A'(0), A'(1) their bounds by _SLACK. It bounds both
-# parameter spaces, Theta_m and the Bernstein polytope.
+# dip to -_SLACK, an endpoint-derivative functional of h may reach 1 + _SLACK
+# (decided by _caps alone, on the h of A for A's checks), and A may leave
+# [V, 1] by _SLACK. It bounds the Pickands polynomials, Theta_m and the polytope.
 _SLACK = 1e-12
 
 
@@ -98,29 +98,34 @@ def certify_nonnegative(P: BernsteinPoly) -> NonnegReport:
     return NonnegReport(True, None, splits)
 
 
+def _snapped(c: np.ndarray) -> np.ndarray:
+    # a copy of A's coefficients, each endpoint within 1e-9 of 1 read as exactly 1
+    c = c.copy()
+    for k in (0, -1):
+        if abs(c[k] - 1.0) <= _ENDPOINT_TOL:
+            c[k] = 1.0
+    return c
+
+
 def validate_pickands(P: BernsteinPoly) -> dict:
     """Classify a Bernstein polynomial as Pickands function or not.
 
-    Checks the endpoint conditions on the first/last two coefficients and
-    convexity through a certified sign decision on A''. Never raises: every
-    input is classified, and failed rules come with a witness (coefficient
-    index or abscissa).
+    Checks the endpoint values A(0) = A(1) = 1 (to 1e-9, then read as 1),
+    then on h = A'' the caps int (1-w) h = -A'(0) <= 1 and int w h = A'(1)
+    <= 1 (witnesses 1 and m2 - 1) and convexity through a certified sign
+    decision. Never raises: every input is classified, and failed rules
+    come with a witness (coefficient index or abscissa).
     """
-    c = _check_type("P", P, BernsteinPoly).coeffs
+    c = _snapped(_check_type("P", P, BernsteinPoly).coeffs)
     m2 = P.degree
-    violations: list[dict] = []
-    for k in sorted({0, m2}):
-        if abs(c[k] - 1.0) > _ENDPOINT_TOL:
-            violations.append({"rule": "endpoint_value", "witness": k})
+    violations = [{"rule": "endpoint_value", "witness": k} for k in sorted({0, m2}) if c[k] != 1.0]
     if m2 < 2:
         return {"valid": not violations, "violations": violations}
-    floor = (m2 - 1) / m2  # (m+1)/(m+2) with representation degree m2 = m+2
-    if c[1] < floor - _SLACK:
-        violations.append({"rule": "endpoint_derivative", "witness": 1})
-    if m2 - 1 != 1 and c[m2 - 1] < floor - _SLACK:
-        violations.append({"rule": "endpoint_derivative", "witness": m2 - 1})
+    h = h_from_a(BernsteinPoly(c))
+    violations += [{"rule": "endpoint_derivative", "witness": k}
+                   for k in sorted({(1, m2 - 1)[j] for j in _caps(h.coeffs)[1]})]
     try:
-        report = certify_nonnegative(h_from_a(P))
+        report = certify_nonnegative(h)
         if not report.nonneg:
             violations.append({"rule": "convexity", "witness": report.witness})
     except CertificateInconclusiveError:
@@ -141,13 +146,10 @@ class PickandsPoly:
     poly: BernsteinPoly
 
     def __post_init__(self):
-        c = _check_type("poly", self.poly, BernsteinPoly).coeffs.copy()
+        c = _check_type("poly", self.poly, BernsteinPoly).coeffs
         if c.size < 3:
             raise ValueError("PickandsPoly needs degree >= 2; A == 1 is degree-2 [1,1,1]")
-        for k in (0, c.size - 1):
-            if abs(c[k] - 1.0) <= _ENDPOINT_TOL:
-                c[k] = 1.0
-        snapped = BernsteinPoly(c)
+        snapped = BernsteinPoly(_snapped(c))
         report = validate_pickands(snapped)
         if not report["valid"]:
             raise ValueError(f"not a Pickands function: {report['violations']}")
@@ -170,11 +172,11 @@ class GenericPickands:
     """Pickands function given by one callable fn(t) -> (A, A', A''), its one field.
 
     Used for non-polynomial models (e.g. the asymmetric logistic family).
-    fn maps an array of t to three arrays of its shape (else a ValueError).
-    Construction checks A(0) = A(1) = 1 and V <= A <= 1 on a 1001-point
-    grid to 1e-12. Derivatives are only required on (0, 1). The function
-    is known by its callable alone: ``comonotone()`` is V because its fn
-    is the module's V callable, whatever values another fn gives.
+    fn maps an array of t to a tuple or list of three arrays of its shape
+    (else a ValueError naming ``fn(t)``). Construction checks A(0) = A(1) = 1
+    and V <= A <= 1 on a 1001-point grid to 1e-12; derivatives are only
+    required on (0, 1). The function is known by its callable alone, so
+    ``comonotone()`` (the module's V callable) is V whatever another fn gives.
     """
 
     fn: Callable
@@ -196,8 +198,10 @@ class GenericPickands:
 
     def kernel(self, t: np.ndarray):
         """(A, A', A'') at a 1-d array t in [0, 1] (unchecked): one call of fn."""
-        a, d1, d2 = (_real_array("fn(t)", x, size=t.size, size_name="len(t)") for x in self.fn(t))
-        return a, d1, d2
+        out = _check_type("fn(t)", self.fn(t), tuple, list)
+        if len(out) != 3:
+            raise ValueError(f"fn(t) must be the 3 arrays (A, A', A''), got {len(out)} entries")
+        return tuple(_real_array("fn(t)", x, size=t.size, size_name="len(t)") for x in out)
 
 
 _GRID_TOL = 1e-10  # slack of PiecewiseLinearPickands' endpoint, slope and convexity checks
@@ -208,9 +212,9 @@ class PiecewiseLinearPickands:
     """Piecewise-linear Pickands function through (knots, values).
 
     Validates the grid Pickands conditions at construction: endpoint values
-    1, slopes nondecreasing, first slope >= -1 and last slope <= 1. Used both
-    for the A* characterization of submodel membership and as the CFG
-    estimator's return type. Its A'' is a measure, so it has no ``kernel``.
+    1, slopes nondecreasing, first slope >= -1 and last slope <= 1, each to
+    1e-10. The CFG estimator's return type. Its A'' is a measure, so it has
+    no ``kernel``.
     """
 
     knots: np.ndarray
@@ -261,15 +265,23 @@ def independence() -> GenericPickands:
 
 
 @lru_cache(maxsize=_MATRIX_CACHE)
+def _cap_weights(m: int) -> np.ndarray:
+    # rows 1 - y and y, y_k = (k+1)/(m+2): int (1-w) h and int w h are their
+    # dot products with h's m + 1 Bernstein coefficients, over m + 1
+    y = (np.arange(m + 1) + 1.0) / (m + 2)
+    return _frozen(np.stack([1.0 - y, y]))
+
+
+@lru_cache(maxsize=_MATRIX_CACHE)
 def a_from_h_matrix(m: int) -> np.ndarray:
     """Kernel matrix K with A-coeffs = 1 - (K @ h-coeffs) / (m + 1).
 
-    K[k, j] = min{(1 - k/(m+2)) (j+1)/(m+2), (k/(m+2)) (1 - (j+1)/(m+2))},
+    K[k, j] = min{(1 - k/(m+2)) y_j, (k/(m+2)) (1 - y_j)}, y_j = (j+1)/(m+2),
     k = 0..m+2, j = 0..m.
     """
     k = np.arange(m + 3)[:, None] / (m + 2)
-    y = (np.arange(m + 1)[None, :] + 1.0) / (m + 2)
-    return _frozen(np.minimum((1.0 - k) * y, k * (1.0 - y)))
+    w0, w1 = _cap_weights(m)
+    return _frozen(np.minimum((1.0 - k) * w1, k * w0))
 
 
 def a_from_h(h: BernsteinPoly) -> BernsteinPoly:
@@ -304,16 +316,19 @@ def h_from_a(A: BernsteinPoly) -> BernsteinPoly:
     return BernsteinPoly(d * (d - 1) * np.diff(A.coeffs, n=2))
 
 
-def endpoint_functionals(h: BernsteinPoly) -> tuple[float, float]:
-    """(int (1-w) h, int w h) via the exact Bernstein coefficient sums.
+def _caps(c: np.ndarray) -> tuple[tuple[float, float], list[int]]:
+    # (int (1-w) h, int w h) of the h with Bernstein coefficients c, and the caps
+    # q <= 1 + _SLACK they break (0 left, 1 right): the one cap decision for A, h, c and theta
+    m = c.size - 1
+    w0, w1 = _cap_weights(m)
+    q = (float(np.dot(w0, c) / (m + 1)), float(np.dot(w1, c) / (m + 1)))
+    return q, [j for j in (0, 1) if q[j] > 1.0 + _SLACK]
 
-    These equal -A'(0) and A'(1) of the associated Pickands function.
-    """
-    m = _check_type("h", h, BernsteinPoly).degree
-    y = (np.arange(m + 1) + 1.0) / (m + 2)
-    q0 = float(np.dot(1.0 - y, h.coeffs) / (m + 1))
-    q1 = float(np.dot(y, h.coeffs) / (m + 1))
-    return q0, q1
+
+def endpoint_functionals(h: BernsteinPoly) -> tuple[float, float]:
+    """(int (1-w) h, int w h), that is -A'(0) and A'(1) of the associated
+    Pickands function, via the exact Bernstein coefficient sums."""
+    return _caps(_check_type("h", h, BernsteinPoly).coeffs)[0]
 
 
 @dataclass(frozen=True)
@@ -340,11 +355,9 @@ def spectral_measure(h: BernsteinPoly) -> SpectralDensity:
     report = certify_nonnegative(_check_type("h", h, BernsteinPoly))
     if not report.nonneg:
         raise ValueError(f"h is negative near t = {report.witness}")
-    q0, q1 = endpoint_functionals(h)
-    if q0 > 1.0 + _SLACK:
-        raise NotSpectralDensityError("int (1-w) h", q0)
-    if q1 > 1.0 + _SLACK:
-        raise NotSpectralDensityError("int w h", q1)
+    (q0, q1), over = _caps(h.coeffs)
+    if over:
+        raise NotSpectralDensityError(("int (1-w) h", "int w h")[over[0]], (q0, q1)[over[0]])
     return SpectralDensity(
         h=h,
         left_deriv=q0,

@@ -25,8 +25,8 @@ from .bernstein import (
     _frozen,
     _real_array,
 )
-from .pickands import (_CERTIFY_DEPTH, _SLACK, PiecewiseLinearPickands, certify_nonnegative,
-                       endpoint_functionals)
+from .pickands import (_CERTIFY_DEPTH, _SLACK, _caps, _snapped, certify_nonnegative,
+                       h_from_a)
 
 
 @dataclass(frozen=True)
@@ -55,31 +55,27 @@ def in_submodel_h(c) -> dict:
     are <= 1, all with 1e-12 slack; violations name the failing constraint.
     """
     c = _real_array("c", c, min_size=1, finite=True)
-    violations: list[dict] = []
-    for k in np.nonzero(c < -_SLACK)[0]:
-        violations.append({"rule": "negative_coefficient", "witness": int(k)})
-    q0, q1 = endpoint_functionals(BernsteinPoly(c))
-    if q0 > 1.0 + _SLACK:
-        violations.append({"rule": "boundary_sum_left", "witness": q0})
-    if q1 > 1.0 + _SLACK:
-        violations.append({"rule": "boundary_sum_right", "witness": q1})
+    violations = [{"rule": "negative_coefficient", "witness": int(k)} for k in np.nonzero(c < -_SLACK)[0]]
+    q, over = _caps(c)
+    violations += [{"rule": ("boundary_sum_left", "boundary_sum_right")[j], "witness": q[j]} for j in over]
     return {"member": not violations, "violations": violations}
 
 
 def in_submodel_a(A: BernsteinPoly) -> bool:
     """Whether A is the Bernstein approximation of some Pickands function.
 
-    Equivalent to the piecewise-linear interpolant A* of the coefficients
-    being a Pickands function.
+    The paper's criterion, that the piecewise-linear interpolant A* of the
+    coefficients is a Pickands function, decided through h = A'': A*'s
+    slope changes are positive multiples of h's coefficients and its end
+    slopes are -int (1-w) h and int w h, so A is in when its endpoint values
+    are 1 (to 1e-9, as in ``validate_pickands``) and ``in_submodel_h(h_from_a(A))``.
     """
     m = _check_type("A", A, BernsteinPoly).degree
     if m < 1:
         raise ValueError("in_submodel_a needs degree >= 1")
-    try:
-        PiecewiseLinearPickands(np.arange(m + 1) / m, A.coeffs)
-    except ValueError:
-        return False
-    return True
+    c = _snapped(A.coeffs)
+    return bool(c[0] == c[-1] == 1.0) and (
+        m == 1 or in_submodel_h(h_from_a(BernsteinPoly(c)).coeffs)["member"])
 
 
 def _deflate_left(c: np.ndarray) -> np.ndarray:

@@ -36,11 +36,11 @@ from pickpoly import (
 from pickpoly.full_model import _sampling_box, form_matrices
 from pickpoly.inference import (
     _FTOL,
-    _cap_weights,
     _LogLik,
     _polytope_starts,
     greatest_convex_minorant,
 )
+from pickpoly.pickands import _cap_weights
 
 # The quartic model: A = 1 - (83/180)t + t^2 - (7/9)t^3 + (43/180)t^4,
 # whose second derivative has Bernstein coefficients [2, -1/3, 1/5].
@@ -537,7 +537,7 @@ def slsqp_multistart_loglik(data, m: int, config, model: str) -> float:
         problem = {"constraints": {"type": "ineq", "fun": lambda th: 1.0 - (Q @ th) @ th,
                                    "jac": lambda th: -2.0 * (Q @ th)}}
     else:
-        W = _cap_weights(m)
+        W = _cap_weights(m) / (m + 1)
         starts = (sample_feasible(0, rng, config.starts) if model == "full"
                   else _polytope_starts(m, rng, config.starts, W))
         fun = _row_objective(engine.objective)

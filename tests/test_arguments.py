@@ -413,6 +413,15 @@ def test_any_object_in_one_object_argument_runs_or_names_it(case):
     pytest.param(lambda: model_to_json(0.9), "model must be an AsymmetricLogistic or a SymmetricMixed "
                  "or a PolynomialModel, got 0.9", id="model-to-json-float"),
     pytest.param(lambda: bernstein_approx(None, 3), "f must be a Callable, got None", id="approx-none"),
+    pytest.param(lambda: GenericPickands(lambda t: None), "fn(t) must be a tuple or a list, got None",
+                 id="generic-none"),
+    pytest.param(lambda: GenericPickands(lambda t: 3.0), "fn(t) must be a tuple or a list, got 3.0",
+                 id="generic-float"),
+    # each raised an unpacking ValueError
+    pytest.param(lambda: GenericPickands(lambda t: (t, t)),
+                 "fn(t) must be the 3 arrays (A, A', A''), got 2 entries", id="generic-two"),
+    pytest.param(lambda: GenericPickands(lambda t: (t, t, t, t)),
+                 "fn(t) must be the 3 arrays (A, A', A''), got 4 entries", id="generic-four"),
 ])
 def test_type_rule_names_the_argument(call, message):
     with pytest.raises(ValueError) as info:

@@ -23,7 +23,9 @@ from pickpoly import (
     FullModelParam,
     PiecewiseLinearPickands,
     SubmodelParam,
+    a_from_h,
     bernstein_approx,
+    endpoint_functionals,
     h_from_a,
     in_submodel_a,
     in_submodel_h,
@@ -263,6 +265,23 @@ def test_membership_equivalence_a_vs_h(rng):
             c[0] = c[-1] = 1.0
             A = BernsteinPoly(c)
             assert in_submodel_a(A) == in_submodel_h(h_from_a(A).coeffs)["member"]
+    # at the slack boundary: a member h with one cap or one coefficient moved
+    # to 5e-12 or 5e-11 either side of its threshold (1 + 1e-12 or -1e-12);
+    # coefficients decreasing (increasing) make the left (right) cap the larger
+    for m in (1, 2, 4):
+        for rule in ("left", "right", "coefficient"):
+            for offset in (-5e-11, -5e-12, 5e-12, 5e-11):
+                c = np.sort(rng.uniform(0.0, 1.0, size=m + 1))[::-1 if rule == "left" else 1].copy()
+                q = endpoint_functionals(BernsteinPoly(c))
+                if rule == "coefficient":
+                    c = 0.9 * c / max(q)
+                    c[m // 2] = -1e-12 + offset
+                else:
+                    c = c * (1.0 + 1e-12 + offset) / q[rule == "right"]
+                member = offset < 0 if rule != "coefficient" else offset > 0
+                assert in_submodel_h(c)["member"] == member
+                A = a_from_h(BernsteinPoly(c))
+                assert in_submodel_a(A) == in_submodel_h(h_from_a(A).coeffs)["member"] == member
 
 
 def test_polytope_members_are_valid_pickands(rng):
