@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import MISSING, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -216,39 +217,39 @@ class UsageError(Exception):
     pass
 
 
+@lru_cache(maxsize=1)  # one parser per process, however often main runs
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pickpoly",
                                      description="Polynomial Pickands functions toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, help_):
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         return p
 
-    p = add("validate", _cmd_validate, "classify a polynomial as Pickands function or not")
+    p = add("validate", "classify a polynomial as Pickands function or not")
     p.add_argument("--in", dest="infile", required=True, help="polynomial JSON")
 
-    p = add("convert", _cmd_convert, "change polynomial basis / elevate degree")
+    p = add("convert", "change polynomial basis / elevate degree")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--to", choices=["bernstein", "power"], default=None,
                    help="target basis (default: the other one)")
     p.add_argument("--m", type=int, default=None, help="target Bernstein degree")
 
-    p = add("lorentz", _cmd_lorentz, "Lorentz degree of a nonnegative polynomial")
+    p = add("lorentz", "Lorentz degree of a nonnegative polynomial")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--cap", type=int, default=512)
 
-    p = add("measures", _cmd_measures, "dependence measures tau1, tau2")
+    p = add("measures", "dependence measures tau1, tau2")
     p.add_argument("--in", dest="infile", required=True)
 
-    p = add("simulate", _cmd_simulate, "draw a sample from an extreme-value copula")
+    p = add("simulate", "draw a sample from an extreme-value copula")
     p.add_argument("--model", required=True, help="model JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
 
-    p = add("fit", _cmd_fit, "fit a Pickands function to u,v data")
+    p = add("fit", "fit a Pickands function to u,v data")
     p.add_argument("--in", dest="infile", required=True, help='CSV with header "u,v"')
     p.add_argument("--model", choices=["full", "sub", "cfg"], required=True)
     p.add_argument("--m", type=int, default=None)
@@ -257,11 +258,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=1001)
     p.add_argument("--ranks", action="store_true", help="use midrank pseudo-observations")
 
-    p = add("study", _cmd_study, "run a Monte Carlo MSE study")
+    p = add("study", "run a Monte Carlo MSE study")
     p.add_argument("--in", dest="infile", required=True, help="StudyConfig JSON")
     p.add_argument("--csv", default=None, help="also write per-abscissa curves CSV here")
 
-    p = add("bound", _cmd_bound, "Bernstein approximation error and bound at t")
+    p = add("bound", "Bernstein approximation error and bound at t")
     p.add_argument("--model", required=True, help='model JSON (or {"model":"comonotone"})')
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
@@ -270,10 +271,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # the command's function by name at each call, so a rebound _cmd_* is the one run
+        return globals()[f"_cmd_{args.command}"](args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2

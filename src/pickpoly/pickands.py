@@ -39,10 +39,10 @@ from .bernstein import (
     evaluate,
 )
 
-# The slack of every constraint check: a coefficient or value of h = A'' may
-# dip to -_SLACK, an endpoint-derivative functional of h may reach 1 + _SLACK
-# (decided by _caps alone, on the h of A for A's checks), and A may leave
-# [V, 1] by _SLACK. It bounds the Pickands polynomials, Theta_m and the polytope.
+# The slack of every constraint check: a coefficient or value of h = A'' may dip
+# to -_SLACK (in in_submodel_a, or by h_from_a's rounding bound), an endpoint-derivative
+# functional of h may reach 1 + _SLACK (decided by _caps alone, on the h of A for A's
+# checks), and A may leave [V, 1] by _SLACK. It bounds the Pickands polynomials, Theta_m and the polytope.
 _SLACK = 1e-12
 
 
@@ -255,13 +255,9 @@ def comonotone() -> GenericPickands:
     return GenericPickands(_comonotone)
 
 
-def _independence(t):
-    return np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
-
-
-def independence() -> GenericPickands:
-    """The independence Pickands function A == 1 (copula u*v)."""
-    return GenericPickands(_independence)
+def independence() -> PickandsPoly:
+    """The independence Pickands function A == 1 (copula u*v), the degree-2 [1, 1, 1]."""
+    return PickandsPoly(BernsteinPoly([1.0, 1.0, 1.0]))
 
 
 @lru_cache(maxsize=_MATRIX_CACHE)

@@ -24,6 +24,7 @@ from typing import Union
 import numpy as np
 
 from .bernstein import (
+    BernsteinPoly,
     PowerPoly,
     _check_int,
     _check_keys,
@@ -103,35 +104,39 @@ _MODEL_KINDS = {"alog": AsymmetricLogistic, "mix": SymmetricMixed, "poly": Polyn
 def model_pickands(model: ReferenceModel) -> PickandsPoly | GenericPickands:
     """The model's Pickands function, with ``value`` and ``kernel`` (A, A', A'').
 
-    A PolynomialModel gives its own PickandsPoly; the other models give a
-    GenericPickands of one closed-form function returning (A, A', A'').
+    A PolynomialModel gives its own PickandsPoly, SymmetricMixed(psi) the
+    PickandsPoly [1, 1 - psi/2, 1]. The asymmetric logistic, with r = 1/alpha
+    and g = (psi1 t)^r + {psi2 (1-t)}^r, is ``independence()`` if alpha = 1 or
+    a psi is 0, else the GenericPickands of A = (1-psi1) t + (1-psi2)(1-t) +
+    g^alpha, A' = psi2 - psi1 + g^alpha (p1 - p2), A'' = (r-1) g^alpha q, with
+    p1 = (psi1 t)^r / (g t), p2 = {psi2 (1-t)}^r / (g (1-t)), q = p1 p2 / (t (1-t)),
+    each the exp of a sum of logs (0 * -inf read as 0), and g^alpha =
+    max(psi1 t, psi2 (1-t)) (1 + rho)^alpha, rho <= 1 the ratio of g's terms:
+    nothing leaves the float range or is 0/0 at t in {0, 1}, where A is 1.
     """
     if isinstance(_check_type("model", model, *_MODEL_KINDS.values()), SymmetricMixed):
-        psi = model.psi
-
-        def mix(t):
-            return 1.0 - psi * t + psi * t * t, psi * (2.0 * t - 1.0), np.full_like(t, 2.0 * psi)
-
-        return GenericPickands(mix)
+        return PickandsPoly(BernsteinPoly([1.0, 1.0 - model.psi / 2.0, 1.0]))
     if isinstance(model, PolynomialModel):
         return model.pickands
     alpha, psi1, psi2 = model.alpha, model.psi1, model.psi2
     if alpha == 1.0 or psi1 == 0.0 or psi2 == 0.0:
-        return independence()  # the bracket collapses to a linear term: A == 1
-    r = 1.0 / alpha
-    c1, c2 = psi1**r, psi2**r
+        return independence()
+    r, log_psi1, log_psi2 = 1.0 / alpha, np.log(psi1), np.log(psi2)
 
     def alog(t):
-        # for alpha > 1/2, t**(r - 2) divides by zero at t in {0, 1}:
-        # A'' is infinite there and is only read on (0, 1)
-        with np.errstate(divide="ignore"):
-            g = c1 * t**r + c2 * (1.0 - t) ** r
-            dg = r * (c1 * t ** (r - 1.0) - c2 * (1.0 - t) ** (r - 1.0))
-            d2g = r * (r - 1.0) * (c1 * t ** (r - 2.0) + c2 * (1.0 - t) ** (r - 2.0))
-            return ((1.0 - psi1) * t + (1.0 - psi2) * (1.0 - t) + g**alpha,
-                    (psi2 - psi1) + alpha * g ** (alpha - 1.0) * dg,
-                    alpha * (alpha - 1.0) * g ** (alpha - 2.0) * dg**2
-                    + alpha * g ** (alpha - 1.0) * d2g)
+        with np.errstate(divide="ignore"):  # log 0 = -inf at t in {0, 1}
+            log_t, log_s = np.log(t), np.log1p(-t)
+        l1, l2 = log_psi1 + log_t, log_psi2 + log_s
+        top = np.maximum(l1, l2)
+        log1p_rho = np.log1p(np.exp(r * (np.minimum(l1, l2) - top)))
+        log_g = r * top + log1p_rho
+        g_alpha = np.maximum(psi1 * t, psi2 * (1.0 - t)) * np.exp(alpha * log1p_rho)
+        p1 = np.exp(r * log_psi1 + (r - 1.0) * log_t - log_g)
+        p2 = np.exp(r * log_psi2 + (r - 1.0) * log_s - log_g)
+        log_ts = (r - 2.0) * (log_t + log_s) if r != 2.0 else 0.0
+        q = np.exp(r * (log_psi1 + log_psi2) + log_ts - 2.0 * log_g)
+        return ((1.0 - psi1) * t + (1.0 - psi2) * (1.0 - t) + g_alpha,
+                (psi2 - psi1) + g_alpha * (p1 - p2), (r - 1.0) * g_alpha * q)
 
     return GenericPickands(alog)
 
@@ -543,14 +548,6 @@ def run_study(config: StudyConfig, threads: int | None = None) -> StudyReport:
         logliks[est] = np.array([results[r][est]["loglik"] for r in range(config.replicates)])
         excluded[est] = len(fails)
         failures[est] = fails
-    return StudyReport(
-        abscissae=tgrid,
-        truth=truth,
-        mse=mse,
-        variance=variance,
-        bias_sq=bias_sq,
-        logliks=logliks,
-        excluded=excluded,
-        failures=failures,
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return StudyReport(abscissae=tgrid, truth=truth, mse=mse, variance=variance, bias_sq=bias_sq,
+                       logliks=logliks, excluded=excluded, failures=failures,
+                       runtime_seconds=time.perf_counter() - t0)

@@ -68,14 +68,18 @@ def in_submodel_a(A: BernsteinPoly) -> bool:
     coefficients is a Pickands function, decided through h = A'': A*'s
     slope changes are positive multiples of h's coefficients and its end
     slopes are -int (1-w) h and int w h, so A is in when its endpoint values
-    are 1 (to 1e-9, as in ``validate_pickands``) and ``in_submodel_h(h_from_a(A))``.
+    are 1 (to 1e-9, as in ``validate_pickands``) and h = ``h_from_a(A)`` is
+    in the polytope as ``in_submodel_h`` decides it, but for the coefficient
+    slack: h_from_a multiplies A's rounding by d(d-1), d = deg A, so each
+    coefficient of h may dip to -max(1e-12, 4 d(d-1) eps max|A|).
     """
-    m = _check_type("A", A, BernsteinPoly).degree
-    if m < 1:
+    d = _check_type("A", A, BernsteinPoly).degree
+    if d < 1:
         raise ValueError("in_submodel_a needs degree >= 1")
     c = _snapped(A.coeffs)
-    return bool(c[0] == c[-1] == 1.0) and (
-        m == 1 or in_submodel_h(h_from_a(BernsteinPoly(c)).coeffs)["member"])
+    h = h_from_a(BernsteinPoly(c)).coeffs if d > 1 else np.zeros(1)  # a line: no h to check
+    slack = max(_SLACK, 4.0 * d * (d - 1) * np.finfo(float).eps * np.max(np.abs(c)))
+    return bool(c[0] == c[-1] == 1.0 and np.all(h >= -slack)) and not _caps(h)[1]
 
 
 def _deflate_left(c: np.ndarray) -> np.ndarray:

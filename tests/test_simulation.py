@@ -18,6 +18,7 @@ from helpers import (
     alog_value,
     bisection_conditional,
     conditional_cdf,
+    mpmath_alog_kernel,
     run_python,
 )
 from pickpoly import (
@@ -33,6 +34,7 @@ from pickpoly import (
     SymmetricMixed,
     a_from_h,
     approx_error_bound,
+    comonotone,
     copula_cdf,
     copula_density,
     fit_cfg,
@@ -45,6 +47,7 @@ from pickpoly import (
     sample_copula,
     sample_feasible,
     split_seed,
+    tau_measures,
     theta_to_pickands,
 )
 from pickpoly import simulation as simulation_module
@@ -64,6 +67,28 @@ def test_model_pickands_examples():
     assert A.value(0.0) == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(A.value(grid), alog_value(grid, *ALOG_PARAMS), atol=1e-13)
     assert model_pickands(MIX_MODEL).value(0.5) == pytest.approx(0.775, abs=1e-15)
+
+
+@pytest.mark.parametrize("psi", [0.0, 0.3, MIX_PSI, 1.0])
+def test_symmetric_mixed_is_a_pickands_poly(psi):
+    A = model_pickands(SymmetricMixed(psi))
+    assert isinstance(A, PickandsPoly)
+    t = np.linspace(0.0, 1.0, 101)
+    a, d1, d2 = A.kernel(t)
+    assert np.max(np.abs(A.value(t) - (1.0 - psi * t + psi * t * t))) <= 1e-15
+    assert np.max(np.abs(a - (1.0 - psi * t + psi * t * t))) <= 1e-15
+    assert np.max(np.abs(d1 - psi * (2.0 * t - 1.0))) <= 1e-15
+    assert np.max(np.abs(d2 - 2.0 * psi)) <= 1e-15
+    rep = tau_measures(A)
+    assert rep.tau1 == pytest.approx(psi / 2.0, abs=1e-15)
+    assert rep.tau2 == pytest.approx(2.0 * psi / 3.0, abs=1e-15)
+
+
+def test_degenerate_alog_is_the_independence_pickands_poly():
+    for model in (AsymmetricLogistic(1.0, 0.3, 0.6), AsymmetricLogistic(0.4, 0.0, 0.6),
+                  AsymmetricLogistic(0.4, 0.3, 0.0)):
+        A = model_pickands(model)
+        assert isinstance(A, PickandsPoly) and A.poly.coeffs.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_model_parameter_validation():
@@ -93,7 +118,7 @@ def test_model_parameters_must_be_numbers(make, field, value):
         make(value)
 
 
-@pytest.mark.parametrize("pickands", ["x", None, BernsteinPoly(POLFULL_H), model_pickands(MIX_MODEL)])
+@pytest.mark.parametrize("pickands", ["x", None, BernsteinPoly(POLFULL_H), comonotone()])
 def test_polynomial_model_takes_a_pickands_poly_only(pickands):
     # any object was taken, and sampling from a string raised AttributeError
     with pytest.raises(ValueError, match="^pickands must be a PickandsPoly, got "):
@@ -132,6 +157,21 @@ def test_alog_kernel_matches_sympy_derivatives(alpha):
         # evaluated at each float abscissa exactly, to 30 digits
         want = np.array([float(deriv.evalf(30, subs={t: sympy.Rational(x)})) for x in ts])
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("psi1, psi2", [(0.9, 0.2), (0.1, 0.5)])
+@pytest.mark.parametrize("alpha", [0.002, 0.05, 0.5, 0.9])
+def test_alog_kernel_matches_mpmath_across_the_float_range(alpha, psi1, psi2):
+    # random t and the ends of the float range inside (0, 1), where psi**(1/alpha)
+    # underflows at alpha = 0.002. A value below the normal range carries fewer
+    # digits, so it is compared on that scale
+    t = np.concatenate([np.random.default_rng(7).random(8), [1e-300, 1.0 - 2.0**-53]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = model_pickands(AsymmetricLogistic(alpha, psi1, psi2)).kernel(t)
+    want = np.array([mpmath_alog_kernel(alpha, psi1, psi2, float(x)) for x in t]).T
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(np.abs(w), np.finfo(float).tiny))
 
 
 @pytest.mark.parametrize("alpha", [0.7, 0.9])

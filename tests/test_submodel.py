@@ -284,6 +284,24 @@ def test_membership_equivalence_a_vs_h(rng):
                 assert in_submodel_a(A) == in_submodel_h(h_from_a(A).coeffs)["member"] == member
 
 
+@pytest.mark.parametrize("m", [80, 120])
+def test_in_submodel_a_takes_back_high_degree_members(m):
+    # h_from_a multiplies A's rounding by d(d-1), d = m + 2: the zero
+    # coefficients of these members come back below -1e-12, so a 1e-12 slack
+    # rejects many, but within 4 d(d-1) eps max|A|; one coefficient pushed
+    # below twice that bound is out
+    rng = np.random.default_rng(m)
+    d = m + 2
+    for _ in range(200):
+        c = rng.random(m + 1) * (rng.random(m + 1) > 0.3)
+        c /= max(endpoint_functionals(BernsteinPoly(c))) * rng.uniform(1.0, 1.5)
+        A = a_from_h(BernsteinPoly(c))
+        assert in_submodel_h(c)["member"] and in_submodel_a(A)
+        bound = 4.0 * d * (d - 1) * np.finfo(float).eps * np.max(np.abs(A.coeffs))
+        c[rng.integers(m + 1)] = -2.5 * bound
+        assert not in_submodel_a(a_from_h(BernsteinPoly(c)))
+
+
 def test_polytope_members_are_valid_pickands(rng):
     for m in (0, 2, 5):
         count = 0
