@@ -159,6 +159,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _by_row(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    # x @ M one row at a time: BLAS runs a one-row product as GEMV and a
+    # stack as GEMM, which round differently, so a stacked product would make
+    # a row's value depend on how many rows share the stack
+    return (x[:, None, :] @ M)[:, 0, :]
+
+
 @dataclass(frozen=True)
 class BernsteinPoly:
     """Polynomial on [0,1] stored by its Bernstein coefficients.

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bernstein import _MATRIX_CACHE, BernsteinPoly, _check_int, _check_type, _frozen, _real_array
+from .bernstein import _MATRIX_CACHE, BernsteinPoly, _by_row, _check_int, _check_type, _frozen, _real_array
 from .pickands import _SLACK, PickandsPoly, _cap_weights, _caps, a_from_h
 
 
@@ -100,13 +100,32 @@ def form_matrices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_frozen(np.tensordot(w, T, axes=(0, 0)) / (m + 1)) for w in _cap_weights(m))
 
 
+def _h_rows(theta: np.ndarray) -> np.ndarray:
+    # h_theta of every row of a (rows x (m+1)) stack, m >= 1; the einsum
+    # gives each row the bits it gets alone
+    return np.einsum("kij,ri,rj->rk", coefficient_tensor(theta.shape[1] - 1), theta, theta)
+
+
+def _theta_objective(objective):
+    """The h-objective ``objective(h, tags)`` as one in theta (m >= 1).
+
+    h_k = theta' T[k] theta and dh_k/dtheta = 2 T[k] theta, so the gradient
+    is 2 (sum_k g_k T[k]) theta; each row's T[k] theta is its own product.
+    """
+    def theta_objective(theta: np.ndarray, tags: np.ndarray):
+        p = theta.shape[1]
+        # T[k] flattened into columns k*p + i, so theta @ T holds every T[k] theta
+        Tth = _by_row(theta, coefficient_tensor(p - 1).reshape(p * p, p).T).reshape(-1, p, p)
+        f, g = objective((Tth @ theta[:, :, None])[:, :, 0], tags)
+        return f, 2.0 * (g[:, None, :] @ Tth)[:, 0, :]
+    return theta_objective
+
+
 def theta_to_h(param: FullModelParam) -> BernsteinPoly:
     """Spectral-density polynomial h_theta of degree m (nonnegative by construction)."""
     if _check_type("param", param, FullModelParam).m == 0:
         return BernsteinPoly(param.theta)
-    T = coefficient_tensor(param.m)
-    th = param.theta
-    return BernsteinPoly(np.einsum("kij,i,j->k", T, th, th))
+    return BernsteinPoly(_h_rows(param.theta[None])[0])
 
 
 @dataclass(frozen=True)

@@ -42,13 +42,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bernstein import BernsteinPoly, _check_int, _check_type, _frozen, _real_array, eval_with_derivatives
-from .full_model import (
-    FullModelParam,
-    coefficient_tensor,
-    form_matrices,
-    sample_feasible,
-)
+from .bernstein import BernsteinPoly, _by_row, _check_int, _check_type, _frozen, _real_array, eval_with_derivatives
+from .full_model import FullModelParam, _h_rows, _theta_objective, form_matrices, sample_feasible
 from .pickands import (
     _DENSITY,
     PickandsPoly,
@@ -135,6 +130,12 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """One estimate with its loglik and parameter (None for CFG).
+
+    ``starts_used`` is ``config.starts`` (0 for CFG); ``converged`` is the winning
+    start's stopping flag alone (True for CFG and the independence fallback).
+    """
+
     estimate: PickandsPoly | PiecewiseLinearPickands
     loglik: float
     param: FullModelParam | SubmodelParam | None
@@ -185,17 +186,18 @@ _FTOL = 1e-10
 class _LogLik:
     """Log-likelihoods of A_h with gradients and Hessians in h, for a group of datasets at degree m.
 
-    A is an affine image of the spectral coefficients h, so at fixed
-    pseudo-angles the two factors of the density brace and A'' are affine in
-    h as well. One stacked (3n x (m+1)) design matrix per dataset, built
-    once, maps h to them; the datasets share one size n. Every method takes
-    a (rows x (m+1)) stack of points and each row's dataset tag (an index
-    into the group), ascending, so the multistarts of a whole
-    group are evaluated by a few matrix products and elementwise passes over
-    (rows x n) arrays. Each dataset's products run on its own rows, so a
-    dataset's results do not depend on the other datasets' rows. A row's
-    results do depend on the other rows of its dataset: BLAS runs a one-row
-    product as GEMV and a stack as GEMM, which round differently.
+    The engine knows only the spectral coefficients h; the full model's theta
+    reaches it through ``full_model._theta_objective``. A is affine in h, and
+    at fixed pseudo-angles (t_i, s_i) so are the brace's two factors, the
+    curvature term -t(1-t)A''/s and the linear term sum_i s_i (A(t_i) - 1):
+    one ((3n + 1) x (m+1)) design matrix per dataset, built once, maps h to
+    them (the linear term last); the datasets share one size n. Every method
+    takes a (rows x (m+1)) stack of points and each row's dataset tag (an
+    index into the group), ascending, so a whole group's multistarts cost a
+    few matrix products and elementwise passes over (rows x n) arrays. Each
+    dataset's products run on its own rows, so its results do not depend on
+    the other datasets' rows; they do depend on its own other rows, as BLAS
+    rounds a one-row product (GEMV) and a stack (GEMM) differently.
     """
 
     def __init__(self, group: list[SampleSet], m: int):
@@ -210,14 +212,10 @@ class _LogLik:
         unit = -(a_from_h_matrix(m) / (m + 1)).T
         val, d1, d2 = (np.ascontiguousarray(x.reshape(p, len(group), n).transpose(1, 2, 0))
                        for x in eval_with_derivatives(unit, self.t.ravel()))
-        t = self.t[:, :, None]
-        self.design = np.concatenate([val + (1.0 - t) * d1, val - t * d1, d2], axis=1)
+        t, s = self.t[:, :, None], self.s[:, :, None]
+        self.design = np.concatenate([val + (1.0 - t) * d1, val - t * d1,
+                                      -t * (1.0 - t) / s * d2, self.s[:, None, :] @ val], axis=1)
         self.design_t = np.ascontiguousarray(self.design.transpose(0, 2, 1))
-        self.curv = -self.t * (1.0 - self.t) / self.s
-        self.lin = np.array([s @ v for s, v in zip(self.s, val)])[:, :, None]
-        # T[k] flattened into columns k*p + i, so theta @ T holds every T[k] theta
-        T = coefficient_tensor(m).reshape(p * p, p).T if m >= 1 else None
-        self.T = None if T is None else np.broadcast_to(T, (len(group),) + T.shape)
         self._outer = None
 
     @staticmethod
@@ -229,11 +227,6 @@ class _LogLik:
         return [(int(tags[a]), slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
 
     @staticmethod
-    def _per_row(arr, tags):
-        # each row's entry of a per-dataset array (one shared entry for one dataset)
-        return arr[0] if len(arr) == 1 else arr[tags]
-
-    @staticmethod
     def _products(x, segments, tables):
         # x @ tables[d] on each dataset d's own rows
         if len(segments) == 1:
@@ -243,13 +236,13 @@ class _LogLik:
             out[rows] = x[rows] @ tables[d]
         return out
 
-    def _factors(self, h, tags, segments):
+    def _factors(self, h, segments):
+        # the brace's factors, the brace and the linear term of every row
         n = self.n
         z = self._products(h, segments, self.design_t)
-        curv = self._per_row(self.curv, tags)
         f1 = 1.0 + z[:, :n]
         f2 = 1.0 + z[:, n:2 * n]
-        return f1, f2, f1 * f2 + curv * z[:, 2 * n:], curv
+        return f1, f2, f1 * f2 + z[:, 2 * n:3 * n], z[:, 3 * n]
 
     def objective(self, h: np.ndarray, tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Negative loglik of every row of h and its gradient in h.
@@ -259,18 +252,15 @@ class _LogLik:
         gradient zero, so a line search backs off instead of failing on inf
         or NaN; the other rows are unaffected.
         """
-        return self._objective(h, tags, self._segments(tags))
-
-    def _objective(self, h, tags, segments):
-        f1, f2, brace, curv = self._factors(h, tags, segments)
+        segments = self._segments(tags)
+        f1, f2, brace, lin = self._factors(h, segments)
         bad = brace.min(axis=1) <= 0.0
         if bad.any():
             brace[bad] = 1.0
         inv = 1.0 / brace
-        value = -(self._products(h, segments, self.lin)[:, 0] + np.log(brace).sum(axis=1))
-        weights = np.concatenate([f2 * inv, f1 * inv, curv * inv], axis=1)
-        grad = -(self._per_row(self.lin, tags)[..., 0]
-                 + self._products(weights, segments, self.design))
+        value = -(lin + np.log(brace).sum(axis=1))
+        weights = np.concatenate([f2 * inv, f1 * inv, inv, np.ones((h.shape[0], 1))], axis=1)
+        grad = -self._products(weights, segments, self.design)
         if bad.any():
             value[bad] = _UNDEFINED_OBJ
             grad[bad] = 0.0
@@ -279,15 +269,15 @@ class _LogLik:
     def hessian(self, h: np.ndarray, tags: np.ndarray) -> np.ndarray:
         """Hessian in h of the negative loglik at every row of h, (rows x p x p).
 
-        With a_i, b_i, c_i the three design rows of observation i and
-        g_i = f2 a_i + f1 b_i + curv c_i, it is
+        With a_i, b_i, c_i the brace and curvature design rows of
+        observation i and g_i = f2 a_i + f1 b_i + c_i, it is
         sum_i g_i g_i' / brace_i^2 - (a_i b_i' + b_i a_i') / brace_i: six
         weighted sums of per-observation outer products, which a table built
         once per (dataset, m) turns into one matrix product.
         """
         n, p = self.n, h.shape[1]
         if self._outer is None:
-            a, b, c = self.design[:, :n], self.design[:, n:2 * n], self.design[:, 2 * n:]
+            a, b, c = self.design[:, :n], self.design[:, n:2 * n], self.design[:, 2 * n:3 * n]
 
             def sym(x, y):
                 xy = (x[..., :, None] * y[..., None, :]).reshape(-1, n, p * p)
@@ -297,31 +287,12 @@ class _LogLik:
             self._outer = np.concatenate([sym(a, a), sym(b, b), sym(c, c),
                                           sym(a, b), sym(a, c), sym(b, c)], axis=1)
         segments = self._segments(tags)
-        f1, f2, brace, curv = self._factors(h, tags, segments)
+        f1, f2, brace, _ = self._factors(h, segments)
         inv = 1.0 / brace
         inv2 = inv * inv
-        cw = curv * inv2
-        weights = np.concatenate([f2 * f2 * inv2, f1 * f1 * inv2, curv * cw,
-                                  f1 * f2 * inv2 - inv, f2 * cw, f1 * cw], axis=1)
+        weights = np.concatenate([f2 * f2 * inv2, f1 * f1 * inv2, inv2,
+                                  f1 * f2 * inv2 - inv, f2 * inv2, f1 * inv2], axis=1)
         return self._products(weights, segments, self._outer).reshape(-1, p, p)
-
-    def theta_objective(self, theta: np.ndarray, tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The objective through h_k = theta' T[k] theta (m >= 1), row by row.
-
-        dh_k/dtheta = 2 T[k] theta, so the gradient is 2 (sum_k g_k T[k]) theta.
-        """
-        p = theta.shape[1]
-        segments = self._segments(tags)
-        Tth = self._products(theta, segments, self.T).reshape(-1, p, p)
-        f, g = self._objective((Tth @ theta[:, :, None])[:, :, 0], tags, segments)
-        return f, 2.0 * (g[:, None, :] @ Tth)[:, 0, :]
-
-
-def _by_row(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    # x @ M one row at a time: BLAS runs a one-row product as GEMV and a
-    # stack as GEMM, which round differently, so a stacked product would make
-    # a row's value depend on how many rows share the stack
-    return (x[:, None, :] @ M)[:, 0, :]
 
 
 # A search trusts the likelihood formula only this far beyond the caps of
@@ -646,24 +617,19 @@ def _mles(loglik: _LogLik, config: OptimConfig, seeds, full: bool) -> list[FitRe
     tags = np.repeat(np.arange(len(seeds)), config.starts)
     if full and m > 0:
         Q = np.stack(form_matrices(m))
-        res = minimize(loglik.theta_objective, starts, method=_sqp, tags=tags, constraints=Q,
-                       maxiter=config.maxfev)
+        res = minimize(_theta_objective(loglik.objective), starts, method=_sqp, tags=tags,
+                       constraints=Q, maxiter=config.maxfev)
         points, converged = res.x, res.converged
 
         def project(theta: np.ndarray):
-            # the caps theta' Q_j theta and theta_to_h, each row's products alone
-            q = ((Q[None] @ theta[:, None, :, None])[..., 0] @ theta[:, :, None])[:, :, 0]
-            scale = np.sqrt(np.fmax(1.0, np.fmax(q[:, 0], q[:, 1])))
-            theta = _canonical_sign(theta / scale[:, None], m)
-            return theta, np.einsum("kij,ri,rj->rk", coefficient_tensor(m), theta, theta)
+            theta = _canonical_sign(theta / np.sqrt(_cap_scale(W, _h_rows(theta)))[:, None], m)
+            return theta, _h_rows(theta)
     else:
         points, converged = _interior_point(loglik, starts, tags, W, config.maxfev)
 
         def project(c: np.ndarray):
             c = np.maximum(c, 0.0)
-            # the caps W c, each row's product alone
-            caps = (W[None] @ c[:, :, None])[:, :, 0]
-            c = c / np.fmax(1.0, np.fmax(caps[:, 0], caps[:, 1]))[:, None]
+            c = c / _cap_scale(W, c)[:, None]
             return c, c
 
     fits = []
@@ -672,6 +638,12 @@ def _mles(loglik: _LogLik, config: OptimConfig, seeds, full: bool) -> list[FitRe
         estimate = PickandsPoly(a_from_h(BernsteinPoly(h)))
         fits.append(FitResult(estimate, ll, param, config.starts, ok))
     return fits
+
+
+def _cap_scale(W: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # each row's larger cap W h, at least 1; each row's product alone
+    caps = (W[None] @ h[:, :, None])[:, :, 0]
+    return np.fmax(1.0, np.fmax(caps[:, 0], caps[:, 1]))
 
 
 def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:

@@ -33,7 +33,7 @@ from pickpoly import (
     sample_feasible,
     theta_to_pickands,
 )
-from pickpoly.full_model import _sampling_box, form_matrices
+from pickpoly.full_model import _sampling_box, _theta_objective, form_matrices
 from pickpoly.inference import (
     _FTOL,
     _LogLik,
@@ -553,7 +553,7 @@ def slsqp_multistart_loglik(data, m: int, config, model: str) -> float:
     if model == "full" and m > 0:
         Q = np.stack(form_matrices(m))
         starts = sample_feasible(m, rng, config.starts)
-        fun = _row_objective(engine.theta_objective)
+        fun = _row_objective(_theta_objective(engine.objective))
         problem = {"constraints": {"type": "ineq", "fun": lambda th: 1.0 - (Q @ th) @ th,
                                    "jac": lambda th: -2.0 * (Q @ th)}}
     else:

@@ -26,7 +26,7 @@ from pickpoly import (
     validate_pickands,
 )
 from pickpoly import full_model
-from pickpoly.full_model import coefficient_tensor
+from pickpoly.full_model import _h_rows, coefficient_tensor
 
 
 def test_hypergeo_pmf_examples():
@@ -54,6 +54,18 @@ def test_coefficient_tensor_matches_hypergeometric_oracle():
     # product-rule tensor against the support-by-support hypergeometric build
     for m in range(1, 41):
         assert np.max(np.abs(coefficient_tensor(m) - hypergeo_coefficient_tensor(m))) <= 1e-13
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_h_rows_give_every_row_its_bits_alone(m, rng):
+    # the stacked theta -> h of the full model's projection and scoring
+    # gives each row of a stack of 1..64 rows, wherever it sits, exactly the
+    # coefficients theta_to_h gives that row alone
+    stack = sample_feasible(m, rng, 64)
+    alone = np.array([theta_to_h(FullModelParam(m, th)).coeffs for th in stack])
+    for rows in range(1, 65):
+        assert np.array_equal(_h_rows(stack[:rows]), alone[:rows]), rows
+        assert np.array_equal(_h_rows(stack[-rows:]), alone[-rows:]), rows
 
 
 def test_theta_to_h_small_cases():
