@@ -234,14 +234,12 @@ def eval_with_derivatives(coeffs: np.ndarray, x: np.ndarray):
     Internal fast path (no domain checks): x must be a 1-d ndarray in [0,1].
     ``coeffs`` is one coefficient vector, giving three arrays shaped like x,
     or a (rows x (m+1)) stack of them, giving three (rows x x.size) arrays
-    whose row r is, bit for bit, what coefficient row r gives alone; with
-    a stack, x may also be (rows x k), one row of abscissae per coefficient
-    row.
+    whose row r is, bit for bit, what coefficient row r gives alone.
     """
     m = coeffs.shape[-1] - 1
     # the triangle's level axis first: (m+1, [rows,] x.size)
     c = coeffs.T[..., None]
-    shape = np.broadcast_shapes(c.shape[1:], x.shape)
+    shape = coeffs.shape[:-1] + x.shape
     if m == 0:
         z = np.zeros(shape)
         return np.full(shape, c[0]), z, z

@@ -29,9 +29,10 @@ one (GEMM) differently, but each dataset's products run on its own
 sub-stack, which holds the same rows in every call whether the dataset is
 searched alone or in a group; so a dataset's fit does not depend on its
 group. All final points are pulled radially back into the parameter space
-and scored as one stack, and each estimate is built from its winner's
-scored h row; the independence parameter (loglik exactly 0) is always a
-fallback candidate. Everything is deterministic given the seed.
+and ranked by the engine in one call; each dataset's winner becomes its
+estimate, whose reported loglik is ``log_likelihood`` of that estimate, and
+a fit reporting no more than 0 falls back to the independence parameter
+(loglik exactly 0). Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .pickands import (
     _DENSITY,
     PickandsPoly,
     PiecewiseLinearPickands,
-    _a_coeffs,
     _cap_weights,
     _density_brace,
     a_from_h,
@@ -132,6 +132,7 @@ class OptimConfig:
 class FitResult:
     """One estimate with its loglik and parameter (None for CFG).
 
+    ``loglik`` is ``log_likelihood(estimate, data)``, at least 0 (NaN for CFG).
     ``starts_used`` is ``config.starts`` (0 for CFG); ``converged`` is the winning
     start's stopping flag alone (True for CFG and the independence fallback).
     """
@@ -150,17 +151,14 @@ def _pseudo_angles(data: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     return t, s
 
 
-def _loglik_terms(values, t: np.ndarray, s: np.ndarray):
+def _loglik_terms(values, t: np.ndarray, s: np.ndarray) -> float:
     # sum of log copula densities from values = (A, A', A'') at the
-    # pseudo-angles; -inf when a density is nonpositive. A float for one
-    # (A, A', A'') triple, one loglik per row for stacks of them.
+    # pseudo-angles; -inf when a density is nonpositive
     val, d1, d2 = values
     brace = _density_brace(val, d1, d2, t, s)
-    bad = np.any(brace <= 0.0, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ll = np.sum(s * (val - 1.0), axis=-1) + np.sum(np.log(brace), axis=-1)
-    ll = np.where(bad, LOGLIK_NEG_INF, ll)
-    return float(ll) if ll.ndim == 0 else ll
+    if np.any(brace <= 0.0):
+        return LOGLIK_NEG_INF
+    return float(np.sum(s * (val - 1.0)) + np.sum(np.log(brace)))
 
 
 def log_likelihood(A, data: SampleSet) -> float:
@@ -197,7 +195,8 @@ class _LogLik:
     few matrix products and elementwise passes over (rows x n) arrays. Each
     dataset's products run on its own rows, so its results do not depend on
     the other datasets' rows; they do depend on its own other rows, as BLAS
-    rounds a one-row product (GEMV) and a stack (GEMM) differently.
+    rounds a one-row product (GEMV) and a stack (GEMM) differently. The
+    engine ranks final points; a fit reports ``log_likelihood`` on ``group``.
     """
 
     def __init__(self, group: list[SampleSet], m: int):
@@ -205,16 +204,16 @@ class _LogLik:
         if n < m + 3:
             warnings.warn(f"sample size n = {n} below m + 3 = {m + 3}; fit may be unstable",
                           UserWarning, stacklevel=3)
-        self.n, self.m, p = n, m, m + 1
-        self.t, self.s = (np.array(x) for x in zip(*map(_pseudo_angles, group)))
+        self.group, self.n, self.m, p = tuple(group), n, m, m + 1
+        t, s = (np.array(x) for x in zip(*map(_pseudo_angles, group)))
         # row j: the coefficients of A - 1 for the unit spectral coefficients e_j;
         # column j of val, d1, d2: A - 1, A' and A'' at every t for e_j
         unit = -(a_from_h_matrix(m) / (m + 1)).T
         val, d1, d2 = (np.ascontiguousarray(x.reshape(p, len(group), n).transpose(1, 2, 0))
-                       for x in eval_with_derivatives(unit, self.t.ravel()))
-        t, s = self.t[:, :, None], self.s[:, :, None]
-        self.design = np.concatenate([val + (1.0 - t) * d1, val - t * d1,
-                                      -t * (1.0 - t) / s * d2, self.s[:, None, :] @ val], axis=1)
+                       for x in eval_with_derivatives(unit, t.ravel()))
+        tc, sc = t[:, :, None], s[:, :, None]
+        self.design = np.concatenate([val + (1.0 - tc) * d1, val - tc * d1,
+                                      -tc * (1.0 - tc) / sc * d2, s[:, None, :] @ val], axis=1)
         self.design_t = np.ascontiguousarray(self.design.transpose(0, 2, 1))
         self._outer = None
 
@@ -566,34 +565,28 @@ def _barrier_stage(fun, x0, *, tags, hess, constraints, mu, duals, spent, maxite
 
 def _multistart(loglik: _LogLik, points: np.ndarray, converged: np.ndarray, tags: np.ndarray,
                 project) -> list[tuple]:
-    """Each dataset's best projected final search point, by its loglik.
+    """Each dataset's best projected final search point, ranked on the engine.
 
-    The scoring step of ``_mles``, the one driver of both MLEs.
+    The ranking step of ``_mles``, the one driver of both MLEs.
     ``project(X)`` pulls a stack of final points back inside the parameter
     space and returns the projected stack and its spectral coefficients h,
-    one row per point. Every row is scored in one pass by the de Casteljau
-    log-likelihood of a_from_h(h) at its own dataset's pseudo-angles, row
-    by row the arithmetic of ``log_likelihood``, so the reported value is
-    exactly that of the estimate ``_mles`` builds from the winner's h row.
-    The independence point (zeros, loglik exactly 0) is the baseline, so
-    the winner never falls below it; ties keep the earlier point. Returns
-    (projected point, its h row, loglik, converged) per dataset.
+    one row per point. The finite rows are scored in one
+    ``loglik.objective`` call, and each dataset's winner is the row of
+    highest engine loglik among its own; ties keep the earlier row. A
+    dataset with no finite row, or none whose loglik is above 0, gets the
+    independence point (zeros). Returns (projected point, its h row,
+    converged) per dataset.
     """
     finite = np.all(np.isfinite(points), axis=1)
     x, h = project(points[finite])
     rows, ok = tags[finite], converged[finite]
-    t, s = loglik.t[rows], loglik.s[rows]
-    lls = _loglik_terms(eval_with_derivatives(_a_coeffs(h), t), t, s)
-    score = np.where(lls > 0.0, lls, -np.inf)
+    lls = -loglik.objective(h, rows)[0] if rows.size else np.empty(0)
     zero = np.zeros(loglik.m + 1)
     out = []
-    for d in range(len(loglik.t)):
-        mine = np.flatnonzero(rows == d)
-        i = mine[np.argmax(score[mine])] if mine.size else None
-        if i is None or score[i] == -np.inf:
-            out.append((zero, zero, 0.0, True))
-        else:
-            out.append((x[i], h[i], float(lls[i]), bool(ok[i])))
+    for d in range(len(loglik.group)):
+        mine = np.flatnonzero((rows == d) & (lls > 0.0))
+        i = mine[np.argmax(lls[mine])] if mine.size else None
+        out.append((zero, zero, True) if i is None else (x[i], h[i], bool(ok[i])))
     return out
 
 
@@ -604,8 +597,9 @@ def _mles(loglik: _LogLik, config: OptimConfig, seeds, full: bool) -> list[FitRe
     sets only the starts and their spawn key, the search and the parameter
     type: Theta_0 = [0, 2] is the degree-0 polytope, so at m = 0 the full
     model too runs the interior point, whose radial projection is then the
-    clip to [0, 2]. Both estimates are built from the h row ``_multistart``
-    scored.
+    clip to [0, 2]. Each estimate is built from the h row ``_multistart``
+    ranks first and reports ``log_likelihood(estimate, data)``; one not
+    above 0 gives way to the independence point (zeros, loglik exactly 0).
     """
     m = loglik.m
     W = _cap_weights(m) / (m + 1)  # int (1-w) h = W[0] . c, int w h = W[1] . c
@@ -633,9 +627,13 @@ def _mles(loglik: _LogLik, config: OptimConfig, seeds, full: bool) -> list[FitRe
             return c, c
 
     fits = []
-    for x, h, ll, ok in _multistart(loglik, points, converged, tags, project):
-        param = FullModelParam(m, x) if full else SubmodelParam(m, x)
+    for data, (x, h, ok) in zip(loglik.group, _multistart(loglik, points, converged, tags, project)):
         estimate = PickandsPoly(a_from_h(BernsteinPoly(h)))
+        ll = log_likelihood(estimate, data)
+        if not ll > 0.0:
+            x = np.zeros(m + 1)
+            estimate, ll, ok = PickandsPoly(a_from_h(BernsteinPoly(x))), 0.0, True
+        param = FullModelParam(m, x) if full else SubmodelParam(m, x)
         fits.append(FitResult(estimate, ll, param, config.starts, ok))
     return fits
 

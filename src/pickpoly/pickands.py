@@ -286,17 +286,11 @@ def a_from_h(h: BernsteinPoly) -> BernsteinPoly:
     Coefficientwise realization of A(t) = 1 - int min{(1-t)w, t(1-w)} h(w) dw;
     the first and last output coefficients are exactly 1.
     """
-    return BernsteinPoly(_a_coeffs(_check_type("h", h, BernsteinPoly).coeffs))
-
-
-def _a_coeffs(h: np.ndarray) -> np.ndarray:
-    # a_from_h's coefficients for one coefficient vector h or a stack of rows;
-    # K @ h[..., None] takes each row's product alone, so a row of a stack
-    # gets the bits it gets alone
-    m = h.shape[-1] - 1
-    a = 1.0 - (a_from_h_matrix(m) @ h[..., None])[..., 0] / (m + 1)
-    a[..., [0, -1]] = 1.0
-    return a
+    c = _check_type("h", h, BernsteinPoly).coeffs
+    m = c.size - 1
+    a = 1.0 - (a_from_h_matrix(m) @ c[:, None])[:, 0] / (m + 1)
+    a[[0, -1]] = 1.0
+    return BernsteinPoly(a)
 
 
 def h_from_a(A: BernsteinPoly) -> BernsteinPoly:

@@ -13,6 +13,7 @@ own (u, w), so the CSV bytes do not depend on the worker count either.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
@@ -383,35 +384,38 @@ class StudyReport:
         }
 
 
-# replicates are fitted in groups of this many, one batched search per group
-# and estimator; the groups depend on nothing but the replicate count
+# replicates are fitted in groups of this many, one likelihood engine per
+# group and one batched search per group and estimator; the groups depend on
+# nothing but the replicate count
 _GROUP = 8
 
 
 def _fits(est: str, samples: list[SampleSet], config: StudyConfig,
-          reps: list[int]) -> list[FitResult]:
-    # one fit of each replicate's sample, each from the replicate's own seed
+          reps: list[int], engine) -> list[FitResult]:
+    # one fit of each replicate's sample, each from the replicate's own
+    # seed; the MLEs run on engine(), the samples' likelihood engine
     if est == "cfg":
         return [fit_cfg(sample, config.grid) for sample in samples]
     base = config.optim if config.optim is not None else OptimConfig()
     full = est == "full"
     seeds = [split_seed(config.seed, rep, 1 if full else 2) for rep in reps]
-    return _mles(_LogLik(samples, config.m), base, seeds, full)
+    return _mles(engine(), base, seeds, full)
 
 
 def _fit_records(est: str, samples: list[SampleSet], config: StudyConfig,
-                 reps: list[int]) -> list[dict]:
-    # a group whose fit raises is refitted one replicate at a time: a fit is
-    # the same in any group, so the others come out unchanged and the error
-    # is recorded against its own replicate, never silently dropped
+                 reps: list[int], engine) -> list[dict]:
+    # a group whose fit raises is refitted one replicate at a time, each on
+    # its own engine: a fit is the same in any group, so the others come out
+    # unchanged and the error is recorded against its own replicate, never
+    # silently dropped
     tgrid = np.linspace(0.0, 1.0, config.grid)
     try:
         return [{"curve": np.asarray(f.estimate.value(tgrid)), "loglik": f.loglik, "error": None}
-                for f in _fits(est, samples, config, reps)]
+                for f in _fits(est, samples, config, reps, engine)]
     except Exception as exc:
         if len(reps) > 1:
-            return [record for sample, rep in zip(samples, reps)
-                    for record in _fit_records(est, [sample], config, [rep])]
+            return [record for sample, rep in zip(samples, reps) for record in _fit_records(
+                est, [sample], config, [rep], functools.partial(_LogLik, [sample], config.m))]
         return [{"curve": None, "loglik": float("nan"), "error": f"{type(exc).__name__}: {exc}"}]
 
 
@@ -426,9 +430,12 @@ def _group_samples(config: StudyConfig, reps: list[int]) -> list[SampleSet]:
 def _study_group(args: tuple[StudyConfig, list[int]]) -> list[dict]:
     config, reps = args
     samples = _group_samples(config, reps)
+    # the group's one likelihood engine, built at the first MLE fit (so never
+    # for CFG alone, and inside _fit_records' error handling) and then kept
+    engine = functools.cache(functools.partial(_LogLik, samples, config.m))
     out: list[dict] = [{} for _ in reps]
     for est in config.estimators:
-        for record, result in zip(out, _fit_records(est, samples, config, reps)):
+        for record, result in zip(out, _fit_records(est, samples, config, reps, engine)):
             record[est] = result
     return out
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from pickpoly.inference import (
     _loglik_terms,
     _midranks,
     _mles,
+    _multistart,
     _pseudo_angles,
     greatest_convex_minorant,
 )
@@ -483,6 +485,65 @@ def test_engine_objective_finite_where_density_breaks_down(rng):
     assert np.array_equal(value[[0, 2]], alone_value) and np.array_equal(grad[[0, 2]], alone_grad)
 
 
+def test_multistart_ranks_each_dataset_in_one_engine_call(rng):
+    # every finite projected point is scored by one objective call, and each
+    # dataset's winner is the argmax of the engine loglik over its own rows
+    m = 2
+    data = [sample_copula(MIX_MODEL, 60, 80 + i) for i in range(3)]
+    engine = _LogLik(data, m)
+    # near the mix model's constant h = 2 psi, so every loglik is above 0
+    points = 2.0 * MIX_PSI * rng.uniform(0.4, 1.0, size=(12, 1)) * rng.uniform(0.9, 1.0, size=(12, m + 1))
+    points[5] = np.nan
+    tags = np.repeat(np.arange(3), 4)
+    converged = np.arange(12) % 3 == 0
+    finite = np.arange(12) != 5
+    lls = -engine.objective(points[finite], tags[finite])[0]
+    assert np.all(lls > 0.0)
+    calls = []
+    real = engine.objective
+    engine.objective = lambda h, rows: calls.append(rows.tolist()) or real(h, rows)
+    out = _multistart(engine, points, converged, tags, lambda c: (c, c))
+    assert calls == [tags[finite].tolist()]
+    for d, (x, h, ok) in enumerate(out):
+        mine = np.flatnonzero(finite & (tags == d))
+        best = mine[np.argmax(lls[tags[finite] == d])]
+        assert np.array_equal(x, points[best]) and np.array_equal(h, points[best])
+        assert ok == converged[best]
+    # with no finite point at all, every dataset gets the independence point
+    for x, h, ok in _multistart(engine, np.full_like(points, np.nan), converged, tags, lambda c: (c, c)):
+        assert not x.any() and not h.any() and ok
+
+
+def test_multistart_ties_keep_the_earlier_row_and_zeros_are_the_floor():
+    # column 0 of each point is its engine value (the negative loglik) and
+    # column 1 its row: of two tied rows the earlier wins, and a dataset with
+    # no finite row (1) or none scoring above 0 (2, whose best is exactly 0)
+    # gets the independence point
+    points = np.array([[-2.0, 0], [-7.0, 1], [-7.0, 2], [np.nan, 3], [np.nan, 4],
+                       [0.0, 5], [4.0, 6], [-1.0, 7]])
+    tags = np.array([0, 0, 0, 1, 1, 2, 2, 3])
+    converged = np.array([False, True, False, True, True, False, False, False])
+    engine = SimpleNamespace(m=1, group=[None] * 4, objective=lambda h, rows: (h[:, 0], None))
+    out = _multistart(engine, points, converged, tags, lambda x: (x, x))
+    zeros = (np.zeros(2).tolist(), np.zeros(2).tolist(), True)
+    assert [(x.tolist(), h.tolist(), ok) for x, h, ok in out] == [
+        (points[1].tolist(), points[1].tolist(), True), zeros, zeros,
+        (points[7].tolist(), points[7].tolist(), False)]
+
+
+@pytest.mark.parametrize("full", [True, False])
+def test_mles_falls_back_to_independence_below_zero_reported_loglik(full, monkeypatch):
+    # the reported loglik is log_likelihood of the estimate; one not above 0
+    # gives way to the independence point, loglik exactly 0
+    monkeypatch.setattr(inference, "log_likelihood", lambda A, data: float("-inf"))
+    m = 3
+    data = sample_copula(AsymmetricLogistic(0.5, 0.9, 0.6), 100, 21)
+    (fit,) = _mles(_LogLik([data], m), OptimConfig(starts=3, maxfev=50), [0], full)
+    assert fit.loglik == 0.0 and fit.converged
+    assert fit.estimate.poly.coeffs.tolist() == [1.0] * (m + 3)
+    assert np.array_equal(fit.param.theta if full else fit.param.c, np.zeros(m + 1))
+
+
 def _fit_bits(fit):
     return (fit.loglik, fit.param.to_json(), fit.estimate.poly.coeffs.tolist(), fit.converged,
             fit.starts_used)
@@ -533,6 +594,13 @@ def test_fit_loglik_is_loglik_of_estimate():
             else:
                 expected = PickandsPoly(a_from_h(BernsteinPoly(res.param.c)))
             assert np.array_equal(res.estimate.poly.coeffs, expected.poly.coeffs)
+    # and in a group of 8 datasets, each fit's loglik is that of its own data
+    group = [sample_copula(AsymmetricLogistic(0.5, 0.9, 0.6), 150, 40 + i) for i in range(8)]
+    for m in (0, 3, 6):
+        for full in (True, False):
+            fits = _mles(_LogLik(group, m), OptimConfig(starts=5, maxfev=200), list(range(8)), full)
+            for data, res in zip(group, fits):
+                assert res.loglik == log_likelihood(res.estimate, data) and res.loglik >= 0.0
 
 
 def _check_against_oracle(data, m, config):

@@ -734,6 +734,23 @@ def test_study_cfg_curve_is_fit_cfg_on_the_study_grid():
         assert np.array_equal(record["cfg"]["curve"], expected)
 
 
+@pytest.mark.parametrize("estimators, builds", [(("full", "sub", "cfg"), 1), (("cfg",), 0)])
+def test_study_group_builds_one_engine_for_its_mles(estimators, builds, monkeypatch):
+    # full and sub share the group's one likelihood engine; CFG alone builds none
+    built = []
+    real = simulation_module._LogLik
+
+    def counting(samples, m):
+        built.append(len(samples))
+        return real(samples, m)
+
+    monkeypatch.setattr(simulation_module, "_LogLik", counting)
+    config = StudyConfig(model=MIX_MODEL, n=40, replicates=3, m=1, estimators=estimators,
+                         seed=5, grid=11, optim=OptimConfig(starts=2, maxfev=30))
+    simulation_module._study_group((config, [0, 1, 2]))
+    assert built == [3] * builds
+
+
 @pytest.mark.parametrize("ranks", [False, True])
 @pytest.mark.parametrize("name", ["alog", "mix", "poly6"])
 def test_group_samples_equal_sample_copula(name, ranks):
