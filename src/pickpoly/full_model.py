@@ -8,6 +8,11 @@ products of theta entries, so each coefficient is a positive semidefinite
 quadratic form in theta. The admissible set Theta_m is the intersection of the two ellipsoids
 where the endpoint-derivative functionals int (1-w) h and int w h stay <= 1.
 Degree 0 is parameterized directly by the constant value of h on [0,2].
+
+Every use of h_theta reads one product per theta row, T[k] theta: h, the
+caps W h and their gradients 2 W T[k] theta all come from it, so the full
+model's search reads its caps with the objective. The ellipsoid forms of
+``form_matrices`` serve sampling (and the tests' independent oracles).
 """
 
 from __future__ import annotations
@@ -66,6 +71,11 @@ def _square_tensor(d: int) -> np.ndarray:
     return S
 
 
+def _blocks(m: int) -> tuple[slice, slice]:
+    # theta's P and Q entries: the first m // 2 + 1 are P's Bernstein coefficients
+    return slice(0, m // 2 + 1), slice(m // 2 + 1, m + 1)
+
+
 @lru_cache(maxsize=_MATRIX_CACHE)
 def coefficient_tensor(m: int) -> np.ndarray:
     """Symmetric tensor T with c(k, m; h_theta) = theta^T T[k] theta.
@@ -79,8 +89,7 @@ def coefficient_tensor(m: int) -> np.ndarray:
     """
     T = np.zeros((m + 1, m + 1, m + 1))
     k = np.arange(m + 1)[:, None, None]
-    p = slice(0, m // 2 + 1)
-    q = slice(m // 2 + 1, m + 1)
+    p, q = _blocks(m)
     if m % 2 == 0:
         # P^2 + t(1-t) Q^2 with deg P = m/2, deg Q^2 = m - 2
         T[:, p, p] = _square_tensor(m // 2)
@@ -100,32 +109,47 @@ def form_matrices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_frozen(np.tensordot(w, T, axes=(0, 0)) / (m + 1)) for w in _cap_weights(m))
 
 
-def _h_rows(theta: np.ndarray) -> np.ndarray:
-    # h_theta of every row of a (rows x (m+1)) stack, m >= 1; the einsum
-    # gives each row the bits it gets alone
-    return np.einsum("kij,ri,rj->rk", coefficient_tensor(theta.shape[1] - 1), theta, theta)
+def _theta_rows(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (h, Tth) of every row of a (rows x (m+1)) stack, m >= 1: row k of Tth[r]
+    # is T[k] theta_r and h_r = Tth[r] theta_r. Each row is its own product
+    # (T[k] flattened into columns k*p + i), so a row's bits do not depend
+    # on the stack.
+    p = theta.shape[1]
+    Tth = _by_row(theta, coefficient_tensor(p - 1).reshape(p * p, p).T).reshape(-1, p, p)
+    return (Tth @ theta[:, :, None])[:, :, 0], Tth
 
 
-def _theta_objective(objective):
-    """The h-objective ``objective(h, tags)`` as one in theta (m >= 1).
+def _theta_objective(objective, W: np.ndarray):
+    """The h-objective ``objective(h, tags)`` as one in theta (m >= 1), with the caps.
 
-    h_k = theta' T[k] theta and dh_k/dtheta = 2 T[k] theta, so the gradient
-    is 2 (sum_k g_k T[k]) theta; each row's T[k] theta is its own product.
+    Returns ``(f, g, caps, cap_grads)`` for every row, all from the row's one
+    T[k] theta product: h_k = theta' T[k] theta and dh_k/dtheta = 2 T[k] theta,
+    so the gradient is 2 (sum_k g_k T[k]) theta, the caps are W h (``W`` the
+    (2 x (m+1)) cap weights) and their gradients 2 W T[k] theta.
     """
     def theta_objective(theta: np.ndarray, tags: np.ndarray):
-        p = theta.shape[1]
-        # T[k] flattened into columns k*p + i, so theta @ T holds every T[k] theta
-        Tth = _by_row(theta, coefficient_tensor(p - 1).reshape(p * p, p).T).reshape(-1, p, p)
-        f, g = objective((Tth @ theta[:, :, None])[:, :, 0], tags)
-        return f, 2.0 * (g[:, None, :] @ Tth)[:, 0, :]
+        h, Tth = _theta_rows(theta)
+        f, g = objective(h, tags)
+        return f, 2.0 * (g[:, None, :] @ Tth)[:, 0, :], _by_row(h, W.T), 2.0 * (W @ Tth)
     return theta_objective
+
+
+def _canonical_sign(theta: np.ndarray, m: int) -> np.ndarray:
+    # (P, Q) and their sign flips give the same h; report the representative
+    # whose first nonzero entry per block is positive, for every row (m >= 1)
+    theta = theta.copy()
+    for block in _blocks(m):
+        seg = theta[:, block]
+        first = seg[np.arange(seg.shape[0]), np.argmax(seg != 0.0, axis=1)]
+        seg[first < 0.0] *= -1.0
+    return theta
 
 
 def theta_to_h(param: FullModelParam) -> BernsteinPoly:
     """Spectral-density polynomial h_theta of degree m (nonnegative by construction)."""
     if _check_type("param", param, FullModelParam).m == 0:
         return BernsteinPoly(param.theta)
-    return BernsteinPoly(_h_rows(param.theta[None])[0])
+    return BernsteinPoly(_theta_rows(param.theta[None])[0][0])
 
 
 @dataclass(frozen=True)

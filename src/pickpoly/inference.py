@@ -11,28 +11,29 @@ Estimators, all returning genuine Pickands functions by construction:
   minorant on a grid.
 
 Both MLEs share one likelihood engine: for fixed data the log-likelihood is
-a smooth function of the spectral coefficients h with a closed-form
-gradient and Hessian, evaluated through a design matrix built once per
-(data, m) for a whole stack of points at a time. The problems are
-nonconcave, so each fitter searches from many feasible random starts and
-keeps the best; all starts advance together in one batched local search: a
-damped-BFGS SQP over Theta_m whose QP over the two linearised caps is solved
-in closed form, and a primal-dual interior point with the exact Hessian over
-the polytope, each local search one call of ``minimize``. One driver,
+a smooth function of the spectral coefficients h with a closed-form gradient
+and Hessian, evaluated through a design matrix built once per (data, m) for
+a whole stack of points at a time. The problems are nonconcave, so each
+fitter searches from many feasible random starts and keeps the best; all
+starts advance together in one batched local search: a damped-BFGS SQP over
+Theta_m, which reads the two caps and their gradients with the objective
+(from one T[k] theta product per row) and solves its QP over the linearised
+caps in closed form, and a primal-dual interior point with the exact Hessian
+over the polytope, each local search one call of ``minimize``. One driver,
 ``_mles``, serves both MLEs: only the starts, the search and the parameter
 type depend on the model, and at m = 0, where Theta_0 = [0, 2] is the
 degree-0 polytope, both run the interior point. One search can carry the
 starts of a whole group of datasets (``fit_full`` and ``fit_sub`` are a
-group of one, ``run_study`` fits groups of 8). A start's values are not
-what it gets alone, as BLAS rounds a one-row product (GEMV) and a stacked
-one (GEMM) differently, but each dataset's products run on its own
-sub-stack, which holds the same rows in every call whether the dataset is
-searched alone or in a group; so a dataset's fit does not depend on its
-group. All final points are pulled radially back into the parameter space
-and ranked by the engine in one call; each dataset's winner becomes its
-estimate, whose reported loglik is ``log_likelihood`` of that estimate, and
-a fit reporting no more than 0 falls back to the independence parameter
-(loglik exactly 0). Everything is deterministic given the seed.
+group of one, ``run_study`` fits groups of 8). A start's values are not what
+it gets alone, as BLAS rounds a one-row product (GEMV) and a stacked one
+(GEMM) differently, but each dataset's products run on its own sub-stack,
+which holds the same rows in every call whether the dataset is searched
+alone or in a group; so a dataset's fit does not depend on its group. All
+final points are pulled radially back into the parameter space and ranked by
+the engine in one call; each dataset's winner becomes its estimate, whose
+reported loglik is ``log_likelihood`` of that estimate, and a fit reporting
+no more than 0 falls back to the independence parameter (loglik exactly 0).
+Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .bernstein import BernsteinPoly, _by_row, _check_int, _check_type, _frozen, _real_array, eval_with_derivatives
-from .full_model import FullModelParam, _h_rows, _theta_objective, form_matrices, sample_feasible
+from .full_model import FullModelParam, _canonical_sign, _theta_objective, _theta_rows, sample_feasible
 from .pickands import (
     _DENSITY,
     PickandsPoly,
@@ -218,27 +219,20 @@ class _LogLik:
         self._outer = None
 
     @staticmethod
-    def _segments(tags):
-        # (dataset, rows) for each run of one tag
-        if tags[0] == tags[-1]:  # the tags ascend, so this is one run
-            return [(int(tags[0]), slice(None))]
-        cuts = [0, *(np.flatnonzero(tags[1:] != tags[:-1]) + 1).tolist(), tags.size]
-        return [(int(tags[a]), slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
-
-    @staticmethod
-    def _products(x, segments, tables):
+    def _products(x, tags, tables):
         # x @ tables[d] on each dataset d's own rows
-        if len(segments) == 1:
-            return x @ tables[segments[0][0]]
+        if tags[0] == tags[-1]:  # the tags ascend, so this is one run
+            return x @ tables[tags[0]]
         out = np.empty((x.shape[0], tables.shape[-1]))
-        for d, rows in segments:
-            out[rows] = x[rows] @ tables[d]
+        cuts = np.searchsorted(tags, np.arange(len(tables) + 1))
+        for d, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            out[a:b] = x[a:b] @ tables[d]
         return out
 
-    def _factors(self, h, segments):
+    def _factors(self, h, tags):
         # the brace's factors, the brace and the linear term of every row
         n = self.n
-        z = self._products(h, segments, self.design_t)
+        z = self._products(h, tags, self.design_t)
         f1 = 1.0 + z[:, :n]
         f2 = 1.0 + z[:, n:2 * n]
         return f1, f2, f1 * f2 + z[:, 2 * n:3 * n], z[:, 3 * n]
@@ -251,15 +245,14 @@ class _LogLik:
         gradient zero, so a line search backs off instead of failing on inf
         or NaN; the other rows are unaffected.
         """
-        segments = self._segments(tags)
-        f1, f2, brace, lin = self._factors(h, segments)
+        f1, f2, brace, lin = self._factors(h, tags)
         bad = brace.min(axis=1) <= 0.0
         if bad.any():
             brace[bad] = 1.0
         inv = 1.0 / brace
         value = -(lin + np.log(brace).sum(axis=1))
         weights = np.concatenate([f2 * inv, f1 * inv, inv, np.ones((h.shape[0], 1))], axis=1)
-        grad = -self._products(weights, segments, self.design)
+        grad = -self._products(weights, tags, self.design)
         if bad.any():
             value[bad] = _UNDEFINED_OBJ
             grad[bad] = 0.0
@@ -285,52 +278,42 @@ class _LogLik:
 
             self._outer = np.concatenate([sym(a, a), sym(b, b), sym(c, c),
                                           sym(a, b), sym(a, c), sym(b, c)], axis=1)
-        segments = self._segments(tags)
-        f1, f2, brace, _ = self._factors(h, segments)
+        f1, f2, brace, _ = self._factors(h, tags)
         inv = 1.0 / brace
         inv2 = inv * inv
         weights = np.concatenate([f2 * f2 * inv2, f1 * f1 * inv2, inv2,
                                   f1 * f2 * inv2 - inv, f2 * inv2, f1 * inv2], axis=1)
-        return self._products(weights, segments, self._outer).reshape(-1, p, p)
+        return self._products(weights, tags, self._outer).reshape(-1, p, p)
 
 
 # A search trusts the likelihood formula only this far beyond the caps of
-# Theta_m (in q = theta' Q theta); further out A_theta is no Pickands function
-# and the formula is unbounded below.
+# Theta_m (in the caps W h); further out A_theta is no Pickands function and
+# the formula is unbounded below.
 _CAP_SLACK = 0.1
 
 
-def _sqp(fun, x0, *, tags, constraints, maxiter):
-    """Damped-BFGS SQP over Theta_m = {theta : theta' Q_j theta <= 1, j = 0, 1}.
+def _sqp(fun, x0, *, tags, maxiter):
+    """Damped-BFGS SQP over Theta_m = {theta : q_j(theta) <= 1, j = 0, 1}.
 
     One local search: ``fun(x, tags)`` maps a (starts x p) stack and each
-    row's dataset tag to values and gradients, ``x0`` is the stack of
-    starts, ``tags`` their tags and ``constraints`` the stacked forms
-    (Q0, Q1). All starts advance together, each on its own. Each iteration
-    solves the QP over the two linearised caps in closed form, trying the
-    active sets
-    {}, {0}, {1} and {0, 1} with the inverse BFGS matrix, then backtracks
-    on the l1 merit function f + rho . max(0, q - 1). The update is
-    Powell-damped, using B s = alpha (A' lambda - g) from the QP's own
-    optimality conditions, so only the inverse is kept. A start stops at a
-    KKT point (the QP predicts a decrease below _FTOL), when f moves by
-    less than _FTOL and the step is tiny or the predicted decrease small,
-    when its line search fails from the identity matrix, or after
+    row's dataset tag to values, gradients, the two caps q (starts x 2) and
+    their gradients (starts x 2 x p), ``x0`` is the stack of starts and
+    ``tags`` their tags. All starts advance together, each on its own. Each
+    iteration solves the QP over the two linearised caps in closed form,
+    trying the active sets {}, {0}, {1} and {0, 1} with the inverse BFGS
+    matrix, then backtracks on the l1 merit function f + rho . max(0, q - 1).
+    The update is Powell-damped, with y the change of the Lagrangian's
+    gradient, g + lambda . dq, along the step and B s = alpha (A' lambda - g)
+    from the QP's own optimality conditions, so only the inverse is kept. A
+    start stops at a KKT point (the QP predicts a decrease below _FTOL), when
+    f moves by less than _FTOL and the step is tiny or the predicted decrease
+    small, when its line search fails from the identity matrix, or after
     ``maxiter`` iterations. Returns the final stack as ``x``, per-start
     ``converged`` flags, and ``fun`` the best final value.
     """
-    Q = constraints
-    p = Q.shape[-1]
-    Qcat = np.concatenate([Q[0], Q[1]], axis=1)
-
-    def caps(x):
-        # (x' Q_j)_j and the forms x' Q_j x, for every row
-        QX = _by_row(x, Qcat).reshape(-1, 2, p)
-        return QX, (QX @ x[:, :, None])[:, :, 0]
-
     X = x0.copy()
-    count = X.shape[0]
-    F, G = fun(X, tags)
+    count, p = X.shape
+    F, G, Q, DQ = fun(X, tags)
     nfev = 1
     eye = np.eye(p)
     Hinv = np.tile(eye, (count, 1, 1))
@@ -342,11 +325,10 @@ def _sqp(fun, x0, *, tags, constraints, maxiter):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while active.any():
             act = active.nonzero()[0]
-            x, f, g, Hi, rows = X[act], F[act], G[act], Hinv[act], tags[act]
-            QX, q = caps(x)
+            x, f, g, q, dq, Hi, rows = X[act], F[act], G[act], Q[act], DQ[act], Hinv[act], tags[act]
             c = 1.0 - q
-            # columns g, a_0, a_1 (a_j = -2 Q_j x, the gradient of c_j) through Hinv
-            GA = np.concatenate([g[:, None, :], -2.0 * QX], axis=1)
+            # columns g, a_0, a_1 (a_j = -dq_j, the gradient of c_j) through Hinv
+            GA = np.concatenate([g[:, None, :], -dq], axis=1)
             HGA = Hi @ GA.transpose(0, 2, 1)
             N = GA @ HGA
             e0, e1 = N[:, 1, 0] - c[:, 0], N[:, 2, 0] - c[:, 1]
@@ -377,20 +359,20 @@ def _sqp(fun, x0, *, tags, constraints, maxiter):
             # backtracking by safeguarded quadratic interpolation
             alpha = np.ones(act.size)
             trying = ~kkt
-            xn, fn, gn, qn = x.copy(), f.copy(), g.copy(), q.copy()
+            xn, fn, gn, qn, dqn = x.copy(), f.copy(), g.copy(), q.copy(), dq.copy()
             for _ in range(10):
                 idx = trying.nonzero()[0]
                 if idx.size == 0:
                     break
                 a = alpha[idx]
                 xt = x[idx] + a[:, None] * d[idx]
-                qt = caps(xt)[1]
-                ft, gt = fun(xt, rows[idx])
+                ft, gt, qt, dqt = fun(xt, rows[idx])
                 nfev += 1
                 excess = (rh[idx] * np.maximum(qt - 1.0, 0.0)).sum(axis=1) + ft - phi[idx]
                 good = (excess <= 0.1 * a * slope[idx]) & (qt.max(axis=1) <= 1.0 + _CAP_SLACK)
                 hit = idx[good]
-                xn[hit], fn[hit], gn[hit], qn[hit] = xt[good], ft[good], gt[good], qt[good]
+                xn[hit], fn[hit], gn[hit] = xt[good], ft[good], gt[good]
+                qn[hit], dqn[hit] = qt[good], dqt[good]
                 trying[hit] = False
                 if hit.size < idx.size:
                     miss, a = idx[~good], a[~good]
@@ -398,7 +380,7 @@ def _sqp(fun, x0, *, tags, constraints, maxiter):
                     alpha[miss] = np.clip(guess, 0.1 * a, 0.5 * a)
             s = xn - x
             # damped BFGS update of the inverse Hessian of the Lagrangian
-            y = gn - g + 2.0 * (lam[:, None, :] @ caps(s)[0])[:, 0, :]
+            y = gn - g + (lam[:, None, :] @ (dqn - dq))[:, 0, :]
             Bs = alpha[:, None] * ((lam[:, None, :] @ GA[:, 1:, :])[:, 0, :] - g)
             sBs = (s * Bs).sum(axis=1)
             sy = (s * y).sum(axis=1)
@@ -419,7 +401,7 @@ def _sqp(fun, x0, *, tags, constraints, maxiter):
             reset[act] = trying | (reset[act] & ~update)
             settled = ((np.abs(fn - f) < _FTOL) & ~trying & (qn.max(axis=1) <= 1.0 + _FTOL)
                        & (((s * s).sum(axis=1) < 1e-16) | (pred < 1e-6)))
-            X[act], F[act], G[act], Hinv[act] = xn, fn, gn, Hi
+            X[act], F[act], G[act], Q[act], DQ[act], Hinv[act] = xn, fn, gn, qn, dqn, Hi
             nit[act] += 1
             ok[act] = kkt | settled
             active[act] = ~(ok[act] | stuck) & (nit[act] < maxiter)
@@ -610,14 +592,13 @@ def _mles(loglik: _LogLik, config: OptimConfig, seeds, full: bool) -> list[FitRe
                         else _polytope_starts(m, rng, config.starts, W) for rng in rngs])
     tags = np.repeat(np.arange(len(seeds)), config.starts)
     if full and m > 0:
-        Q = np.stack(form_matrices(m))
-        res = minimize(_theta_objective(loglik.objective), starts, method=_sqp, tags=tags,
-                       constraints=Q, maxiter=config.maxfev)
+        res = minimize(_theta_objective(loglik.objective, W), starts, method=_sqp, tags=tags,
+                       maxiter=config.maxfev)
         points, converged = res.x, res.converged
 
         def project(theta: np.ndarray):
-            theta = _canonical_sign(theta / np.sqrt(_cap_scale(W, _h_rows(theta)))[:, None], m)
-            return theta, _h_rows(theta)
+            theta = _canonical_sign(theta / np.sqrt(_cap_scale(W, _theta_rows(theta)[0]))[:, None], m)
+            return theta, _theta_rows(theta)[0]
     else:
         points, converged = _interior_point(loglik, starts, tags, W, config.maxfev)
 
@@ -640,8 +621,7 @@ def _mles(loglik: _LogLik, config: OptimConfig, seeds, full: bool) -> list[FitRe
 
 def _cap_scale(W: np.ndarray, h: np.ndarray) -> np.ndarray:
     # each row's larger cap W h, at least 1; each row's product alone
-    caps = (W[None] @ h[:, :, None])[:, :, 0]
-    return np.fmax(1.0, np.fmax(caps[:, 0], caps[:, 1]))
+    return np.fmax(1.0, _by_row(h, W.T).max(axis=1))
 
 
 def fit_full(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> FitResult:
@@ -654,18 +634,6 @@ def fit_sub(data: SampleSet, m: int, config: OptimConfig = OptimConfig()) -> Fit
     """Constrained MLE over the polytope C_m^+ (the Bernstein submodel), m an integer >= 0."""
     config = _check_type("config", config, OptimConfig)
     return _mles(_LogLik([_check_type("data", data, SampleSet)], m), config, [config.seed], False)[0]
-
-
-def _canonical_sign(theta: np.ndarray, m: int) -> np.ndarray:
-    # (P, Q) and their sign flips give the same h; report the representative
-    # whose first nonzero entry per block is positive, for every row (m >= 1)
-    theta = theta.copy()
-    split = m // 2 + 1
-    for block in (slice(0, split), slice(split, m + 1)):
-        seg = theta[:, block]
-        first = seg[np.arange(seg.shape[0]), np.argmax(seg != 0.0, axis=1)]
-        seg[first < 0.0] *= -1.0
-    return theta
 
 
 def _polytope_starts(m: int, rng: np.random.Generator, count: int, W: np.ndarray) -> np.ndarray:

@@ -553,7 +553,7 @@ def slsqp_multistart_loglik(data, m: int, config, model: str) -> float:
     if model == "full" and m > 0:
         Q = np.stack(form_matrices(m))
         starts = sample_feasible(m, rng, config.starts)
-        fun = _row_objective(_theta_objective(engine.objective))
+        fun = _row_objective(_theta_objective(engine.objective, _cap_weights(m) / (m + 1)))
         problem = {"constraints": {"type": "ineq", "fun": lambda th: 1.0 - (Q @ th) @ th,
                                    "jac": lambda th: -2.0 * (Q @ th)}}
     else:
@@ -580,9 +580,10 @@ def slsqp_multistart_loglik(data, m: int, config, model: str) -> float:
 
 
 def _row_objective(batched):
-    # the engine evaluates stacks of points; SLSQP asks for one at a time
+    # the engine evaluates stacks of points; SLSQP asks for one at a time and
+    # keeps its own constraints, so only the value and gradient are read
     def fun(x):
-        f, g = batched(x[None, :], np.zeros(1, int))
+        f, g = batched(x[None, :], np.zeros(1, int))[:2]
         return float(f[0]), g[0]
     return fun
 

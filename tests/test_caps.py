@@ -95,7 +95,7 @@ def near_threshold_h(draw):
     m = draw(st.integers(0, 10))
     c = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m + 1, max_size=m + 1)))
     q = endpoint_functionals(BernsteinPoly(c))
-    assume(max(q) > 0.0)
+    assume(min(q) > 0.0)  # either cap may be the divisor; a subnormal c can round one to 0
     rule, offset = draw(st.sampled_from(["left", "right", "coefficient"])), draw(_offset())
     if rule == "coefficient":
         c = c * draw(st.floats(0.1, 1.0)) / max(q)

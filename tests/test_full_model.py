@@ -26,7 +26,8 @@ from pickpoly import (
     validate_pickands,
 )
 from pickpoly import full_model
-from pickpoly.full_model import _h_rows, coefficient_tensor
+from pickpoly.full_model import _theta_objective, _theta_rows, coefficient_tensor, form_matrices
+from pickpoly.pickands import _cap_weights
 
 
 def test_hypergeo_pmf_examples():
@@ -58,14 +59,35 @@ def test_coefficient_tensor_matches_hypergeometric_oracle():
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_h_rows_give_every_row_its_bits_alone(m, rng):
-    # the stacked theta -> h of the full model's projection and scoring
-    # gives each row of a stack of 1..64 rows, wherever it sits, exactly the
-    # coefficients theta_to_h gives that row alone
+    # the one theta product of the full model's search, projection and
+    # theta_to_h gives each row of a stack of 1..64 rows, wherever it sits,
+    # exactly the h and T[k] theta rows it gets alone
     stack = sample_feasible(m, rng, 64)
-    alone = np.array([theta_to_h(FullModelParam(m, th)).coeffs for th in stack])
+    h_alone, T_alone = (np.concatenate(x) for x in zip(*(_theta_rows(th[None]) for th in stack)))
+    assert np.array_equal(h_alone, [theta_to_h(FullModelParam(m, th)).coeffs for th in stack])
     for rows in range(1, 65):
-        assert np.array_equal(_h_rows(stack[:rows]), alone[:rows]), rows
-        assert np.array_equal(_h_rows(stack[-rows:]), alone[-rows:]), rows
+        for part in (slice(None, rows), slice(-rows, None)):
+            h, Tth = _theta_rows(stack[part])
+            assert np.array_equal(h, h_alone[part]) and np.array_equal(Tth, T_alone[part]), rows
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_theta_objective_caps_are_the_ellipsoid_forms(m, rng):
+    # the caps W h and their gradients 2 W T[k] theta, which the search reads
+    # with the objective, are theta' Q_j theta and 2 Q_j theta, both inside
+    # Theta_m and outside it
+    Q = np.stack(form_matrices(m))
+    objective = _theta_objective(lambda h, tags: (h.sum(axis=1), h), _cap_weights(m) / (m + 1))
+    inside = sample_feasible(m, rng, 128)
+    forms = np.einsum("ri,jik,rk->rj", inside, Q, inside)
+    outside = 1.5 * inside / np.sqrt(forms.max(axis=1))[:, None]
+    for theta in (inside, outside):
+        _, _, caps, cap_grads = objective(theta, np.zeros(len(theta), int))
+        forms = np.einsum("ri,jik,rk->rj", theta, Q, theta)
+        grads = 2.0 * np.einsum("jik,rk->rji", Q, theta)
+        assert np.all(np.abs(caps - forms) <= 1e-14 * forms)
+        assert np.all(np.abs(cap_grads - grads) <= 1e-14 * np.abs(grads).max(axis=2, keepdims=True))
+    assert np.all(caps.max(axis=1) > 2.0)
 
 
 def test_theta_to_h_small_cases():

@@ -48,6 +48,7 @@ from pickpoly import (
 from pickpoly.bernstein import eval_with_derivatives
 from pickpoly import inference
 from pickpoly.full_model import _theta_objective
+from pickpoly.pickands import _cap_weights
 from pickpoly.inference import (
     _LogLik,
     _loglik_terms,
@@ -403,15 +404,6 @@ def _engine_points(m, rng):
     return thetas, hs + _polytope_points(m, rng, 4)
 
 
-def _central_diff(f, x, step=1e-6):
-    out = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        out[i] = (f(x + e) - f(x - e)) / (2.0 * step)
-    return out
-
-
 def _on_first(x):
     # the dataset tags of a stack whose rows all belong to the group's first dataset
     return np.zeros(len(x), int)
@@ -450,10 +442,13 @@ def test_engine_gradients_match_central_differences(m, rng):
     if m == 0:
         return
     thetas = 0.9 * thetas
-    theta_objective = _theta_objective(engine.objective)
+    theta_objective = _theta_objective(engine.objective, _cap_weights(m) / (m + 1))
+    _, grad, _, cap_grads = theta_objective(thetas, _on_first(thetas))
     fd = _central_diff(lambda x: theta_objective(x, _on_first(x))[0], thetas)
-    assert np.allclose(theta_objective(thetas, _on_first(thetas))[1], fd,
-                       rtol=1e-5, atol=1e-5 * data.n)
+    assert np.allclose(grad, fd, rtol=1e-5, atol=1e-5 * data.n)
+    # the caps are quadratic in theta, so their central differences are exact up to rounding
+    fd = _central_diff(lambda x: theta_objective(x, _on_first(x))[2], thetas)
+    assert np.allclose(cap_grads, fd.transpose(0, 2, 1), rtol=1e-7, atol=1e-9)
 
 
 @pytest.mark.parametrize("m", ENGINE_DEGREES)
@@ -466,6 +461,18 @@ def test_engine_hessian_matches_central_differences(m, rng):
     assert np.allclose(hess, hess.transpose(0, 2, 1), rtol=0.0, atol=1e-12 * np.abs(hess).max())
     fd = _central_diff(lambda x: engine.objective(x, _on_first(x))[1], hs)
     assert np.allclose(hess, fd, rtol=1e-5, atol=1e-5 * data.n)
+
+
+def test_products_cut_the_stack_by_dataset(rng):
+    # the engine's per-dataset products on hand-made stacks: a middle dataset
+    # with no rows gets an empty slice, and a stack of one dataset is one
+    # product; each equals the dataset's own product, bit for bit
+    tables = rng.normal(size=(3, 4, 7))
+    x = rng.normal(size=(5, 4))
+    out = _LogLik._products(x, np.array([0, 0, 0, 2, 2]), tables)
+    assert np.array_equal(out[:3], x[:3] @ tables[0])
+    assert np.array_equal(out[3:], x[3:] @ tables[2])
+    assert np.array_equal(_LogLik._products(x, np.full(5, 1), tables), x @ tables[1])
 
 
 def test_engine_objective_finite_where_density_breaks_down(rng):
