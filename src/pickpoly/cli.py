@@ -185,7 +185,10 @@ def _cmd_study(args) -> int:
     optim = None
     if "optim" in raw:
         _check_keys(raw["optim"], [f.name for f in fields(OptimConfig)], "optim")
-        optim = OptimConfig(**raw["optim"])
+        try:
+            optim = OptimConfig(**raw["optim"])
+        except ValueError as exc:  # the field's name within the study config
+            raise ValueError(f"optim.{exc}") from None
     config = StudyConfig(**{**raw, "model": model_from_json(raw["model"]), "optim": optim})
     report = run_study(config)
     _write_out(_dump(report.payload()), args.out)

@@ -136,6 +136,8 @@ class FitResult:
     ``loglik`` is ``log_likelihood(estimate, data)``, at least 0 (NaN for CFG).
     ``starts_used`` is ``config.starts`` (0 for CFG); ``converged`` is the winning
     start's stopping flag alone (True for CFG and the independence fallback).
+    A full-model start that stops at a KKT point whose caps exceed 1 by at
+    most ``_FTOL`` (1e-10) counts as converged.
     """
 
     estimate: PickandsPoly | PiecewiseLinearPickands
@@ -305,11 +307,12 @@ def _sqp(fun, x0, *, tags, maxiter):
     The update is Powell-damped, with y the change of the Lagrangian's
     gradient, g + lambda . dq, along the step and B s = alpha (A' lambda - g)
     from the QP's own optimality conditions, so only the inverse is kept. A
-    start stops at a KKT point (the QP predicts a decrease below _FTOL), when
-    f moves by less than _FTOL and the step is tiny or the predicted decrease
-    small, when its line search fails from the identity matrix, or after
-    ``maxiter`` iterations. Returns the final stack as ``x``, per-start
-    ``converged`` flags, and ``fun`` the best final value.
+    start stops at a KKT point (the QP predicts a decrease below _FTOL and no
+    cap exceeds 1 by more than _FTOL), when f moves by less than _FTOL and
+    the step is tiny or the predicted decrease small, when its line search
+    fails from the identity matrix, or after ``maxiter`` iterations. Returns
+    the final stack as ``x``, per-start ``converged`` flags, and ``fun`` the
+    best final value.
     """
     X = x0.copy()
     count, p = X.shape
@@ -355,7 +358,7 @@ def _sqp(fun, x0, *, tags, maxiter):
             phi = f + penalty
             slope = gd - penalty
             pred = np.abs(gd) + np.abs(lam * c).sum(axis=1)
-            kkt = (pred < _FTOL) & (penalty == 0.0)
+            kkt = (pred < _FTOL) & (q.max(axis=1) <= 1.0 + _FTOL)
             # backtracking by safeguarded quadratic interpolation
             alpha = np.ones(act.size)
             trying = ~kkt

@@ -155,10 +155,6 @@ class PickandsPoly:
             raise ValueError(f"not a Pickands function: {report['violations']}")
         object.__setattr__(self, "poly", snapped)
 
-    @property
-    def m(self) -> int:
-        return self.poly.degree - 2
-
     def value(self, t):
         return evaluate(self.poly, _real_array("t", t, interval="[0, 1]"))
 

@@ -82,18 +82,6 @@ def in_submodel_a(A: BernsteinPoly) -> bool:
     return bool(c[0] == c[-1] == 1.0 and np.all(h >= -slack)) and not _caps(h)[1]
 
 
-def _deflate_left(c: np.ndarray) -> np.ndarray:
-    # h = t * g with g_k = c_{k+1} * m / (k+1); valid when c[0] == 0.
-    m = c.size - 1
-    return c[1:] * (m / np.arange(1.0, m + 1))
-
-
-def _deflate_right(c: np.ndarray) -> np.ndarray:
-    # h = (1-t) * g with g_k = c_k * m / (m-k); valid when c[m] == 0.
-    m = c.size - 1
-    return c[:-1] * (m / (m - np.arange(0.0, m)))
-
-
 def _exact_power_coeffs(c: np.ndarray, shift: float) -> list[int]:
     # integer power coefficients (ascending) of a positive multiple of the
     # polynomial with Bernstein coefficients c - shift, read exactly:
@@ -177,10 +165,12 @@ def _has_interior_zero(h: BernsteinPoly) -> bool:
     """
     c = h.coeffs
     scale = max(1.0, float(np.max(np.abs(c))))
+    # h = t g with g_k = c_{k+1} m / (k+1) when c_0 = 0, and h = (1-t) g with
+    # g_k = c_k m / (m-k) when c_m = 0
     while c.size > 1 and abs(c[0]) <= 1e-13 * scale:
-        c = _deflate_left(c)
+        c = c[1:] * ((c.size - 1) / np.arange(1.0, c.size))
     while c.size > 1 and abs(c[-1]) <= 1e-13 * scale:
-        c = _deflate_right(c)
+        c = c[:-1] * ((c.size - 1) / np.arange(c.size - 1.0, 0.0, -1.0))
     if c.size == 1:
         return False
     gscale = max(1.0, float(np.max(np.abs(c))))

@@ -3,12 +3,13 @@ import csv
 import io
 import json
 import os
+import stat
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import POLFULL_H, POLFULL_POWER, run_python
@@ -113,6 +114,17 @@ def test_simulate_deterministic_csv(tmp_path, capsys):
     assert lines[0] == "u,v" and len(lines) == 51
     u, v = map(float, lines[1].split(","))
     assert 0.0 < u < 1.0 and 0.0 < v < 1.0
+
+
+def test_simulate_writes_to_a_device_in_place(tmp_path, capsys):
+    # a file that is not a regular one (here the null device) is written in
+    # place: it is neither replaced nor left with a temporary file beside it
+    model = write(tmp_path / "model.json", MIX_MODEL_JSON)
+    code, out, err = run(capsys, "simulate", "--model", model, "--n", "50", "--seed", "3",
+                         "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert not os.path.exists(f"{os.devnull}.{os.getpid()}.tmp")
 
 
 def _csv_writer_text(sample) -> str:
@@ -245,6 +257,15 @@ def test_fit_requires_csv_header(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "--in", str(bad), "--model", "cfg")
     assert code == 1
     assert json.loads(err)["error"] == "ValueError"
+
+
+def test_fit_rejects_a_third_csv_column(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("u,v\n0.2,0.3,0.4\n0.5,0.6,0.7\n")
+    code, out, err = run(capsys, "fit", "--in", str(data), "--model", "cfg")
+    assert code == 1 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and "exactly two columns" in msg["message"]
 
 
 def test_bound_subcommand_comonotone(tmp_path, capsys):
@@ -479,6 +500,7 @@ STUDY_KEYS = [(key,) for key in STUDY_JSON] + [
 
 @settings(max_examples=300, deadline=None)
 @given(keys=st.sampled_from(STUDY_KEYS), value=JSON_VALUES)
+@example(keys=("optim",), value={"seed": None})
 def test_study_with_any_value_in_one_field_runs_or_names_it(tmp_path_factory, keys, value):
     # the CLI either runs the study or exits 1 with a JSON ValueError that
     # names the replaced field; never a traceback

@@ -8,6 +8,7 @@ from helpers import ALOG_PARAMS, alog_value, mpmath_alog_tau2, run_python
 from pickpoly import (
     AsymmetricLogistic,
     BernsteinPoly,
+    DependenceReport,
     FullModelParam,
     GenericPickands,
     PickandsPoly,
@@ -31,6 +32,12 @@ def test_tau_trivial_endpoints():
     rep = tau_measures(comonotone())
     assert rep.tau1 == pytest.approx(1.0, abs=1e-12)
     assert rep.tau2 == pytest.approx(1.0, abs=1e-14)
+
+
+def test_dependence_report_rejects_measures_out_of_order():
+    with pytest.raises(ValueError, match="out of order"):
+        DependenceReport(0.5, 0.2)
+    assert DependenceReport(0.2, 0.5).to_json() == {"tau1": 0.2, "tau2": 0.5}
 
 
 ALOG_PSI_PAIRS = [(0.1, 0.5), (0.9, 0.6), (0.3, 0.3), (1.0, 0.7), (0.5, 1.0)]

@@ -108,6 +108,11 @@ def test_certify_inconclusive_only_without_witness(monkeypatch):
     monkeypatch.setattr(pickands_module, "_CERTIFY_DEPTH", 3)
     with pytest.raises(CertificateInconclusiveError):
         certify_nonnegative(power_to_bernstein(PowerPoly([0.49, -1.4, 1.0])))
+    # which validate_pickands reports, for the A with that A'', as a
+    # violation without a witness
+    A = a_from_h(power_to_bernstein(PowerPoly([0.49, -1.4, 1.0])))
+    assert validate_pickands(A) == {
+        "valid": False, "violations": [{"rule": "convexity_inconclusive", "witness": None}]}
     # (t - 7/10)^2 ((t - 1/4)^2 - 1/100): the walk meets the undecided double
     # root first, then the negative dip around 1/4, which decides the sign
     dip = np.polynomial.polynomial.polymul([0.49, -1.4, 1.0], [0.0525, -0.5, 1.0])

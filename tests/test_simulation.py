@@ -287,6 +287,24 @@ def test_solver_at_clipped_u_and_extreme_w(name):
 
 
 @pytest.mark.parametrize("name", SOLVER_MODELS)
+@pytest.mark.parametrize("steps", [1, 8])
+def test_solver_at_its_step_cap_returns_each_last_iterate(name, steps, monkeypatch):
+    # with the step cap lowered, elements still active at the cap leave with
+    # their latest iterates, each in its own place: the stack gives every
+    # element what it gets alone, and the capped elements differ from the
+    # answer that the full 128 steps give
+    model = SOLVER_MODELS[name]
+    u, w = (g.ravel() for g in np.meshgrid(EXTREME_U, EXTREME_W))
+    final = _solve(model, u, w)
+    monkeypatch.setattr(simulation_module, "_MAX_STEPS", steps)
+    v = _solve(model, u, w)
+    alone = [_solve(model, u[i:i + 1], w[i:i + 1])[0] for i in range(u.size)]
+    assert np.array_equal(v, alone)
+    assert np.all((v >= 1e-14) & (v <= 1.0 - 1e-14))
+    assert not np.array_equal(v, final)
+
+
+@pytest.mark.parametrize("name", SOLVER_MODELS)
 def test_solver_residual_within_a_few_ulp(name):
     # |F(v) - w| is no more than moving v by a few ulp changes F (slope
     # c(u, v)) plus a few ulp of F's own rounding, which grows with the

@@ -189,6 +189,27 @@ def test_interior_zero_floor_walk_agrees_with_exact_roots(coeffs, s, sign):
         assert (lorentz_degree(BernsteinPoly(c)) == "infinite") == expected
 
 
+@pytest.mark.parametrize("c, zero", [
+    ([1.0 / 16.0, -3.0 / 16.0, 9.0 / 16.0], True),  # (t - 1/4)^2: nothing to deflate
+    ([0.26, -0.16, 0.26 / 3.0, 0.0], False),  # (1 - t)((t - 1/2)^2 + 1/100)
+    ([0.25, -1.0 / 6.0, 1.0 / 12.0, 0.0], True),  # (1 - t)(t - 1/2)^2
+    ([0.0, 0.065, -0.08, 0.065, 0.0], False),  # t(1 - t)((t - 1/2)^2 + 1/100)
+    # t(100 t - 1e-11 (1 - t)), whose root at 1e-13 is inside the slack:
+    # both end coefficients deflate, leaving the positive constant 100
+    ([0.0, -5e-12, 100.0], False),
+])
+def test_has_interior_zero_cases(c, zero):
+    # nonnegative h with a negative Bernstein coefficient, so lorentz_degree
+    # reaches the zero test, zeros at t = 0 and 1 deflated first
+    h = BernsteinPoly(c)
+    assert submodel_module._has_interior_zero(h) == zero
+    result = lorentz_degree(h)
+    if zero:
+        assert result == "infinite"
+    else:
+        assert exact_elevation_clears(c, result) and not exact_elevation_clears(c, result - 1)
+
+
 def test_lorentz_large_cap_memory_does_not_grow_with_cap():
     # the elevation probe runs over row blocks, so a cap of 10^6 (degree-20
     # rows: 168 MB unblocked) stays within a few blocks of memory
@@ -334,5 +355,8 @@ def test_piecewise_linear_pickands_validation():
         PiecewiseLinearPickands(knots, [1.0, 0.7, 0.5, 0.75, 1.0])  # first slope < -1
     with pytest.raises(ValueError):
         PiecewiseLinearPickands(knots, [0.9, 0.75, 0.5, 0.75, 1.0])  # endpoint != 1
+    for bad in ([0.0, 0.5, 0.5, 0.75, 1.0], [0.0, 0.5, 0.25, 0.75, 1.0], [0.1, 0.25, 0.5, 0.75, 1.0]):
+        with pytest.raises(ValueError, match="knots must increase strictly"):
+            PiecewiseLinearPickands(bad, [1.0, 0.75, 0.5, 0.75, 1.0])
     pl = PiecewiseLinearPickands(knots, [1.0, 0.8, 0.6, 0.8, 1.0])
     assert pl.value(0.125) == pytest.approx(0.9)
