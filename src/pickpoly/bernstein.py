@@ -262,17 +262,6 @@ def eval_with_derivatives(coeffs: np.ndarray, x: np.ndarray):
     return val, d1, d2
 
 
-def derivative_coeffs(P: BernsteinPoly) -> BernsteinPoly:
-    """Coefficients of P': c(k, m-1; P') = m * (c(k+1) - c(k)).
-
-    A degree-0 input returns the zero polynomial of degree 0.
-    """
-    m = P.degree
-    if m == 0:
-        return BernsteinPoly(np.zeros(1))
-    return BernsteinPoly(m * np.diff(P.coeffs))
-
-
 # the degree-elevation map is built and applied in blocks of rows holding
 # at most this many entries, so memory does not grow with the target degree
 _ELEVATION_BLOCK = 2**16

@@ -312,7 +312,10 @@ def _sqp(fun, x0, *, tags, maxiter):
     the step is tiny or the predicted decrease small, when its line search
     fails from the identity matrix, or after ``maxiter`` iterations. Returns
     the final stack as ``x``, per-start ``converged`` flags, and ``fun`` the
-    best final value.
+    best final value. Only the QP multipliers' quotients are computed under
+    ``np.errstate``, and the BFGS quotients only where they are used; a
+    warning that ``fun`` raises at an iterate or a trial point reaches the
+    caller.
     """
     X = x0.copy()
     count, p = X.shape
@@ -325,89 +328,92 @@ def _sqp(fun, x0, *, tags, maxiter):
     nit = np.zeros(count, int)
     active = np.ones(count, bool)
     ok = np.zeros(count, bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while active.any():
-            act = active.nonzero()[0]
-            x, f, g, q, dq, Hi, rows = X[act], F[act], G[act], Q[act], DQ[act], Hinv[act], tags[act]
-            c = 1.0 - q
-            # columns g, a_0, a_1 (a_j = -dq_j, the gradient of c_j) through Hinv
-            GA = np.concatenate([g[:, None, :], -dq], axis=1)
-            HGA = Hi @ GA.transpose(0, 2, 1)
-            N = GA @ HGA
-            e0, e1 = N[:, 1, 0] - c[:, 0], N[:, 2, 0] - c[:, 1]
-            m00, m01, m11 = N[:, 1, 1], N[:, 1, 2], N[:, 2, 2]
-            # multipliers of the active sets {}, {0}, {1}, {0, 1}: the first
-            # whose step keeps both linearised caps and whose multipliers are >= 0
+    while active.any():
+        act = active.nonzero()[0]
+        x, f, g, q, dq, Hi, rows = X[act], F[act], G[act], Q[act], DQ[act], Hinv[act], tags[act]
+        c = 1.0 - q
+        # columns g, a_0, a_1 (a_j = -dq_j, the gradient of c_j) through Hinv
+        GA = np.concatenate([g[:, None, :], -dq], axis=1)
+        HGA = Hi @ GA.transpose(0, 2, 1)
+        N = GA @ HGA
+        e0, e1 = N[:, 1, 0] - c[:, 0], N[:, 2, 0] - c[:, 1]
+        m00, m01, m11 = N[:, 1, 1], N[:, 1, 2], N[:, 2, 2]
+        # multipliers of the active sets {}, {0}, {1}, {0, 1}: the first
+        # whose step keeps both linearised caps and whose multipliers are >= 0.
+        # Parallel cap gradients (at m = 1, once P or Q is 0) make det 0, so
+        # these quotients are formed silently
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             l0, l1 = e0 / m00, e1 / m11
             det = m00 * m11 - m01 * m01
             free = (e0 <= 0.0) & (e1 <= 0.0)
             only0 = ~free & (l0 >= 0.0) & (l0 * m01 >= e1)
             only1 = ~free & ~only0 & (l1 >= 0.0) & (l1 * m01 >= e0)
-            lam = np.empty((act.size, 3))
-            lam[:, 0] = -1.0
             both0 = np.fmax((m11 * e0 - m01 * e1) / det, 0.0)
             both1 = np.fmax((m00 * e1 - m01 * e0) / det, 0.0)
-            lam[:, 1] = np.where(only0, l0, np.where(free | only1, 0.0, both0))
-            lam[:, 2] = np.where(only1, l1, np.where(free | only0, 0.0, both1))
-            d = (HGA @ lam[:, :, None])[:, :, 0]
-            gd = (N[:, 0, :] * lam).sum(axis=1)
-            lam = lam[:, 1:]
-            rh = np.maximum(lam, 0.5 * (rho[act] + lam))
-            rho[act] = rh
-            penalty = (rh * np.maximum(-c, 0.0)).sum(axis=1)
-            phi = f + penalty
-            slope = gd - penalty
-            pred = np.abs(gd) + np.abs(lam * c).sum(axis=1)
-            kkt = (pred < _FTOL) & (q.max(axis=1) <= 1.0 + _FTOL)
-            # backtracking by safeguarded quadratic interpolation
-            alpha = np.ones(act.size)
-            trying = ~kkt
-            xn, fn, gn, qn, dqn = x.copy(), f.copy(), g.copy(), q.copy(), dq.copy()
-            for _ in range(10):
-                idx = trying.nonzero()[0]
-                if idx.size == 0:
-                    break
-                a = alpha[idx]
-                xt = x[idx] + a[:, None] * d[idx]
-                ft, gt, qt, dqt = fun(xt, rows[idx])
-                nfev += 1
-                excess = (rh[idx] * np.maximum(qt - 1.0, 0.0)).sum(axis=1) + ft - phi[idx]
-                good = (excess <= 0.1 * a * slope[idx]) & (qt.max(axis=1) <= 1.0 + _CAP_SLACK)
-                hit = idx[good]
-                xn[hit], fn[hit], gn[hit] = xt[good], ft[good], gt[good]
-                qn[hit], dqn[hit] = qt[good], dqt[good]
-                trying[hit] = False
-                if hit.size < idx.size:
-                    miss, a = idx[~good], a[~good]
-                    guess = -slope[miss] * a * a / (2.0 * (excess[~good] - a * slope[miss]))
-                    alpha[miss] = np.clip(guess, 0.1 * a, 0.5 * a)
-            s = xn - x
-            # damped BFGS update of the inverse Hessian of the Lagrangian
-            y = gn - g + (lam[:, None, :] @ (dqn - dq))[:, 0, :]
-            Bs = alpha[:, None] * ((lam[:, None, :] @ GA[:, 1:, :])[:, 0, :] - g)
-            sBs = (s * Bs).sum(axis=1)
-            sy = (s * y).sum(axis=1)
-            damp = np.where(sy < 0.2 * sBs, 0.8 * sBs / (sBs - sy), 1.0)
-            y = damp[:, None] * y + (1.0 - damp)[:, None] * Bs
-            sy = (s * y).sum(axis=1)
-            update = (sy > 0.0) & ~trying & ~kkt
-            r = np.where(update, 1.0 / sy, 0.0)
-            Hy = (Hi @ y[:, :, None])[:, :, 0]
-            sHy = s[:, :, None] * Hy[:, None, :]
-            ss = s[:, :, None] * s[:, None, :]
-            Hi += ((r + r * r * (y * Hy).sum(axis=1))[:, None, None] * ss
-                   - r[:, None, None] * (sHy + sHy.transpose(0, 2, 1)))
-            # a failed line search restarts from the identity; failing there ends the start
-            stuck = trying & reset[act]
-            if trying.any():
-                Hi[trying] = eye
-            reset[act] = trying | (reset[act] & ~update)
-            settled = ((np.abs(fn - f) < _FTOL) & ~trying & (qn.max(axis=1) <= 1.0 + _FTOL)
-                       & (((s * s).sum(axis=1) < 1e-16) | (pred < 1e-6)))
-            X[act], F[act], G[act], Q[act], DQ[act], Hinv[act] = xn, fn, gn, qn, dqn, Hi
-            nit[act] += 1
-            ok[act] = kkt | settled
-            active[act] = ~(ok[act] | stuck) & (nit[act] < maxiter)
+        lam = np.empty((act.size, 3))
+        lam[:, 0] = -1.0
+        lam[:, 1] = np.where(only0, l0, np.where(free | only1, 0.0, both0))
+        lam[:, 2] = np.where(only1, l1, np.where(free | only0, 0.0, both1))
+        d = (HGA @ lam[:, :, None])[:, :, 0]
+        gd = (N[:, 0, :] * lam).sum(axis=1)
+        lam = lam[:, 1:]
+        rh = np.maximum(lam, 0.5 * (rho[act] + lam))
+        rho[act] = rh
+        penalty = (rh * np.maximum(-c, 0.0)).sum(axis=1)
+        phi = f + penalty
+        slope = gd - penalty
+        pred = np.abs(gd) + np.abs(lam * c).sum(axis=1)
+        kkt = (pred < _FTOL) & (q.max(axis=1) <= 1.0 + _FTOL)
+        # backtracking by safeguarded quadratic interpolation
+        alpha = np.ones(act.size)
+        trying = ~kkt
+        xn, fn, gn, qn, dqn = x.copy(), f.copy(), g.copy(), q.copy(), dq.copy()
+        for _ in range(10):
+            idx = trying.nonzero()[0]
+            if idx.size == 0:
+                break
+            a = alpha[idx]
+            xt = x[idx] + a[:, None] * d[idx]
+            ft, gt, qt, dqt = fun(xt, rows[idx])
+            nfev += 1
+            excess = (rh[idx] * np.maximum(qt - 1.0, 0.0)).sum(axis=1) + ft - phi[idx]
+            good = (excess <= 0.1 * a * slope[idx]) & (qt.max(axis=1) <= 1.0 + _CAP_SLACK)
+            hit = idx[good]
+            xn[hit], fn[hit], gn[hit] = xt[good], ft[good], gt[good]
+            qn[hit], dqn[hit] = qt[good], dqt[good]
+            trying[hit] = False
+            if hit.size < idx.size:
+                miss, a = idx[~good], a[~good]
+                guess = -slope[miss] * a * a / (2.0 * (excess[~good] - a * slope[miss]))
+                alpha[miss] = np.clip(guess, 0.1 * a, 0.5 * a)
+        s = xn - x
+        # damped BFGS update of the inverse Hessian of the Lagrangian
+        y = gn - g + (lam[:, None, :] @ (dqn - dq))[:, 0, :]
+        Bs = alpha[:, None] * ((lam[:, None, :] @ GA[:, 1:, :])[:, 0, :] - g)
+        sBs = (s * Bs).sum(axis=1)
+        sy = (s * y).sum(axis=1)
+        # each quotient is formed only where it is used: a zero step gives 0/0 and 1/0
+        damp = np.divide(0.8 * sBs, sBs - sy, out=np.ones(act.size), where=sy < 0.2 * sBs)
+        y = damp[:, None] * y + (1.0 - damp)[:, None] * Bs
+        sy = (s * y).sum(axis=1)
+        update = (sy > 0.0) & ~trying & ~kkt
+        r = np.divide(1.0, sy, out=np.zeros(act.size), where=update)
+        Hy = (Hi @ y[:, :, None])[:, :, 0]
+        sHy = s[:, :, None] * Hy[:, None, :]
+        ss = s[:, :, None] * s[:, None, :]
+        Hi += ((r + r * r * (y * Hy).sum(axis=1))[:, None, None] * ss
+               - r[:, None, None] * (sHy + sHy.transpose(0, 2, 1)))
+        # a failed line search restarts from the identity; failing there ends the start
+        stuck = trying & reset[act]
+        if trying.any():
+            Hi[trying] = eye
+        reset[act] = trying | (reset[act] & ~update)
+        settled = ((np.abs(fn - f) < _FTOL) & ~trying & (qn.max(axis=1) <= 1.0 + _FTOL)
+                   & (((s * s).sum(axis=1) < 1e-16) | (pred < 1e-6)))
+        X[act], F[act], G[act], Q[act], DQ[act], Hinv[act] = xn, fn, gn, qn, dqn, Hi
+        nit[act] += 1
+        ok[act] = kkt | settled
+        active[act] = ~(ok[act] | stuck) & (nit[act] < maxiter)
     return SimpleNamespace(x=X, fun=float(F.min()), nfev=nfev, success=bool(ok.all()), converged=ok)
 
 
@@ -463,14 +469,16 @@ def _barrier_stage(fun, x0, *, tags, hess, constraints, mu, duals, spent, maxite
     error is below _KAPPA mu; in the last stage (mu = _MU_MIN) once the
     duality gap and the change of f are below _FTOL and the dual residual
     or the step is small. Returns the points, ``duals``, ``spent`` and
-    per-start ``converged`` flags.
+    per-start ``converged`` flags. No arithmetic is silenced: the step to a
+    bound is divided only along decreasing entries, and a warning that
+    ``fun`` or ``hess`` raises reaches the caller.
     """
     W = constraints
     p = W.shape[1]
 
     def reach(v, dv):
         # the step along dv that takes some entry of each (positive) row of v to 0
-        return np.where(dv < 0.0, -v / dv, np.inf).min(axis=1)
+        return np.divide(-v, dv, out=np.full(v.shape, np.inf), where=dv < 0.0).min(axis=1)
 
     C = x0.copy()
     Zc, Zw = duals[0].copy(), duals[1].copy()
@@ -481,69 +489,68 @@ def _barrier_stage(fun, x0, *, tags, hess, constraints, mu, duals, spent, maxite
     last = mu == _MU_MIN
     ok = np.zeros(C.shape[0], bool)
     active = spent < maxiter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while active.any():
-            act = active.nonzero()[0]
-            c, f, g, zc, zw, rows = C[act], F[act], G[act], Zc[act], Zw[act], tags[act]
-            s = 1.0 - _by_row(c, W.T)
-            if not last:
-                dual = (np.abs(g - zc + _by_row(zw, W)).max(axis=1)
-                        / np.maximum(1.0, np.abs(g).max(axis=1)))
-                comp = np.maximum(np.abs(c * zc - mu).max(axis=1), np.abs(s * zw - mu).max(axis=1))
-                done = np.maximum(dual, comp) <= _KAPPA * mu
-                ok[act[done]] = True
-                active[act[done]] = False
-                if done.all():
-                    break
-                keep = ~done
-                act, c, f, g, zc, zw, s, rows = (v[keep] for v in (act, c, f, g, zc, zw, s, rows))
-            H = hess(c, rows)
-            K = H + (zc / c)[:, :, None] * eye + (W.T * (zw / s)[:, None, :]) @ W
-            rhs = mu / c - _by_row(mu / s, W) - g
-            least = np.linalg.eigvalsh(K)[:, 0]
-            shift = np.where(least > 0.0, 0.0, 1e-8 * np.abs(H).max(axis=(1, 2)) - least)
-            dc = np.linalg.solve(K + shift[:, None, None] * eye, rhs[:, :, None])[:, :, 0]
-            ds = -_by_row(dc, W.T)
-            dzc = mu / c - zc - zc / c * dc
-            dzw = mu / s - zw - zw / s * ds
-            tau = max(0.99, 1.0 - mu)
-            alpha = np.minimum(1.0, tau * np.minimum(reach(c, dc), reach(s, ds)))
-            alpha_d = np.minimum(1.0, tau * np.minimum(reach(zc, dzc), reach(zw, dzw)))
-            phi = f - mu * (np.log(c).sum(axis=1) + np.log(s).sum(axis=1))
-            slope = -(rhs * dc).sum(axis=1)
-            trying = np.ones(act.size, bool)
-            cn, fn, gn = c.copy(), f.copy(), g.copy()
-            for _ in range(20):
-                idx = trying.nonzero()[0]
-                if idx.size == 0:
-                    break
-                ct = c[idx] + alpha[idx, None] * dc[idx]
-                st = 1.0 - _by_row(ct, W.T)
-                ft, gt = fun(ct, rows[idx])
-                nfev += 1
-                phit = ft - mu * (np.log(ct).sum(axis=1) + np.log(st).sum(axis=1))
-                # sufficient decrease, up to the rounding noise of phi
-                bound = phi[idx] + 1e-4 * alpha[idx] * slope[idx] + 1e-14 * np.abs(phi[idx])
-                good = (phit <= bound) & (ct.min(axis=1) > 0.0) & (st.min(axis=1) > 0.0)
-                hit = idx[good]
-                cn[hit], fn[hit], gn[hit] = ct[good], ft[good], gt[good]
-                trying[hit] = False
-                alpha[idx[~good]] *= 0.5
-            zc = zc + alpha_d[:, None] * dzc
-            zw = zw + alpha_d[:, None] * dzw
-            C[act], F[act], G[act], Zc[act], Zw[act] = cn, fn, gn, zc, zw
-            spent[act] += 1
-            stop = trying.copy()  # no acceptable step: the stage ends for this start
-            if last:
-                sn = 1.0 - _by_row(cn, W.T)
-                gap = (cn * zc).sum(axis=1) + (sn * zw).sum(axis=1)
-                dual = np.abs(gn - zc + _by_row(zw, W)).max(axis=1)
-                settled = ((gap < _FTOL) & (np.abs(fn - f) < _FTOL)
-                           & ((dual < 1e-6 * np.maximum(1.0, np.abs(gn).max(axis=1)))
-                              | (np.abs(cn - c).max(axis=1) < 1e-6)))
-                ok[act] = settled
-                stop |= settled
-            active[act] = ~stop & (spent[act] < maxiter)
+    while active.any():
+        act = active.nonzero()[0]
+        c, f, g, zc, zw, rows = C[act], F[act], G[act], Zc[act], Zw[act], tags[act]
+        s = 1.0 - _by_row(c, W.T)
+        if not last:
+            dual = (np.abs(g - zc + _by_row(zw, W)).max(axis=1)
+                    / np.maximum(1.0, np.abs(g).max(axis=1)))
+            comp = np.maximum(np.abs(c * zc - mu).max(axis=1), np.abs(s * zw - mu).max(axis=1))
+            done = np.maximum(dual, comp) <= _KAPPA * mu
+            ok[act[done]] = True
+            active[act[done]] = False
+            if done.all():
+                break
+            keep = ~done
+            act, c, f, g, zc, zw, s, rows = (v[keep] for v in (act, c, f, g, zc, zw, s, rows))
+        H = hess(c, rows)
+        K = H + (zc / c)[:, :, None] * eye + (W.T * (zw / s)[:, None, :]) @ W
+        rhs = mu / c - _by_row(mu / s, W) - g
+        least = np.linalg.eigvalsh(K)[:, 0]
+        shift = np.where(least > 0.0, 0.0, 1e-8 * np.abs(H).max(axis=(1, 2)) - least)
+        dc = np.linalg.solve(K + shift[:, None, None] * eye, rhs[:, :, None])[:, :, 0]
+        ds = -_by_row(dc, W.T)
+        dzc = mu / c - zc - zc / c * dc
+        dzw = mu / s - zw - zw / s * ds
+        tau = max(0.99, 1.0 - mu)
+        alpha = np.minimum(1.0, tau * np.minimum(reach(c, dc), reach(s, ds)))
+        alpha_d = np.minimum(1.0, tau * np.minimum(reach(zc, dzc), reach(zw, dzw)))
+        phi = f - mu * (np.log(c).sum(axis=1) + np.log(s).sum(axis=1))
+        slope = -(rhs * dc).sum(axis=1)
+        trying = np.ones(act.size, bool)
+        cn, fn, gn = c.copy(), f.copy(), g.copy()
+        for _ in range(20):
+            idx = trying.nonzero()[0]
+            if idx.size == 0:
+                break
+            ct = c[idx] + alpha[idx, None] * dc[idx]
+            st = 1.0 - _by_row(ct, W.T)
+            ft, gt = fun(ct, rows[idx])
+            nfev += 1
+            phit = ft - mu * (np.log(ct).sum(axis=1) + np.log(st).sum(axis=1))
+            # sufficient decrease, up to the rounding noise of phi
+            bound = phi[idx] + 1e-4 * alpha[idx] * slope[idx] + 1e-14 * np.abs(phi[idx])
+            good = (phit <= bound) & (ct.min(axis=1) > 0.0) & (st.min(axis=1) > 0.0)
+            hit = idx[good]
+            cn[hit], fn[hit], gn[hit] = ct[good], ft[good], gt[good]
+            trying[hit] = False
+            alpha[idx[~good]] *= 0.5
+        zc = zc + alpha_d[:, None] * dzc
+        zw = zw + alpha_d[:, None] * dzw
+        C[act], F[act], G[act], Zc[act], Zw[act] = cn, fn, gn, zc, zw
+        spent[act] += 1
+        stop = trying.copy()  # no acceptable step: the stage ends for this start
+        if last:
+            sn = 1.0 - _by_row(cn, W.T)
+            gap = (cn * zc).sum(axis=1) + (sn * zw).sum(axis=1)
+            dual = np.abs(gn - zc + _by_row(zw, W)).max(axis=1)
+            settled = ((gap < _FTOL) & (np.abs(fn - f) < _FTOL)
+                       & ((dual < 1e-6 * np.maximum(1.0, np.abs(gn).max(axis=1)))
+                          | (np.abs(cn - c).max(axis=1) < 1e-6)))
+            ok[act] = settled
+            stop |= settled
+        active[act] = ~stop & (spent[act] < maxiter)
     return SimpleNamespace(x=C, fun=float(F.min()), nfev=nfev, success=bool(ok.all()),
                            converged=ok, duals=(Zc, Zw), spent=spent)
 

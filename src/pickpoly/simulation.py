@@ -262,7 +262,9 @@ def _solve_conditional(kernel, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     1e-8 min(v, 1 - v), or when its bracket narrows to 4 ulp, and then
     leaves the active set, so each v depends only on its own (u, w). An
     element still active after 128 steps leaves with its latest iterate; the
-    extreme (u, w) of the tests finish within 85.
+    extreme (u, w) of the tests finish within 85. Only the Newton step and
+    its acceptance test run under ``np.errstate``; a warning that ``kernel``
+    raises reaches the caller.
     """
     n = u.size
     v = np.empty(n)
@@ -274,36 +276,36 @@ def _solve_conditional(kernel, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     x = np.clip(w, _V_LO, _V_HI)  # the root under independence, C = uv
     dx = dx_old = np.full(n, _V_HI - _V_LO)
     near = np.zeros(n, dtype=bool)
-    # a zero or non-finite slope gives a non-finite Newton point, which the
-    # bracket test rejects in favour of bisection
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MAX_STEPS):
-            logx = np.log(x)
-            s = logu + logx
-            t = logx / s
-            a, d1, d2 = kernel(t)
-            e = np.exp(s * a - logu)  # C / u
-            right = a - t * d1
-            f = e * right - w
-            slope = (e / x) * _density_brace(a, d1, d2, t, s)
-            above = f >= 0.0
-            hi = np.where(above, x, hi)
-            lo = np.where(above, lo, x)
+    for _ in range(_MAX_STEPS):
+        logx = np.log(x)
+        s = logu + logx
+        t = logx / s
+        a, d1, d2 = kernel(t)
+        e = np.exp(s * a - logu)  # C / u
+        right = a - t * d1
+        f = e * right - w
+        slope = (e / x) * _density_brace(a, d1, d2, t, s)
+        above = f >= 0.0
+        hi = np.where(above, x, hi)
+        lo = np.where(above, lo, x)
+        # a zero or non-finite slope gives a non-finite Newton point, which the
+        # bracket test rejects in favour of bisection
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = f / slope
             newton = x - step
             ok = (newton >= lo) & (newton <= hi) & (2.0 * np.abs(step) <= np.abs(dx_old))
-            x_new = np.where(ok, newton, 0.5 * (lo + hi))
-            dx_old, dx = dx, x_new - x
-            done = (ok & near) | (hi - lo <= 4.0 * np.spacing(hi))
-            near = ok & (np.abs(step) < _STEP_RTOL * np.minimum(x, 1.0 - x))
-            x = x_new
-            if done.any():
-                v[idx[done]] = x[done]
-                keep = ~done
-                if not keep.any():
-                    return v
-                idx, logu, w, lo, hi, x, dx, dx_old, near = (
-                    arr[keep] for arr in (idx, logu, w, lo, hi, x, dx, dx_old, near))
+        x_new = np.where(ok, newton, 0.5 * (lo + hi))
+        dx_old, dx = dx, x_new - x
+        done = (ok & near) | (hi - lo <= 4.0 * np.spacing(hi))
+        near = ok & (np.abs(step) < _STEP_RTOL * np.minimum(x, 1.0 - x))
+        x = x_new
+        if done.any():
+            v[idx[done]] = x[done]
+            keep = ~done
+            if not keep.any():
+                return v
+            idx, logu, w, lo, hi, x, dx, dx_old, near = (
+                arr[keep] for arr in (idx, logu, w, lo, hi, x, dx, dx_old, near))
     v[idx] = x
     return v
 

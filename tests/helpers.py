@@ -104,6 +104,18 @@ def mpmath_alog_kernel(alpha: float, psi1: float, psi2: float, t: float) -> tupl
                 float((r - 1) * g ** (al - 2) * a * b / (x * s) ** 2))
 
 
+def derivative_coeffs(P: BernsteinPoly) -> BernsteinPoly:
+    """Coefficients of P': c(k, m-1; P') = m * (c(k+1) - c(k)).
+
+    A degree-0 input returns the zero polynomial of degree 0. Evaluated by
+    ``evaluate``, it is a route to A' apart from the library's one-pass kernel.
+    """
+    m = P.degree
+    if m == 0:
+        return BernsteinPoly(np.zeros(1))
+    return BernsteinPoly(m * np.diff(P.coeffs))
+
+
 def quad_a_from_h(h: BernsteinPoly, t: float) -> float:
     """A(t) = 1 - int_0^1 min{(1-t)w, t(1-w)} h(w) dw by adaptive quadrature.
 
@@ -616,6 +628,18 @@ def sample_feasible_forty_batches(m: int, rng: np.random.Generator, count: int) 
     radial = rng.uniform(size=count - have) ** (1.0 / (m + 1))
     out.append(xi * (radius * radial)[:, None])
     return np.concatenate(out)[:count]
+
+
+def warning_after_first(fn):
+    """fn, taking log 0 on every call after its first, and the sizes of its calls' first arguments."""
+    calls = []
+
+    def warning(x, *rest):
+        if calls:
+            np.log(np.zeros(1))
+        calls.append(len(x))
+        return fn(x, *rest)
+    return warning, calls
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

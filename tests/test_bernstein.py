@@ -16,6 +16,7 @@ from helpers import (
     POLFULL_POWER,
     alog_value,
     assert_correctly_rounded,
+    derivative_coeffs,
     exact_basis,
     exact_elevation,
     exact_minimum,
@@ -42,7 +43,6 @@ from pickpoly.bernstein import (
     _power_to_bernstein_matrix,
     _real_array,
     _split_matrix,
-    derivative_coeffs,
 )
 from pickpoly.full_model import _sampling_box, coefficient_tensor, form_matrices
 from pickpoly.measures import _gauss_legendre

@@ -15,6 +15,7 @@ from helpers import (
     lower_hull_exact,
     run_python,
     slsqp_multistart_loglik,
+    warning_after_first,
 )
 from pickpoly import (
     AsymmetricLogistic,
@@ -682,6 +683,39 @@ def test_sqp_starts_at_a_cap_within_ftol_converge(seed, monkeypatch):
                    OptimConfig(starts=8, maxfev=300, seed=seed))
     [res] = searches
     assert res.converged.tolist() == [True] * 8 and fit.converged
+
+
+def test_every_runtime_warning_is_an_error():
+    # pyproject.toml's filterwarnings rule, on which the searches' and the
+    # sampler's warning tests rely
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        np.log(np.zeros(1))
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_sqp_lets_the_objective_warn(m, rng):
+    # a warning the objective raises inside the search loop reaches the caller
+    engine = _LogLik([sample_copula(MIX_MODEL, 80, 3)], m)
+    objective, calls = warning_after_first(engine.objective)
+    starts = sample_feasible(m, rng, 4)
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        inference._sqp(_theta_objective(objective, _cap_weights(m) / (m + 1)), starts,
+                       tags=_on_first(starts), maxiter=50)
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_barrier_stage_lets_the_objective_warn(m, rng):
+    engine = _LogLik([sample_copula(MIX_MODEL, 80, 3)], m)
+    objective, calls = warning_after_first(engine.objective)
+    W = _cap_weights(m) / (m + 1)
+    starts = np.array(_polytope_points(m, rng, 4))
+    duals = (1.0 / starts, 1.0 / (1.0 - starts @ W.T))
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        inference._barrier_stage(objective, starts, tags=_on_first(starts), hess=engine.hessian,
+                                 constraints=W, mu=0.1, duals=duals, spent=np.zeros(4, int),
+                                 maxiter=50)
+    assert calls == [4]
 
 
 def test_rebound_minimize_sees_every_local_search():

@@ -7,6 +7,7 @@ from conftest import random_valid_pickands
 from helpers import (
     POLFULL_H,
     POLFULL_POWER,
+    derivative_coeffs,
     exact_minimum,
     exact_nonnegative,
     fd_mixed_partial,
@@ -40,7 +41,6 @@ from pickpoly import (
     vee,
 )
 from pickpoly import pickands as pickands_module
-from pickpoly.bernstein import derivative_coeffs
 
 COUNTEREXAMPLE = PowerPoly([1.0, 0.0, 0.0, -1.0, 1.0])  # 1 - t^3 + t^4
 
